@@ -18,6 +18,7 @@ from .model_core import (
     MixtureParams,
     Responsibilities,
     SufficientStats,
+    coordinate_ascent,
     labels_from_responsibilities,
     log_mixture_weights,
     log_normalize_rows,
@@ -67,24 +68,11 @@ def em_fit(stats: SufficientStats, init: Responsibilities,
     component assigning probability zero to a trajectory receives
     responsibility zero for it.
 
-    Raises NumericalError (carrying the iteration index) if the objective
-    becomes NaN or +/-inf.
+    Raises NumericalError (carrying the iteration index) if a trajectory has
+    zero probability under every component or the objective becomes NaN or
+    +/-inf.
     """
-    if init.n != stats.n:
-        raise ValidationError("init responsibilities and stats disagree on N")
-    if max_iters < 1:
-        raise ValidationError("max_iters must be >= 1")
-
-    gamma = init.gamma.copy()
-    n = stats.n
-    threshold = tol_scale * n * stats.mean_transitions
-
-    trace = []
-    converged = False
-    iterations = 0
-    mu = nu = P = None
-    for it in range(1, max_iters + 1):
-        iterations = it
+    def step(gamma, it):
         weights = gamma.sum(axis=0)
         mu = weights / weights.sum()
         nu = normalize_rows(gamma.T @ stats.U)
@@ -99,23 +87,18 @@ def em_fit(stats: SufficientStats, init: Responsibilities,
                 f"trajectory {bad} has zero probability under every component",
                 iteration=it,
             )
-        objective = float(log_c.sum())
-        if not np.isfinite(objective):
-            raise NumericalError(
-                f"log-likelihood became non-finite ({objective})", iteration=it
-            )
-        trace.append(objective)
-        if it > 1 and abs(trace[-1] - trace[-2]) <= threshold:
-            converged = True
-            break
+        return gamma, float(log_c.sum()), (mu, nu, P)
 
+    gamma, (mu, nu, P), trace, converged, iterations = coordinate_ascent(
+        stats, init, step, max_iters, tol_scale
+    )
     labels = labels_from_responsibilities(gamma)
     surviving = int(np.unique(labels).size)
     return FitResult(
         params=MixtureParams(mu=mu, nu=nu, P=P),
         responsibilities=Responsibilities(gamma),
         labels=labels,
-        objective_trace=np.asarray(trace),
+        objective_trace=trace,
         converged=converged,
         iterations=iterations,
         surviving_components=surviving,

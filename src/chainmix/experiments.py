@@ -36,6 +36,11 @@ def _cell_seed(master: int, *key) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _failed_row(keys: dict, result_columns) -> dict:
+    """Sweep row for a cell that raised: its result columns left blank."""
+    return {**keys, **dict.fromkeys(result_columns, ""), "status": "failed"}
+
+
 def run_fig2(instances: int = 20, k_true: int = 4, s: int = 3, n_traj: int = 100,
              t_len: int = 30, k_max: int = 10, restarts: int = 100,
              seed: int = 0, threads: int = 1):
@@ -70,6 +75,7 @@ def run_fig3(t_values=(5, 10, 30, 100), n_values=(25, 100, 400),
         for t_len in t_values:
             for trial in range(trials):
                 cell_seed = _cell_seed(seed, n_traj, t_len, trial)
+                keys = {"n": n_traj, "t": t_len, "trial": trial, "seed": cell_seed}
                 try:
                     params = random_mixture_params(k_true, s, seed=cell_seed)
                     data, labels = sample_mixture(params, n_traj, t_len,
@@ -81,10 +87,7 @@ def run_fig3(t_values=(5, 10, 30, 100), n_values=(25, 100, 400),
                     )
                     acc, _ = accuracy(labels, report.best.labels)
                     rows.append({
-                        "n": n_traj,
-                        "t": t_len,
-                        "trial": trial,
-                        "seed": cell_seed,
+                        **keys,
                         "accuracy": acc,
                         "final_objective": report.best.objective,
                         "surviving_components": report.best.surviving_components,
@@ -93,11 +96,9 @@ def run_fig3(t_values=(5, 10, 30, 100), n_values=(25, 100, 400),
                 except Exception as exc:  # sweep survives individual failures
                     failures.append({"n": n_traj, "t": t_len, "trial": trial,
                                      "error": str(exc)})
-                    rows.append({
-                        "n": n_traj, "t": t_len, "trial": trial,
-                        "seed": cell_seed, "accuracy": "", "final_objective": "",
-                        "surviving_components": "", "status": "failed",
-                    })
+                    rows.append(_failed_row(
+                        keys, ("accuracy", "final_objective", "surviving_components")
+                    ))
     return rows, failures
 
 
@@ -158,6 +159,8 @@ def run_fig8(fr1: float = 0.01, fr2_values=(0.01, 0.05, 0.25, 1.0),
         for t_len in t_values:
             for rep in range(reps):
                 cell_seed = _cell_seed(seed, int(round(fr2 * 10**6)), t_len, rep)
+                keys = {"f_r_1": fr1, "f_r_2": fr2, "ratio": fr2 / fr1,
+                        "t": t_len, "rep": rep, "seed": cell_seed}
                 try:
                     result = misa_mixture_experiment(
                         fr1, fr2, n_per_group=n_per_group, t_len=t_len,
@@ -165,12 +168,7 @@ def run_fig8(fr1: float = 0.01, fr2_values=(0.01, 0.05, 0.25, 1.0),
                         sigma=sigma, n_states=n_states, threads=threads,
                     )
                     rows.append({
-                        "f_r_1": fr1,
-                        "f_r_2": fr2,
-                        "ratio": fr2 / fr1,
-                        "t": t_len,
-                        "rep": rep,
-                        "seed": cell_seed,
+                        **keys,
                         "accuracy": result.accuracy,
                         "surviving_components": result.report.best.surviving_components,
                         "status": "ok",
@@ -178,10 +176,5 @@ def run_fig8(fr1: float = 0.01, fr2_values=(0.01, 0.05, 0.25, 1.0),
                 except Exception as exc:
                     failures.append({"f_r_2": fr2, "t": t_len, "rep": rep,
                                      "error": str(exc)})
-                    rows.append({
-                        "f_r_1": fr1, "f_r_2": fr2, "ratio": fr2 / fr1,
-                        "t": t_len, "rep": rep, "seed": cell_seed,
-                        "accuracy": "", "surviving_components": "",
-                        "status": "failed",
-                    })
+                    rows.append(_failed_row(keys, ("accuracy", "surviving_components")))
     return rows, failures

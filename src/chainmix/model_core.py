@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 # Tolerance for accepting externally supplied probability vectors.  Values
 # produced internally (normalized counts) are exact to a few ulp.
@@ -282,27 +282,26 @@ def sample_mixture(params: MixtureParams, n: int, t: int, seed=None):
 
 
 def sufficient_stats(data: TrajectoryDataset) -> SufficientStats:
-    """Count initial states and transitions for every trajectory."""
+    """Count initial states and transitions for every trajectory.
+
+    All trajectories are concatenated and every adjacent pair of states is
+    coded as (trajectory, from, to) for one flat bincount.  The pairs that
+    straddle two trajectories go to one extra bin that is dropped, so ragged
+    and equal-length data take the same path.
+    """
     n, s = data.n, data.s
+    sizes = data.lengths + 1
+    starts = np.cumsum(sizes) - sizes
+    states = np.concatenate(data.trajectories)
     U = np.zeros((n, s), dtype=np.float64)
-    V = np.zeros((n, s, s), dtype=np.float64)
-    lengths = data.lengths
-    if n > 1 and np.all(lengths == lengths[0]) and lengths[0] >= 1:
-        A = np.stack(data.trajectories)
-        U[np.arange(n), A[:, 0]] = 1.0
-        flat = (
-            np.repeat(np.arange(n), lengths[0]) * s * s
-            + A[:, :-1].ravel() * s
-            + A[:, 1:].ravel()
-        )
-        V[:] = np.bincount(flat, minlength=n * s * s).reshape(n, s, s)
-        return SufficientStats(U, V)
-    for i, traj in enumerate(data.trajectories):
-        U[i, traj[0]] = 1.0
-        if traj.size > 1:
-            flat = traj[:-1] * s + traj[1:]
-            V[i] = np.bincount(flat, minlength=s * s).reshape(s, s)
-    return SufficientStats(U, V)
+    U[np.arange(n), states[starts]] = 1.0
+    # in-place updates keep the peak at three state-sized arrays
+    codes = states[:-1] * s
+    codes += states[1:]
+    codes += np.repeat(np.arange(n) * (s * s), sizes)[:-1]
+    codes[starts[1:] - 1] = n * s * s
+    counts = np.bincount(codes, minlength=n * s * s + 1)[:-1]
+    return SufficientStats(U, counts.reshape(n, s, s).astype(np.float64))
 
 
 def _check_counts(counts) -> np.ndarray:
@@ -379,3 +378,36 @@ def log_normalize_rows(logw: np.ndarray):
         log_norms = np.where(finite, m + np.log(sums), -np.inf)
         gamma = np.where(finite[:, None], np.exp(shifted) / np.where(sums > 0, sums, 1.0)[:, None], np.nan)
     return gamma, log_norms
+
+
+def coordinate_ascent(stats: SufficientStats, init: Responsibilities, step,
+                      max_iters: int, tol_scale: float):
+    """The iteration shared by EM and variational EM.
+
+    `step(gamma, it)` performs one parameter update from responsibilities
+    `gamma`, the E-step and the objective evaluation at iteration `it`
+    (1-based), and returns (new gamma, objective, parameters).  The loop
+    stops when |delta L| <= tol_scale * N * T_mean or after `max_iters`
+    steps.
+
+    Returns (gamma, parameters, objective trace, converged, iterations) from
+    the last step.  Raises NumericalError carrying the iteration index if
+    the objective becomes NaN or +/-inf.
+    """
+    if init.n != stats.n:
+        raise ValidationError("init responsibilities and stats disagree on N")
+    if max_iters < 1:
+        raise ValidationError("max_iters must be >= 1")
+    threshold = tol_scale * stats.n * stats.mean_transitions
+    gamma = init.gamma.copy()
+    trace = []
+    for it in range(1, max_iters + 1):
+        gamma, objective, params = step(gamma, it)
+        if not np.isfinite(objective):
+            raise NumericalError(
+                f"objective became non-finite ({objective})", iteration=it
+            )
+        trace.append(objective)
+        if it > 1 and abs(trace[-1] - trace[-2]) <= threshold:
+            return gamma, params, np.asarray(trace), True, it
+    return gamma, params, np.asarray(trace), False, max_iters

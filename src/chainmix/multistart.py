@@ -21,6 +21,9 @@ from .metrics import accuracy
 from .model_core import FitResult, Responsibilities, SufficientStats, as_rng, uniform_simplex
 from .vem import DirichletPosterior, VemConfig, vem_fit
 
+# Relative tolerance under which a restart's objective ties with the best.
+TIE_RTOL = 1e-9
+
 
 def sample_simplex_rows(n: int, k: int, seed=None) -> Responsibilities:
     """Draw N rows independently and uniformly from the (k-1)-simplex.
@@ -51,8 +54,11 @@ def _master_entropy(seed) -> int:
 class MultistartReport:
     """Outcome of a batch of restarts.
 
-    best/best_posterior hold the run maximizing the final objective (ties
-    broken by lowest restart index); failed restarts record NaN objectives.
+    best/best_posterior hold restart `best_index`: the lowest restart index
+    whose final objective lies within TIE_RTOL * max(1, |L_max|) of the best
+    finite objective L_max.  The tolerance makes the choice insensitive to
+    last-ulp rounding among restarts that reached the same optimum.  Failed
+    restarts record NaN objectives and are never chosen.
     """
 
     best: FitResult
@@ -141,12 +147,9 @@ def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
         detail = "; ".join(f"restart {r}: {msg}" for r, msg in failures)
         raise NumericalError(f"all {restarts} restarts failed: {detail}")
 
-    best_index = -1
-    best_value = -np.inf
-    for r in range(restarts):
-        if results[r] is not None and objectives[r] > best_value:
-            best_value = objectives[r]
-            best_index = r
+    best_value = np.nanmax(objectives)
+    tied = objectives >= best_value - TIE_RTOL * max(1.0, abs(best_value))
+    best_index = int(np.argmax(tied))
     best_fit, best_posterior = results[best_index]
 
     seeds = tuple(

@@ -114,24 +114,23 @@ def kl_rate(params: MixtureParams, i: int, j: int) -> float:
     return float(terms.sum())
 
 
-def misclassification_bound(params: MixtureParams, horizon: int) -> float:
-    """Lower bound on the misclassification error of any label estimator.
-
-    Evaluates (1/2) * sum_i max_{j != i} exp(-D_ij) / (1/mu_i + 1/mu_j)
-    with D_ij the trajectory-law KL divergence at the given horizon.
-    Components with infinite divergence or zero weight contribute nothing.
-    """
+def _divergence_matrix(params: MixtureParams, horizon: int) -> np.ndarray:
+    """D[i, j] = kl_trajectory(params, i, j, horizon), zero on the diagonal."""
     k = params.k
-    if k == 1:
-        return 0.0
     divergence = np.zeros((k, k))
     for i in range(k):
         for j in range(k):
             if i != j:
                 divergence[i, j] = kl_trajectory(params, i, j, horizon)
+    return divergence
+
+
+def _bound_from_divergence(mu: np.ndarray, divergence: np.ndarray) -> float:
+    """(1/2) * sum_i max_{j != i} exp(-D_ij) / (1/mu_i + 1/mu_j)."""
+    k = mu.shape[0]
     total = 0.0
     with np.errstate(divide="ignore"):
-        inv_mu = np.where(params.mu > 0, 1.0 / params.mu, np.inf)
+        inv_mu = np.where(mu > 0, 1.0 / mu, np.inf)
     for i in range(k):
         best = 0.0
         for j in range(k):
@@ -142,6 +141,16 @@ def misclassification_bound(params: MixtureParams, horizon: int) -> float:
             best = max(best, term)
         total += best
     return 0.5 * total
+
+
+def misclassification_bound(params: MixtureParams, horizon: int) -> float:
+    """Lower bound on the misclassification error of any label estimator.
+
+    Evaluates (1/2) * sum_i max_{j != i} exp(-D_ij) / (1/mu_i + 1/mu_j)
+    with D_ij the trajectory-law KL divergence at the given horizon.
+    Components with infinite divergence or zero weight contribute nothing.
+    """
+    return _bound_from_divergence(params.mu, _divergence_matrix(params, horizon))
 
 
 def bayes_classify(params: MixtureParams, data: TrajectoryDataset):
@@ -170,17 +179,15 @@ def bayes_classify(params: MixtureParams, data: TrajectoryDataset):
 def kl_report(params: MixtureParams, horizon: int) -> KlReport:
     """Pairwise divergence matrix, per-step rate matrix, and the error bound."""
     k = params.k
-    pairwise = np.zeros((k, k))
+    pairwise = _divergence_matrix(params, horizon)
     rates = np.zeros((k, k))
     for i in range(k):
         for j in range(k):
-            if i == j:
-                continue
-            pairwise[i, j] = kl_trajectory(params, i, j, horizon)
-            rates[i, j] = kl_rate(params, i, j)
+            if i != j:
+                rates[i, j] = kl_rate(params, i, j)
     return KlReport(
         pairwise=pairwise,
         rates=rates,
-        bound=misclassification_bound(params, horizon),
+        bound=_bound_from_divergence(params.mu, pairwise),
         horizon=horizon,
     )

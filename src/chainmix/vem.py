@@ -14,58 +14,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import digamma as _scipy_digamma, gammaln
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .model_core import (
     FitResult,
     MixtureParams,
     Responsibilities,
     SufficientStats,
+    coordinate_ascent,
     labels_from_responsibilities,
     log_mixture_weights,
     log_normalize_rows,
 )
 
-# Asymptotic-series coefficients B_{2n} / (2n) for n = 1..7.
-_DIGAMMA_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
-_DIGAMMA_SHIFT = 6.0
-
 
 def digamma(x):
     """Digamma function psi(x) = d/dx log Gamma(x) for x > 0.
 
-    Uses the recurrence psi(x) = psi(x + 1) - 1/x to push the argument to
-    x >= 6, then an asymptotic series through x**-14.  Accepts scalars or
-    arrays; relative error is below 1e-12 for x >= 1e-6 (absolute error at
-    that level near the function's zero at x ~ 1.4616, where relative error
-    is not meaningful).
+    scipy.special.digamma restricted to the domain the Dirichlet posteriors
+    live on: raises ValueError for x <= 0 or non-finite input.  Accepts
+    scalars or arrays and returns a float for scalar input.
     """
     arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).copy()
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0):
+    if not np.all(np.isfinite(arr) & (arr > 0)):
         raise ValueError("digamma requires x > 0")
-    acc = np.zeros_like(arr)
-    small = arr < _DIGAMMA_SHIFT
-    while np.any(small):
-        acc[small] -= 1.0 / arr[small]
-        arr[small] += 1.0
-        small = arr < _DIGAMMA_SHIFT
-    r = 1.0 / (arr * arr)
-    series = np.zeros_like(arr)
-    for c in reversed(_DIGAMMA_COEFFS):
-        series = (series + c) * r
-    out = acc + np.log(arr) - 0.5 / arr - series
-    return float(out[0]) if scalar else out
+    out = _scipy_digamma(arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def log_beta(counts) -> float:
@@ -211,23 +186,11 @@ def vem_fit(stats: SufficientStats, init: Responsibilities,
     lower bound per iteration.  Terminates when |delta L| <=
     tol_scale * N * T_mean or at max_iters.
     """
-    if init.n != stats.n:
-        raise ValidationError("init responsibilities and stats disagree on N")
     if init.k != config.k_max:
         raise ValidationError("init must have k_max columns")
+    prior_mu = 1.0 / config.k_max
 
-    k = config.k_max
-    n = stats.n
-    prior_mu = 1.0 / k
-    threshold = config.tol_scale * n * stats.mean_transitions
-
-    gamma = init.gamma.copy()
-    trace = []
-    converged = False
-    iterations = 0
-    n_hat = n_i_hat = n_ialpha_hat = None
-    for it in range(1, config.max_iters + 1):
-        iterations = it
+    def step(gamma, it):
         n_hat = prior_mu + gamma.sum(axis=0)
         n_i_hat = 1.0 + gamma.T @ stats.U
         n_ialpha_hat = 1.0 + np.einsum("nk,nab->kab", gamma, stats.V)
@@ -239,17 +202,13 @@ def vem_fit(stats: SufficientStats, init: Responsibilities,
         logw = log_mixture_weights(log_mu_t, log_nu_t, log_p_t, stats,
                                    check_support=False)
         gamma, log_c = log_normalize_rows(logw)
-
         objective = _elbo_value(n_hat, n_i_hat, n_ialpha_hat,
                                 log_mu_t, log_nu_t, log_p_t, log_c)
-        if not np.isfinite(objective):
-            raise NumericalError(
-                f"variational bound became non-finite ({objective})", iteration=it
-            )
-        trace.append(objective)
-        if it > 1 and abs(trace[-1] - trace[-2]) <= threshold:
-            converged = True
-            break
+        return gamma, objective, (n_hat, n_i_hat, n_ialpha_hat)
+
+    gamma, (n_hat, n_i_hat, n_ialpha_hat), trace, converged, iterations = (
+        coordinate_ascent(stats, init, step, config.max_iters, config.tol_scale)
+    )
 
     responsibilities = Responsibilities(gamma)
     posterior = DirichletPosterior(
@@ -259,13 +218,13 @@ def vem_fit(stats: SufficientStats, init: Responsibilities,
         responsibilities=responsibilities,
     )
     labels = labels_from_responsibilities(gamma)
-    label_counts = np.bincount(labels, minlength=k)
+    label_counts = np.bincount(labels, minlength=config.k_max)
     surviving = int(np.sum((n_hat >= config.prune_threshold) & (label_counts > 0)))
     result = FitResult(
         params=posterior.mean_params(),
         responsibilities=responsibilities,
         labels=labels,
-        objective_trace=np.asarray(trace),
+        objective_trace=trace,
         converged=converged,
         iterations=iterations,
         surviving_components=surviving,

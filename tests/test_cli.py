@@ -15,13 +15,20 @@ def run_cli(*argv):
 
 
 def test_console_script_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import chainmix
+    # the child process imports the same chainmix as this one, installed or not
+    src = str(Path(chainmix.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "chainmix.cli", "simulate", "--random-k", "2",
          "--random-s", "2", "--n-traj", "3", "--t-len", "2",
          "--out", str(tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "trajectories.txt").exists()

@@ -144,6 +144,17 @@ class TestSufficientStats:
         assert np.array_equal(slow.U[:2], fast.U)
         assert np.array_equal(slow.V[:2], fast.V)
 
+    def test_ragged_matches_per_trajectory_counts(self):
+        rng = np.random.default_rng(5)
+        trajs = tuple(rng.integers(0, 4, size=size) for size in (6, 1, 3, 1, 9, 2))
+        stats = sufficient_stats(TrajectoryDataset(trajs, s=4))
+        for n, traj in enumerate(trajs):
+            V = np.zeros((4, 4))
+            for a, b in zip(traj[:-1], traj[1:]):
+                V[a, b] += 1
+            assert stats.U[n, traj[0]] == 1 and stats.U[n].sum() == 1
+            assert np.array_equal(stats.V[n], V)
+
     def test_one_hot_validation(self):
         with pytest.raises(ValidationError):
             SufficientStats(U=np.array([[1.0, 1.0]]), V=np.zeros((1, 2, 2)))

@@ -13,7 +13,7 @@ from chainmix import (
     sufficient_stats,
     vem_fit,
 )
-from chainmix.multistart import restart_seed_sequence
+from chainmix.multistart import TIE_RTOL, restart_seed_sequence
 
 
 @pytest.fixture(scope="module")
@@ -99,9 +99,47 @@ class TestMultistart:
         report = multistart_fit(stats, "vem", restarts=10,
                                 config=VemConfig(k_max=4), seed=13,
                                 true_labels=labels)
-        assert report.best.objective == np.nanmax(report.all_objectives)
+        objectives = report.all_objectives
+        top = np.nanmax(objectives)
+        tied = np.flatnonzero(objectives >= top - TIE_RTOL * max(1.0, abs(top)))
+        assert report.best_index == tied[0]
+        assert report.best.objective == objectives[report.best_index]
         assert len(report.all_objectives) == 10
         assert report.all_accuracies.shape == (10,)
+
+    def test_tie_goes_to_lowest_index(self):
+        # restarts 0 and 7 reach the same optimum about 1e-11 apart; the rounding
+        # winner is restart 7, the tie rule keeps restart 0
+        params = random_mixture_params(3, 3, seed=2)
+        data, _ = sample_mixture(params, 40, 20, seed=102)
+        report = multistart_fit(sufficient_stats(data), "vem", restarts=10,
+                                config=VemConfig(k_max=4), seed=2)
+        objectives = report.all_objectives
+        assert 0 < np.nanmax(objectives) - objectives[0] < 1e-10
+        assert report.best_index == 0
+        assert report.best.objective == objectives[0]
+
+    def test_seeded_fits_pinned(self, small_problem):
+        # values of the separate EM and VEM loops that coordinate_ascent
+        # replaced: EM bit-exact, VEM within the scipy digamma tolerance
+        stats, _ = small_problem
+        fit = em_fit(stats, sample_simplex_rows(stats.n, 2, seed=7))
+        assert fit.converged and fit.iterations == 26
+        assert fit.objective_trace.tolist() == [
+            -395.22116503496613, -392.617812238889, -388.9794717441032,
+            -385.0263076699562, -383.2369288541869, -382.4395375290621,
+            -381.8423108900974, -381.43483762271705, -381.13226084023864,
+            -380.80398444373617, -380.44802822645727, -380.2114888425704,
+            -380.1262417284298, -380.1043180986922, -380.0992659417756,
+            -380.09813408073904, -380.0978821329351, -380.09782613042245,
+            -380.0978136862135, -380.09781092120335, -380.0978103068483,
+            -380.09781017034584, -380.09781014001663, -380.0978101332778,
+            -380.09781013178053, -380.0978101314479,
+        ]
+        vfit, _ = vem_fit(stats, sample_simplex_rows(stats.n, 4, seed=8),
+                          VemConfig(k_max=4))
+        assert vfit.objective == pytest.approx(-411.1272485863159, rel=1e-12)
+        assert vfit.surviving_components == 3
 
     def test_unknown_algorithm_rejected(self, small_problem):
         stats, _ = small_problem
