@@ -1,9 +1,9 @@
 """File formats: trajectory text files, label sidecars, JSON parameter and
 posterior documents, CSV diagnostics.
 
-Trajectory files hold one trajectory per line, whitespace- or
-comma-separated integer states, with an optional header line `# s=<int>`
-declaring the state count.  States are 0-based by default; pass
+Trajectory files hold one trajectory per line, states written as ASCII
+digits and separated by ASCII whitespace or commas, with an optional header
+line `# s=<int>` declaring the state count.  States are 0-based by default; pass
 one_based=True to convert on read/write.  Ground-truth labels live in a
 sidecar file with one integer per line.
 """
@@ -23,40 +23,127 @@ from .theory import KlReport
 from .vem import DirichletPosterior
 
 
+# Longest state token whose value is sure to fit in int64.
+_MAX_DIGITS = 18
+
+
+def _marks_per_line(marks, line_starts):
+    """Number of True entries of `marks` on each line.
+
+    Only the bytes that start a line or carry a mark are kept, so each count
+    is a difference of positions among them and no per-byte integer array
+    is made.
+    """
+    at_line = np.zeros(marks.size, dtype=bool)
+    at_line[line_starts] = True
+    kept = marks | at_line
+    rows = np.flatnonzero(np.compress(kept, at_line))
+    entries = np.diff(rows, append=np.count_nonzero(kept))
+    # a line's entries are its marks plus its first byte, unless that is a mark
+    return entries - 1 + np.compress(kept, marks)[rows]
+
+
 def read_trajectories(path, one_based: bool = False) -> TrajectoryDataset:
-    """Parse a trajectory file; infers s from the data unless a header declares it."""
-    declared_s = None
-    rows = []
-    offset = 1 if one_based else 0
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                body = text[1:].strip()
-                if body.startswith("s="):
-                    declared_s = int(body[2:].strip())
-                continue
-            try:
-                states = [int(tok) - offset for tok in text.replace(",", " ").split()]
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            if not states:
-                raise ValidationError(f"{path}:{lineno}: empty trajectory")
-            rows.append(np.asarray(states, dtype=np.int64))
-    if not rows:
+    """Parse a trajectory file; infers s from the data unless a header declares it.
+
+    The file is read as bytes once.  Lines end at \\n, \\r\\n or a lone \\r.
+    A line whose first non-blank byte is '#' is a comment (or the `# s=<int>`
+    header) and blank lines are skipped; every other line is one trajectory
+    of ASCII-digit tokens separated by ASCII whitespace or commas.  All
+    tokens are parsed together; only comment, header and blank lines are
+    visited one at a time.  Errors name the file and the 1-based line.
+    """
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    newline = buf == ord("\n")
+    lone_cr = buf == ord("\r")
+    lone_cr[:-1] &= ~newline[1:]
+    breaks = np.flatnonzero(newline | lone_cr)
+    del newline, lone_cr
+    line_starts = np.concatenate(([0], breaks + 1))
+    line_ends = np.append(breaks, buf.size)
+    if line_starts[-1] == buf.size:  # nothing follows the last line break
+        line_starts, line_ends = line_starts[:-1], line_ends[:-1]
+    if not line_starts.size:
         raise ValidationError(f"{path}: no trajectories found")
-    s = declared_s if declared_s is not None else int(max(r.max() for r in rows)) + 1
-    return TrajectoryDataset(tuple(rows), s=s)
+
+    # separators are ASCII whitespace (\t \n \v \f \r are bytes 9..13) and the comma
+    token = (buf != ord(" ")) & (buf != ord(",")) & (buf - np.uint8(9) > 4)
+    first = token.copy()
+    first[1:] &= ~token[:-1]
+    counts = _marks_per_line(first, line_starts)
+
+    declared_s = None
+    hash_lines = np.searchsorted(line_starts, np.flatnonzero(buf == ord("#")), side="right") - 1
+    for li in np.union1d(hash_lines, np.flatnonzero(counts == 0)).tolist():
+        lo, hi = line_starts[li], line_ends[li]
+        text = raw[lo:hi].strip()
+        if text.startswith(b"#"):
+            counts[li] = 0
+            token[lo:hi] = False
+            first[lo:hi] = False
+            body = text[1:].strip().decode(errors="replace")
+            if body.startswith("s="):
+                try:
+                    declared_s = int(body[2:].strip())
+                except ValueError as exc:
+                    raise ValidationError(f"{path}:{li + 1}: bad header: {exc}") from exc
+        elif text and not counts[li]:
+            raise ValidationError(f"{path}:{li + 1}: empty trajectory")
+
+    digits = buf - np.uint8(ord("0"))  # wraps around for bytes below '0'
+    bad = token & (digits > 9)
+    if bad.any():
+        li = int(np.searchsorted(line_starts, bad.argmax(), side="right")) - 1
+        words = raw[line_starts[li]:line_ends[li]].replace(b",", b" ").split()
+        word = next(w for w in words if not w.isdigit()).decode(errors="replace")
+        raise ValidationError(f"{path}:{li + 1}: invalid state token {word!r}")
+    del bad
+
+    digits = np.compress(token, digits)
+    starts = np.compress(token, first)
+    if starts.all():
+        states = digits.astype(np.int64)
+    else:
+        at = np.flatnonzero(starts)
+        width = np.diff(at, append=digits.size)
+        if width.max() > _MAX_DIGITS:
+            pos = np.flatnonzero(first)[np.argmax(width > _MAX_DIGITS)]
+            li = int(np.searchsorted(line_starts, pos, side="right")) - 1
+            raise ValidationError(
+                f"{path}:{li + 1}: state token longer than {_MAX_DIGITS} digits")
+        states = np.zeros(at.size, dtype=np.int64)
+        for place in range(int(width.max())):
+            live = np.flatnonzero(width > place)
+            states[live] *= 10
+            states[live] += digits[at[live] + place]
+    sizes = counts[counts > 0]
+    if not sizes.size:
+        raise ValidationError(f"{path}: no trajectories found")
+    if one_based:
+        states -= 1
+    s = declared_s if declared_s is not None else int(states.max()) + 1
+    return TrajectoryDataset.from_flat(states, sizes, s=s)
 
 
 def write_trajectories(path, data: TrajectoryDataset, one_based: bool = False):
+    """Write the `# s=<int>` header, then one line of space-separated states per trajectory."""
     offset = 1 if one_based else 0
-    with open(path, "w") as handle:
-        handle.write(f"# s={data.s}\n")
-        for traj in data.trajectories:
-            handle.write(" ".join(str(int(v) + offset) for v in traj) + "\n")
+    # Each state becomes its token plus a trailing space, taken from a table
+    # of the s tokens; the space after a trajectory's last state becomes '\n'.
+    words = [f"{v + offset} ".encode() for v in range(data.s)]
+    cells = np.array(words, dtype=np.bytes_)[data.states]
+    text = cells.view(np.uint8).reshape(cells.size, cells.itemsize)
+    last = np.cumsum(data.sizes) - 1
+    widths = np.array([len(w) for w in words])
+    text[last, widths[data.states[last]] - 1] = ord("\n")
+    text = text.ravel()
+    if cells.itemsize > widths.min():  # shorter tokens are NUL-padded
+        text = text[text != 0]
+    with open(path, "wb") as handle:
+        handle.write(f"# s={data.s}\n".encode())
+        handle.write(text.data)
 
 
 def read_labels(path, one_based: bool = False) -> np.ndarray:
@@ -141,21 +228,27 @@ def read_posterior(path):
 
 
 def write_restart_csv(path, report):
-    """Per-restart diagnostics: index, seed, final objective, iterations, accuracy."""
+    """Per-restart diagnostics: index, seed, final objective, iterations,
+    accuracy, converged (1/0) and the final |delta L|; failed restarts leave
+    the objective, converged and delta cells empty."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["restart", "seed", "final_objective", "iterations", "accuracy"])
+        writer.writerow(["restart", "seed", "final_objective", "iterations", "accuracy",
+                         "converged", "final_abs_delta"])
         for r in range(len(report.seeds)):
             acc = ""
             if report.all_accuracies is not None and np.isfinite(report.all_accuracies[r]):
                 acc = f"{report.all_accuracies[r]:.6f}"
             obj = report.all_objectives[r]
+            delta = report.all_final_deltas[r]
             writer.writerow([
                 r,
                 report.seeds[r],
                 "" if np.isnan(obj) else repr(float(obj)),
                 int(report.all_iterations[r]),
                 acc,
+                "" if np.isnan(obj) else int(report.all_converged[r]),
+                "" if np.isnan(delta) else repr(float(delta)),
             ])
 
 

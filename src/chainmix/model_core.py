@@ -14,6 +14,7 @@ to and from 1-based indexing (see chainmix.dataio).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +48,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class _FlatStates(NamedTuple):
+    """The flat form handed to TrajectoryDataset by `TrajectoryDataset.from_flat`."""
+
+    states: np.ndarray
+    sizes: np.ndarray
+
+
 @dataclass(frozen=True)
 class TrajectoryDataset:
     """A collection of integer-state trajectories over states {0, ..., s-1}.
@@ -54,43 +62,77 @@ class TrajectoryDataset:
     Trajectories may have unequal lengths.  A trajectory of length L has
     L - 1 transitions; length-1 trajectories (no transitions) are permitted
     and reported via `zero_transition_indices`.
+
+    All states live in one read-only int64 array `states`, trajectory after
+    trajectory, and `sizes[n]` is the length of trajectory n.
+    `trajectories` is a tuple of read-only views into `states`.  Build a
+    dataset from a sequence of trajectories, `TrajectoryDataset(trajs, s)`,
+    or from the flat form, `TrajectoryDataset.from_flat(states, sizes, s)`;
+    both are validated by the same checks.
     """
 
     trajectories: tuple
     s: int
+    states: np.ndarray = field(init=False, repr=False, compare=False)
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    @classmethod
+    def from_flat(cls, states, sizes, s: int) -> TrajectoryDataset:
+        """Dataset whose trajectory n is the next `sizes[n]` entries of `states`.
+
+        An int64 `states` array is used without a copy and marked read-only.
+        """
+        return cls(_FlatStates(states, sizes), s)
 
     def __post_init__(self):
-        trajs = []
-        for idx, t in enumerate(self.trajectories):
-            arr = np.asarray(t, dtype=np.int64)
-            if arr.ndim != 1 or arr.size < 1:
-                raise ValidationError(
-                    f"trajectory {idx} must be a nonempty 1-D integer sequence"
-                )
-            trajs.append(_freeze(arr))
-        if not trajs:
+        if isinstance(self.trajectories, _FlatStates):
+            states = np.asarray(self.trajectories.states, dtype=np.int64)
+            sizes = np.asarray(self.trajectories.sizes, dtype=np.int64)
+            if states.ndim != 1 or sizes.ndim != 1:
+                raise ValidationError("flat states and sizes must be 1-D arrays")
+        else:
+            parts = [np.asarray(t, dtype=np.int64) for t in self.trajectories]
+            # a part that is not 1-D gets size 0 so the size check names it
+            sizes = np.array([p.size if p.ndim == 1 else 0 for p in parts],
+                             dtype=np.int64)
+            # with no parts, the empty `sizes` stands in; it is rejected below
+            states = np.concatenate([p.ravel() for p in parts]) if parts else sizes
+        bad = np.flatnonzero(sizes < 1)
+        if bad.size:
+            raise ValidationError(
+                f"trajectory {bad[0]} must be a nonempty 1-D integer sequence"
+            )
+        if sizes.size == 0:
             raise ValidationError("dataset must contain at least one trajectory")
         if self.s < 1:
             raise ValidationError("state count s must be >= 1")
-        lo = min(int(t.min()) for t in trajs)
-        hi = max(int(t.max()) for t in trajs)
+        if sizes.sum() != states.size:
+            raise ValidationError(
+                f"sizes sum to {sizes.sum()} but there are {states.size} states"
+            )
+        lo, hi = int(states.min()), int(states.max())
         if lo < 0 or hi >= self.s:
             raise ValidationError(
                 f"state indices must lie in [0, {self.s}); found range [{lo}, {hi}]"
             )
-        object.__setattr__(self, "trajectories", tuple(trajs))
+        ends = np.cumsum(sizes).tolist()
+        states = _freeze(states)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "sizes", _freeze(sizes))
+        object.__setattr__(self, "trajectories", tuple(
+            states[a:b] for a, b in zip([0] + ends[:-1], ends)))
 
     @property
     def n(self) -> int:
-        return len(self.trajectories)
+        return self.sizes.size
 
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return self.sizes.size
 
     @property
     def lengths(self) -> np.ndarray:
         """Per-trajectory transition counts (length minus one)."""
-        return np.array([t.size - 1 for t in self.trajectories], dtype=np.int64)
+        return self.sizes - 1
 
     @property
     def mean_transitions(self) -> float:
@@ -99,7 +141,7 @@ class TrajectoryDataset:
     @property
     def zero_transition_indices(self) -> tuple:
         """Indices of trajectories that consist of a single state."""
-        return tuple(i for i, t in enumerate(self.trajectories) if t.size == 1)
+        return tuple(np.flatnonzero(self.sizes == 1).tolist())
 
 
 @dataclass(frozen=True)
@@ -277,22 +319,21 @@ def sample_mixture(params: MixtureParams, n: int, t: int, seed=None):
     for step in range(t):
         states[:, step + 1] = _categorical_rows(rng, cum_P[z, states[:, step]])
 
-    data = TrajectoryDataset(tuple(states[i] for i in range(n)), s=s)
+    data = TrajectoryDataset.from_flat(states.ravel(), np.full(n, t + 1), s=s)
     return data, z.astype(np.int64)
 
 
 def sufficient_stats(data: TrajectoryDataset) -> SufficientStats:
     """Count initial states and transitions for every trajectory.
 
-    All trajectories are concatenated and every adjacent pair of states is
+    Every adjacent pair of states in the dataset's flat state array is
     coded as (trajectory, from, to) for one flat bincount.  The pairs that
     straddle two trajectories go to one extra bin that is dropped, so ragged
     and equal-length data take the same path.
     """
     n, s = data.n, data.s
-    sizes = data.lengths + 1
+    states, sizes = data.states, data.sizes
     starts = np.cumsum(sizes) - sizes
-    states = np.concatenate(data.trajectories)
     U = np.zeros((n, s), dtype=np.float64)
     U[np.arange(n), states[starts]] = 1.0
     # in-place updates keep the peak at three state-sized arrays

@@ -59,6 +59,11 @@ class MultistartReport:
     finite objective L_max.  The tolerance makes the choice insensitive to
     last-ulp rounding among restarts that reached the same optimum.  Failed
     restarts record NaN objectives and are never chosen.
+
+    all_converged[r] tells whether restart r met the stopping rule before
+    max_iters, and all_final_deltas[r] is its last |delta L|, the step the
+    stopping rule judged.  A failed restart records False and NaN; a restart
+    that ran a single iteration records a NaN delta.
     """
 
     best: FitResult
@@ -70,6 +75,8 @@ class MultistartReport:
     seeds: tuple
     master_seed: int
     failures: tuple
+    all_converged: np.ndarray
+    all_final_deltas: np.ndarray
 
 
 def _run_restart(index, master_entropy, stats, algorithm, config, true_labels):
@@ -129,6 +136,8 @@ def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
 
     objectives = np.full(restarts, np.nan)
     iterations = np.zeros(restarts, dtype=np.int64)
+    converged = np.zeros(restarts, dtype=bool)
+    final_deltas = np.full(restarts, np.nan)
     accuracies = np.full(restarts, np.nan) if true_labels is not None else None
     results = [None] * restarts
     failures = []
@@ -140,6 +149,9 @@ def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
         results[r] = (fit, posterior)
         objectives[r] = fit.objective
         iterations[r] = fit.iterations
+        converged[r] = fit.converged
+        if fit.objective_trace.size > 1:
+            final_deltas[r] = abs(fit.objective_trace[-1] - fit.objective_trace[-2])
         if accuracies is not None and acc is not None:
             accuracies[r] = acc
 
@@ -166,4 +178,6 @@ def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
         seeds=seeds,
         master_seed=master_entropy,
         failures=tuple(failures),
+        all_converged=converged,
+        all_final_deltas=final_deltas,
     )

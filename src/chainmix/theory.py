@@ -95,6 +95,24 @@ def stationary_distribution(transition: np.ndarray, tol: float = 1e-12,
     )
 
 
+def _stationary_of(params: MixtureParams, i: int) -> np.ndarray:
+    """Stationary measure of chain i; a NumericalError names the component."""
+    try:
+        return stationary_distribution(params.P[i])
+    except NumericalError as exc:
+        raise NumericalError(
+            f"stationary measure of component {i} did not converge: {exc}"
+        ) from exc
+
+
+def _rate_under(params: MixtureParams, pi: np.ndarray, i: int, j: int) -> float:
+    """Row divergences of P_i from P_j averaged under chain i's stationary measure pi."""
+    row_kl = np.array([_kl_vector(params.P[i][a], params.P[j][a])
+                       for a in range(params.s)])
+    terms = np.where(pi > 0, pi * row_kl, 0.0)
+    return float(terms.sum())
+
+
 def kl_rate(params: MixtureParams, i: int, j: int) -> float:
     """Asymptotic per-step KL divergence of chain i from chain j.
 
@@ -102,16 +120,7 @@ def kl_rate(params: MixtureParams, i: int, j: int) -> float:
     stationary measure.  Raises NumericalError naming the component when the
     stationary computation does not converge.
     """
-    try:
-        pi = stationary_distribution(params.P[i])
-    except NumericalError as exc:
-        raise NumericalError(
-            f"stationary measure of component {i} did not converge: {exc}"
-        ) from exc
-    row_kl = np.array([_kl_vector(params.P[i][a], params.P[j][a])
-                       for a in range(params.s)])
-    terms = np.where(pi > 0, pi * row_kl, 0.0)
-    return float(terms.sum())
+    return _rate_under(params, _stationary_of(params, i), i, j)
 
 
 def _divergence_matrix(params: MixtureParams, horizon: int) -> np.ndarray:
@@ -181,10 +190,12 @@ def kl_report(params: MixtureParams, horizon: int) -> KlReport:
     k = params.k
     pairwise = _divergence_matrix(params, horizon)
     rates = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                rates[i, j] = kl_rate(params, i, j)
+    if k > 1:  # a single chain has no rates, so no stationary measure is needed
+        for i in range(k):
+            pi = _stationary_of(params, i)
+            for j in range(k):
+                if i != j:
+                    rates[i, j] = _rate_under(params, pi, i, j)
     return KlReport(
         pairwise=pairwise,
         rates=rates,

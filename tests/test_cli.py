@@ -97,8 +97,21 @@ class TestFit:
         with open(out / "restarts.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
+        assert list(rows[0]) == ["restart", "seed", "final_objective", "iterations",
+                                 "accuracy", "converged", "final_abs_delta"]
         assert all(r["final_objective"] for r in rows)
+        assert all(r["converged"] in ("0", "1") and float(r["final_abs_delta"]) >= 0
+                   for r in rows)
         assert (out / "confusion.csv").exists()
+
+    def test_malformed_header_is_an_error_exit(self, tmp_path, capsys):
+        path = tmp_path / "trajectories.txt"
+        path.write_text("# s=abc\n0 1\n1 0\n")
+        rc = run_cli("fit", "--input", path, "--k-max", 2, "--restarts", 1,
+                     "--out", tmp_path / "fit")
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
 
     def test_em_fit_deterministic(self, simulated, tmp_path):
         outs = []

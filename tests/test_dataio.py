@@ -60,6 +60,107 @@ class TestTrajectoryFiles:
         with pytest.raises(ValidationError):
             dataio.read_trajectories(path)
 
+    def test_writer_golden_bytes(self, tmp_path):
+        # recorded from the per-value str(int(v)) writer this one replaced
+        ds = TrajectoryDataset(([0, 11, 5, 10], [9], [3, 3, 11, 0, 1, 2], [10, 10]), s=12)
+        path = tmp_path / "traj.txt"
+        dataio.write_trajectories(path, ds, one_based=True)
+        assert path.read_bytes() == b"# s=12\n1 12 6 11\n10\n4 4 12 1 2 3\n11 11\n"
+        dataio.write_trajectories(path, ds)
+        assert path.read_bytes() == b"# s=12\n0 11 5 10\n9\n3 3 11 0 1 2\n10 10\n"
+
+    def test_random_ragged_round_trips(self, tmp_path):
+        rng = np.random.default_rng(7)
+        path = tmp_path / "traj.txt"
+        for trial in range(40):
+            s = int(rng.integers(1, 130))
+            lengths = rng.choice([1, 1, 2, int(rng.integers(1, 60))], size=rng.integers(1, 25))
+            ds = TrajectoryDataset(tuple(rng.integers(0, s, size=n) for n in lengths), s=s)
+            one_based = bool(trial % 2)
+            dataio.write_trajectories(path, ds, one_based=one_based)
+            loaded = dataio.read_trajectories(path, one_based=one_based)
+            assert loaded.s == s
+            assert np.array_equal(loaded.sizes, ds.sizes)
+            assert np.array_equal(loaded.states, ds.states)
+            assert loaded.zero_transition_indices == ds.zero_transition_indices
+
+    # (file bytes, s, trajectories), each as the line-by-line int() reader
+    # this one replaced returned them
+    READER_CASES = {
+        "crlf": (b"# s=4\r\n0 1 2\r\n3 3\r\n", 4, [[0, 1, 2], [3, 3]]),
+        "tabs": (b"0\t1\t2\n\t3 \t 3\t\n", 4, [[0, 1, 2], [3, 3]]),
+        "trailing_commas": (b"0,1,2,\n3,3,\n", 4, [[0, 1, 2], [3, 3]]),
+        "double_commas": (b"0,,1\n2,,,3\n", 4, [[0, 1], [2, 3]]),
+        "comments_and_blanks_mid_file":
+            (b"0 1\n\n# note\n  # s=5\n2 3\n   \n\n4\n# end", 5, [[0, 1], [2, 3], [4]]),
+        "lone_cr": (b"0 1\r2 3\r", 4, [[0, 1], [2, 3]]),
+        "leading_zeros_no_final_newline": (b"007 1 00", 8, [[7, 1, 0]]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_reader_edge_cases(self, tmp_path, case):
+        raw, s, trajs = self.READER_CASES[case]
+        path = tmp_path / "traj.txt"
+        path.write_bytes(raw)
+        loaded = dataio.read_trajectories(path)
+        assert loaded.s == s
+        assert [t.tolist() for t in loaded.trajectories] == trajs
+
+    @pytest.mark.parametrize("raw, line", [
+        (b"0 1\n\n\n# c\n1 x 0\n", 5),
+        (b"0 1\r\n\r\n2 y\r\n", 3),
+        (b"0 1\n , ,\n", 2),  # separators only: an empty trajectory
+    ])
+    def test_error_line_number_counts_blank_lines(self, tmp_path, raw, line):
+        path = tmp_path / "traj.txt"
+        path.write_bytes(raw)
+        with pytest.raises(ValidationError, match=f"{path.name}:{line}: "):
+            dataio.read_trajectories(path)
+
+    def test_malformed_header_is_a_validation_error(self, tmp_path):
+        path = tmp_path / "traj.txt"
+        path.write_text("0 1\n# s=abc\n1 0\n")
+        with pytest.raises(ValidationError, match=f"{path.name}:2: "):
+            dataio.read_trajectories(path)
+
+    @pytest.mark.parametrize("token", ["1_0", "+1", "-1", "\u0663", "1.0", "1" * 19])
+    def test_only_ascii_digit_tokens(self, tmp_path, token):
+        path = tmp_path / "traj.txt"
+        path.write_text(f"0 1\n0 {token}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"{path.name}:2: "):
+            dataio.read_trajectories(path)
+
+
+class TestDatasetValidation:
+    @pytest.mark.parametrize("trajs, s", [
+        (([0, 1], []), 2),
+        ((), 2),
+        (([0, 1], [1, 3]), 3),
+        (([0, -1],), 2),
+        (([0, 1],), 0),
+    ])
+    def test_tuple_and_flat_forms_raise_the_same_text(self, trajs, s):
+        with pytest.raises(ValidationError) as from_tuple:
+            TrajectoryDataset(trajs, s=s)
+        states = np.concatenate([np.asarray(t, dtype=np.int64) for t in trajs] or [[]])
+        sizes = [len(t) for t in trajs]
+        with pytest.raises(ValidationError) as from_flat:
+            TrajectoryDataset.from_flat(states.astype(np.int64), sizes, s=s)
+        assert str(from_flat.value) == str(from_tuple.value)
+
+    def test_flat_sizes_must_cover_the_states(self):
+        with pytest.raises(ValidationError, match="sizes sum to 3"):
+            TrajectoryDataset.from_flat(np.zeros(4, dtype=np.int64), [1, 2], s=1)
+
+    def test_trajectories_are_read_only_views(self):
+        ds = TrajectoryDataset(([0, 1, 2], [2], [1, 1]), s=3)
+        assert np.array_equal(ds.states, [0, 1, 2, 2, 1, 1])
+        assert np.array_equal(ds.sizes, [3, 1, 2])
+        for traj in ds.trajectories:
+            assert np.shares_memory(traj, ds.states)
+            assert not traj.flags.writeable
+        assert not ds.states.flags.writeable
+
 
 class TestLabelFiles:
     def test_round_trip(self, tmp_path):

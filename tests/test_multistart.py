@@ -141,6 +141,21 @@ class TestMultistart:
         assert vfit.objective == pytest.approx(-411.1272485863159, rel=1e-12)
         assert vfit.surviving_components == 3
 
+    def test_per_restart_convergence_recorded(self, small_problem):
+        stats, _ = small_problem
+        config = EmConfig(k=2, max_iters=6)
+        report = multistart_fit(stats, "em", restarts=4, config=config, seed=79)
+        for r in range(4):
+            init = sample_simplex_rows(stats.n, 2, restart_seed_sequence(79, r))
+            fit = em_fit(stats, init, max_iters=config.max_iters, tol_scale=config.tol_scale)
+            trace = fit.objective_trace
+            assert report.all_converged[r] == fit.converged
+            assert report.all_final_deltas[r] == abs(trace[-1] - trace[-2])
+        single = multistart_fit(stats, "em", restarts=2,
+                                config=EmConfig(k=2, max_iters=1), seed=79)
+        assert not single.all_converged.any()
+        assert np.isnan(single.all_final_deltas).all()
+
     def test_unknown_algorithm_rejected(self, small_problem):
         stats, _ = small_problem
         from chainmix import ValidationError

@@ -208,3 +208,29 @@ class TestKlReportStructure:
         assert np.all(report.rates >= 0)
         assert 0.0 <= report.bound <= 1.0
         assert report.horizon == 12
+
+    def test_one_stationary_solve_per_chain(self, monkeypatch):
+        from chainmix import theory
+        params = strictly_positive_params(4, 3, seed=202)
+        solved = []
+        monkeypatch.setattr(theory, "stationary_distribution",
+                            lambda p: solved.append(p) or stationary_distribution(p))
+        report = kl_report(params, 9)
+        assert len(solved) == 4
+        for i in range(4):
+            for j in range(4):
+                if i != j:
+                    assert report.rates[i, j] == kl_rate(params, i, j)
+
+    def test_failed_stationary_measure_names_component(self, monkeypatch):
+        from chainmix import theory
+        params = strictly_positive_params(3, 2, seed=203)
+
+        def fail_on_component_1(p):
+            if np.array_equal(p, params.P[1]):
+                raise NumericalError("power iteration did not converge")
+            return stationary_distribution(p)
+
+        monkeypatch.setattr(theory, "stationary_distribution", fail_on_component_1)
+        with pytest.raises(NumericalError, match="component 1"):
+            kl_report(params, 5)
