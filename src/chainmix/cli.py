@@ -10,6 +10,7 @@ machine-readable JSON summary on stderr.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -30,8 +31,6 @@ from .vem import VemConfig
 
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for restarts/sweeps")
     parser.add_argument("--tol-scale", type=float, default=1e-12,
                         help="convergence tolerance scale (times N * mean T)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -155,8 +154,7 @@ def _cmd_fit(args) -> int:
         config = VemConfig(k_max=args.k_max, max_iters=args.max_iters,
                            tol_scale=args.tol_scale)
     report = multistart_fit(stats, args.algorithm, args.restarts, config,
-                            seed=args.seed, true_labels=true_labels,
-                            threads=args.threads)
+                            seed=args.seed, true_labels=true_labels)
     best = report.best
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -285,22 +283,15 @@ def _experiment_kwargs(args):
         if value is not None:
             overrides[key] = value
     overrides.setdefault("seed", args.seed)
-    overrides.setdefault("threads", args.threads)
     return name, overrides
 
+
+# The keyword parameters of each recipe are the overrides it accepts.
 _RECIPES = {
-    "fig2": (experiments.run_fig2,
-             ("instances", "k_true", "s", "n_traj", "t_len", "k_max", "restarts",
-              "seed", "threads")),
-    "fig3": (experiments.run_fig3,
-             ("t_values", "n_values", "trials", "k_true", "s", "k_max",
-              "restarts", "seed", "threads")),
-    "fig4": (experiments.run_fig4,
-             ("k_max", "k_true", "s", "n_traj", "t_len", "restarts", "seed",
-              "threads", "algorithm")),
-    "fig8": (experiments.run_fig8,
-             ("fr1", "fr2_values", "t_values", "reps", "n_per_group",
-              "restarts", "k_max", "sigma", "n_states", "seed", "threads")),
+    "fig2": experiments.run_fig2,
+    "fig3": experiments.run_fig3,
+    "fig4": experiments.run_fig4,
+    "fig8": experiments.run_fig8,
 }
 
 
@@ -313,8 +304,8 @@ def _cmd_experiment(args) -> int:
         )
     if name not in _RECIPES:
         raise ValidationError(f"unknown experiment {name!r}")
-    recipe, allowed = _RECIPES[name]
-    unknown = set(overrides) - set(allowed)
+    recipe = _RECIPES[name]
+    unknown = set(overrides) - set(inspect.signature(recipe).parameters)
     if unknown:
         raise ValidationError(f"unsupported overrides for {name}: {sorted(unknown)}")
     rows, failures = recipe(**overrides)
@@ -348,25 +339,42 @@ _HANDLERS = {
 }
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+def _apply_config(parser, argv) -> None:
+    """Make the values of a --config file the defaults of every subcommand.
 
-    # A config file supplies defaults; explicit flags override them.
+    Explicit flags override them.  A key may belong to any subcommand, not
+    only the one invoked; a key that names no option of any subcommand
+    raises ValidationError.
+    """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", type=Path, default=None)
     known, _ = probe.parse_known_args(argv)
-    if known.config is not None:
-        with open(known.config) as handle:
-            defaults = json.load(handle)
-        for action in parser._subparsers._group_actions:
-            for sub in action.choices.values():
-                sub.set_defaults(**{k: v for k, v in defaults.items()})
+    if known.config is None:
+        return
+    with open(known.config) as handle:
+        defaults = json.load(handle)
+    if not isinstance(defaults, dict):
+        raise ValidationError(f"config file {known.config} must hold a JSON object")
+    subs = [sub for action in parser._subparsers._group_actions
+            for sub in action.choices.values()]
+    options = {action.dest for sub in subs for action in sub._actions} - {"help"}
+    unknown = sorted(set(defaults) - options)
+    if unknown:
+        raise ValidationError(
+            f"config file {known.config} has keys that name no option: {unknown}"
+        )
+    for sub in subs:
+        sub.set_defaults(**defaults)
 
-    args = parser.parse_args(argv)
-    if hasattr(args, "out"):
-        args.out = Path(args.out)
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     try:
+        _apply_config(parser, argv)
+        args = parser.parse_args(argv)
+        if hasattr(args, "out"):
+            args.out = Path(args.out)
         return _HANDLERS[args.command](args)
     except (ValidationError, NumericalError, OSError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),

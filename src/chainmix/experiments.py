@@ -43,7 +43,7 @@ def _failed_row(keys: dict, result_columns) -> dict:
 
 def run_fig2(instances: int = 20, k_true: int = 4, s: int = 3, n_traj: int = 100,
              t_len: int = 30, k_max: int = 10, restarts: int = 100,
-             seed: int = 0, threads: int = 1):
+             seed: int = 0):
     """Component-count recovery: does the best-bound run keep exactly k_true?"""
     rows = []
     for inst in range(instances):
@@ -52,8 +52,7 @@ def run_fig2(instances: int = 20, k_true: int = 4, s: int = 3, n_traj: int = 100
         data, labels = sample_mixture(params, n_traj, t_len, seed=inst_seed + 1)
         stats = sufficient_stats(data)
         report = multistart_fit(stats, "vem", restarts, VemConfig(k_max=k_max),
-                                seed=inst_seed + 2, true_labels=labels,
-                                threads=threads)
+                                seed=inst_seed + 2, true_labels=labels)
         acc, _ = accuracy(labels, report.best.labels)
         rows.append({
             "instance": inst,
@@ -67,7 +66,7 @@ def run_fig2(instances: int = 20, k_true: int = 4, s: int = 3, n_traj: int = 100
 
 def run_fig3(t_values=(5, 10, 30, 100), n_values=(25, 100, 400),
              trials: int = 250, k_true: int = 4, s: int = 3, k_max: int = 10,
-             restarts: int = 8, seed: int = 0, threads: int = 1):
+             restarts: int = 8, seed: int = 0):
     """Accuracy over an (N, T) grid of simulated mixtures, `trials` per cell."""
     rows = []
     failures = []
@@ -83,7 +82,7 @@ def run_fig3(t_values=(5, 10, 30, 100), n_values=(25, 100, 400),
                     stats = sufficient_stats(data)
                     report = multistart_fit(
                         stats, "vem", restarts, VemConfig(k_max=k_max),
-                        seed=cell_seed + 2, true_labels=labels, threads=threads,
+                        seed=cell_seed + 2, true_labels=labels,
                     )
                     acc, _ = accuracy(labels, report.best.labels)
                     rows.append({
@@ -125,7 +124,7 @@ def summarize_fig3(rows):
 
 def run_fig4(k_max: int = 15, k_true: int = 10, s: int = 7, n_traj: int = 100,
              t_len: int = 50, restarts: int = 1000, seed: int = 0,
-             threads: int = 1, algorithm: str = "vem"):
+             algorithm: str = "vem"):
     """Final objective and accuracy for every restart on one hard instance."""
     inst_seed = _cell_seed(seed, 0)
     params = random_mixture_params(k_true, s, seed=inst_seed)
@@ -133,8 +132,7 @@ def run_fig4(k_max: int = 15, k_true: int = 10, s: int = 7, n_traj: int = 100,
     stats = sufficient_stats(data)
     config = VemConfig(k_max=k_max) if algorithm == "vem" else EmConfig(k=k_max)
     report = multistart_fit(stats, algorithm, restarts, config,
-                            seed=inst_seed + 2, true_labels=labels,
-                            threads=threads)
+                            seed=inst_seed + 2, true_labels=labels)
     rows = []
     for r in range(restarts):
         obj = report.all_objectives[r]
@@ -151,7 +149,7 @@ def run_fig4(k_max: int = 15, k_true: int = 10, s: int = 7, n_traj: int = 100,
 def run_fig8(fr1: float = 0.01, fr2_values=(0.01, 0.05, 0.25, 1.0),
              t_values=(5, 10, 25, 50), reps: int = 5, n_per_group: int = 15,
              restarts: int = 20, k_max: int = 10, sigma: float = 50.0,
-             n_states: int = 4, seed: int = 0, threads: int = 1):
+             n_states: int = 4, seed: int = 0):
     """Gene-circuit discrimination accuracy over (rate ratio, T) cells."""
     rows = []
     failures = []
@@ -165,7 +163,7 @@ def run_fig8(fr1: float = 0.01, fr2_values=(0.01, 0.05, 0.25, 1.0),
                     result = misa_mixture_experiment(
                         fr1, fr2, n_per_group=n_per_group, t_len=t_len,
                         seed=cell_seed, k_max=k_max, restarts=restarts,
-                        sigma=sigma, n_states=n_states, threads=threads,
+                        sigma=sigma, n_states=n_states,
                     )
                     rows.append({
                         **keys,

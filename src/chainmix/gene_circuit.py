@@ -258,8 +258,8 @@ class MisaMixtureResult:
 def misa_mixture_experiment(f_r_1: float, f_r_2: float, n_per_group: int = 15,
                             t_len: int = 25, seed=None, k_max: int = 10,
                             restarts: int = 20, sigma: float = 50.0,
-                            n_states: int = 4, burn_in: float = 100.0,
-                            threads: int = 1) -> MisaMixtureResult:
+                            n_states: int = 4,
+                            burn_in: float = 100.0) -> MisaMixtureResult:
     """Simulate two populations, discretize by spectral clustering, fit, score.
 
     Simulates `n_per_group` trajectories at each repressor-unbinding rate,
@@ -300,7 +300,7 @@ def misa_mixture_experiment(f_r_1: float, f_r_2: float, n_per_group: int = 15,
     report = multistart_fit(
         stats, "vem", restarts=restarts,
         config=VemConfig(k_max=k_max),
-        seed=fit_seq, true_labels=true_labels, threads=threads,
+        seed=fit_seq, true_labels=true_labels,
     )
     acc, _ = accuracy(true_labels, report.best.labels)
     return MisaMixtureResult(

@@ -382,24 +382,24 @@ def random_mixture_params(k: int, s: int, seed=None) -> MixtureParams:
     )
 
 
-def log_mixture_weights(log_mu, log_nu, log_P, stats: SufficientStats,
-                        check_support: bool = True) -> np.ndarray:
+def log_mixture_weights(log_mu, log_nu, log_P, stats: SufficientStats) -> np.ndarray:
     """Per-trajectory, per-component unnormalized log posterior weights.
 
     Computes log mu_i + sum_a U[n,a] log nu_i(a) + sum_ab V[n,a,b] log P_i(a,b)
-    with the convention 0 * log 0 = 0.  When `check_support` is set, -inf
-    log-parameters hit by a positive count force the weight to -inf; callers
-    whose log-parameters are always finite can skip the masking.
+    with the convention 0 * log 0 = 0: a -inf log-parameter hit by a positive
+    count forces the weight to -inf, and one that no count hits adds nothing.
+    The support masks are built only when log_nu or log_P holds a -inf.
     """
     U, V = stats.U, stats.V
-    if not check_support:
+    inf_nu, inf_P = np.isneginf(log_nu), np.isneginf(log_P)
+    if not (inf_nu.any() or inf_P.any()):
         return log_mu[None, :] + U @ log_nu.T + np.einsum("nab,kab->nk", V, log_P)
-    safe_nu = np.where(np.isneginf(log_nu), 0.0, log_nu)
-    safe_P = np.where(np.isneginf(log_P), 0.0, log_P)
+    safe_nu = np.where(inf_nu, 0.0, log_nu)
+    safe_P = np.where(inf_P, 0.0, log_P)
     w = log_mu[None, :] + U @ safe_nu.T + np.einsum("nab,kab->nk", V, safe_P)
-    hit_nu = U @ np.isneginf(log_nu).T.astype(np.float64)
+    hit_nu = U @ inf_nu.T.astype(np.float64)
     hit_P = np.einsum("nab,kab->nk", (V > 0).astype(np.float64),
-                      np.isneginf(log_P).astype(np.float64))
+                      inf_P.astype(np.float64))
     w[(hit_nu + hit_P) > 0] = -np.inf
     return w
 
@@ -413,11 +413,12 @@ def log_normalize_rows(logw: np.ndarray):
     """
     m = logw.max(axis=1)
     finite = np.isfinite(m)
-    shifted = np.where(finite[:, None], logw - np.where(finite, m, 0.0)[:, None], -np.inf)
-    sums = np.exp(shifted).sum(axis=1)
+    # rows without a finite max are overwritten below, so shifting them by 0 is safe
+    e = np.exp(logw - np.where(finite, m, 0.0)[:, None])
+    sums = e.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_norms = np.where(finite, m + np.log(sums), -np.inf)
-        gamma = np.where(finite[:, None], np.exp(shifted) / np.where(sums > 0, sums, 1.0)[:, None], np.nan)
+        gamma = np.where(finite[:, None], e / sums[:, None], np.nan)
     return gamma, log_norms
 
 

@@ -2,15 +2,15 @@
 
 Both fitting algorithms are nonconvex and sensitive to initialization, so
 the standard remedy is many independent restarts from uniform random
-responsibilities, keeping the run with the best final objective.  Restart
-r draws its random stream from SeedSequence(master, spawn_key=(r,)), which
-makes every restart reproducible on its own and the whole report
-independent of worker scheduling.
+responsibilities, keeping the run with the best final objective.  The
+restarts run one after another.  Restart r draws its random stream from
+SeedSequence(master, spawn_key=(r,)), which makes every restart
+reproducible on its own and the first r restarts of a longer run identical
+to a shorter one.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,13 +96,12 @@ def _run_restart(index, master_entropy, stats, algorithm, config, true_labels):
 
 
 def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
-                   config, seed=None, true_labels=None,
-                   threads: int = 1) -> MultistartReport:
+                   config, seed=None, true_labels=None) -> MultistartReport:
     """Fit with `restarts` independent initializations; keep the best run.
 
     algorithm is "em" (config: EmConfig) or "vem" (config: VemConfig).
-    Per-restart seeds derive from the master seed by spawn index, so the
-    report is identical for any thread count.  When `true_labels` is given,
+    Per-restart seeds derive from the master seed by spawn index, so each
+    restart can be reproduced on its own.  When `true_labels` is given,
     per-restart permutation-matched accuracies are recorded.
 
     Raises NumericalError if every restart fails numerically.
@@ -119,21 +118,6 @@ def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
         raise ValidationError(f"unknown algorithm {algorithm!r}")
 
     master_entropy = _master_entropy(seed)
-
-    def job(r):
-        try:
-            return r, _run_restart(r, master_entropy, stats, algorithm, config,
-                                   true_labels), None
-        except NumericalError as exc:
-            return r, None, exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(job, range(restarts)))
-    else:
-        raw = [job(r) for r in range(restarts)]
-    raw.sort(key=lambda item: item[0])
-
     objectives = np.full(restarts, np.nan)
     iterations = np.zeros(restarts, dtype=np.int64)
     converged = np.zeros(restarts, dtype=bool)
@@ -141,18 +125,20 @@ def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
     accuracies = np.full(restarts, np.nan) if true_labels is not None else None
     results = [None] * restarts
     failures = []
-    for r, outcome, exc in raw:
-        if exc is not None:
+    for r in range(restarts):
+        try:
+            fit, posterior, acc = _run_restart(r, master_entropy, stats, algorithm,
+                                               config, true_labels)
+        except NumericalError as exc:
             failures.append((r, str(exc)))
             continue
-        fit, posterior, acc = outcome
         results[r] = (fit, posterior)
         objectives[r] = fit.objective
         iterations[r] = fit.iterations
         converged[r] = fit.converged
         if fit.objective_trace.size > 1:
             final_deltas[r] = abs(fit.objective_trace[-1] - fit.objective_trace[-2])
-        if accuracies is not None and acc is not None:
+        if acc is not None:
             accuracies[r] = acc
 
     if len(failures) == restarts:

@@ -199,8 +199,7 @@ def vem_fit(stats: SufficientStats, init: Responsibilities,
         log_nu_t = digamma(n_i_hat) - digamma(n_i_hat.sum(axis=1))[:, None]
         log_p_t = digamma(n_ialpha_hat) - digamma(n_ialpha_hat.sum(axis=2))[:, :, None]
 
-        logw = log_mixture_weights(log_mu_t, log_nu_t, log_p_t, stats,
-                                   check_support=False)
+        logw = log_mixture_weights(log_mu_t, log_nu_t, log_p_t, stats)
         gamma, log_c = log_normalize_rows(logw)
         objective = _elbo_value(n_hat, n_i_hat, n_ialpha_hat,
                                 log_mu_t, log_nu_t, log_p_t, log_c)

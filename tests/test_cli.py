@@ -113,6 +113,12 @@ class TestFit:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ValidationError"
 
+    def test_threads_flag_is_gone(self, simulated, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("fit", "--input", simulated / "trajectories.txt",
+                    "--threads", 2, "--out", tmp_path / "fit")
+        assert exc.value.code == 2
+
     def test_em_fit_deterministic(self, simulated, tmp_path):
         outs = []
         for sub in ("f1", "f2"):
@@ -315,6 +321,36 @@ class TestExperiment:
                      "--instances", 1, "--restarts", 2)
         assert rc == 0
         assert (tmp_path / "cfg" / "fig2_results.csv").exists()
+
+    @pytest.mark.parametrize("content, named", [({"sed": 50}, "'sed'"),
+                                                ([1, 2], "JSON object")])
+    def test_unusable_config_fails(self, tmp_path, capsys, content, named):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(content))
+        rc = run_cli("--config", config, "experiment", "--name", "fig2",
+                     "--instances", 1, "--restarts", 2, "--out", tmp_path / "cfg")
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert named in err["error"]["message"]
+        assert not (tmp_path / "cfg").exists()
+
+    def test_config_key_of_another_subcommand_allowed(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"f_r": 0.1, "k_max": 3}))
+        rc = run_cli("--config", config, "simulate", "--random-k", 2,
+                     "--random-s", 2, "--n-traj", 3, "--t-len", 2,
+                     "--out", tmp_path)
+        assert rc == 0
+
+    def test_threads_spec_key_unsupported(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"name": "fig2", "instances": 1, "threads": 2}))
+        rc = run_cli("experiment", "--name", "custom", "--spec", spec,
+                     "--out", tmp_path)
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["message"] == "unsupported overrides for fig2: ['threads']"
 
     def test_custom_without_recipe_fails(self, tmp_path, capsys):
         rc = run_cli("experiment", "--name", "custom", "--out", tmp_path)

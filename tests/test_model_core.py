@@ -14,7 +14,7 @@ from chainmix import (
     sample_mixture,
     sufficient_stats,
 )
-from chainmix.model_core import SufficientStats
+from chainmix.model_core import SufficientStats, log_mixture_weights, log_normalize_rows
 
 
 class TestTrajectoryDataset:
@@ -203,3 +203,48 @@ class TestResponsibilities:
     def test_valid(self):
         r = Responsibilities(np.array([[0.25, 0.75]]))
         assert r.n == 1 and r.k == 2
+
+
+class TestEStep:
+    @pytest.fixture()
+    def stats(self):
+        data = TrajectoryDataset(([0, 1, 1, 2], [2, 2, 0], [1, 0]), s=3)
+        return sufficient_stats(data)
+
+    @staticmethod
+    def _log_params(seed):
+        rng = np.random.default_rng(seed)
+        return (np.log(rng.dirichlet(np.ones(2))),
+                np.log(rng.dirichlet(np.ones(3), size=2)),
+                np.log(rng.dirichlet(np.ones(3), size=(2, 3))))
+
+    def test_finite_parameters_plain_formula(self, stats):
+        log_mu, log_nu, log_P = self._log_params(0)
+        expected = (log_mu[None, :] + stats.U @ log_nu.T
+                    + np.einsum("nab,kab->nk", stats.V, log_P))
+        w = log_mixture_weights(log_mu, log_nu, log_P, stats)
+        assert np.array_equal(w, expected)
+
+    def test_neg_inf_entry_hit_by_a_count(self, stats):
+        log_mu, log_nu, log_P = self._log_params(1)
+        log_P[1, 1, 1] = -np.inf  # only trajectory 0 makes the 1 -> 1 step
+        w = log_mixture_weights(log_mu, log_nu, log_P, stats)
+        assert w[0, 1] == -np.inf
+        assert np.all(np.isfinite(w[1:])) and np.isfinite(w[0, 0])
+
+    def test_neg_inf_entry_no_count_hits(self, stats):
+        log_mu, log_nu, log_P = self._log_params(2)
+        finite = log_mixture_weights(log_mu, log_nu, log_P, stats)
+        log_P[0, 2, 1] = -np.inf  # no trajectory makes the 2 -> 1 step
+        log_nu[1, 0] = -np.inf  # only trajectory 0 starts in state 0
+        w = log_mixture_weights(log_mu, log_nu, log_P, stats)
+        assert np.array_equal(w[:, 0], finite[:, 0])
+        assert w[0, 1] == -np.inf and np.array_equal(w[1:, 1], finite[1:, 1])
+
+    def test_normalize_rows_all_neg_inf_row(self):
+        logw = np.array([[0.0, np.log(3.0)], [-np.inf, -np.inf], [-np.inf, 5.0]])
+        gamma, log_norms = log_normalize_rows(logw)
+        assert np.allclose(gamma[0], [0.25, 0.75])
+        assert log_norms[0] == pytest.approx(np.log(4.0))
+        assert np.all(np.isnan(gamma[1])) and log_norms[1] == -np.inf
+        assert np.array_equal(gamma[2], [0.0, 1.0]) and log_norms[2] == 5.0

@@ -74,16 +74,6 @@ class TestMultistart:
         assert np.array_equal(a.best.responsibilities.gamma,
                               b.best.responsibilities.gamma)
 
-    def test_thread_count_does_not_change_report(self, small_problem):
-        stats, _ = small_problem
-        serial = multistart_fit(stats, "em", restarts=8, config=EmConfig(k=2),
-                                seed=9, threads=1)
-        threaded = multistart_fit(stats, "em", restarts=8, config=EmConfig(k=2),
-                                  seed=9, threads=4)
-        assert np.array_equal(serial.all_objectives, threaded.all_objectives)
-        assert serial.best_index == threaded.best_index
-        assert serial.best.objective == threaded.best.objective
-
     def test_prefix_property(self, small_problem):
         stats, _ = small_problem
         few = multistart_fit(stats, "vem", restarts=3, config=VemConfig(k_max=4),
