@@ -163,6 +163,7 @@ def _cmd_fit(args) -> int:
         "k_max": args.k_max,
         "restarts": args.restarts,
         "best_restart": report.best_index,
+        "tied_restarts": list(report.tied_indices),
         "converged": best.converged,
         "iterations": best.iterations,
         "final_objective": best.objective,
@@ -240,11 +241,22 @@ def _cmd_bound(args) -> int:
     return 0
 
 
+def _read_json_object(path: Path, what: str) -> dict:
+    """The JSON object in `path`; ValidationError naming the file otherwise."""
+    with open(path) as handle:
+        try:
+            value = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} {path} must hold a JSON object")
+    return value
+
+
 def _cmd_misa(args) -> int:
     overrides = {}
     if args.params_json is not None:
-        with open(args.params_json) as handle:
-            overrides = json.load(handle)
+        overrides = _read_json_object(args.params_json, "params file")
     for rate in ("g00", "g01", "g10", "g11", "d", "h_a", "f_a", "h_r"):
         value = getattr(args, rate)
         if value is not None:
@@ -266,8 +278,7 @@ def _cmd_misa(args) -> int:
 def _experiment_kwargs(args):
     overrides = {}
     if args.spec is not None:
-        with open(args.spec) as handle:
-            overrides.update(json.load(handle))
+        overrides = _read_json_object(args.spec, "spec file")
     name = overrides.pop("name", args.name)
     flag_map = {
         "trials": args.trials,
@@ -351,10 +362,7 @@ def _apply_config(parser, argv) -> None:
     known, _ = probe.parse_known_args(argv)
     if known.config is None:
         return
-    with open(known.config) as handle:
-        defaults = json.load(handle)
-    if not isinstance(defaults, dict):
-        raise ValidationError(f"config file {known.config} must hold a JSON object")
+    defaults = _read_json_object(known.config, "config file")
     subs = [sub for action in parser._subparsers._group_actions
             for sub in action.choices.values()]
     options = {action.dest for sub in subs for action in sub._actions} - {"help"}

@@ -72,11 +72,14 @@ def em_fit(stats: SufficientStats, init: Responsibilities,
     zero probability under every component or the objective becomes NaN or
     +/-inf.
     """
+    s = stats.s
+
     def step(gamma, it):
         weights = gamma.sum(axis=0)
         mu = weights / weights.sum()
-        nu = normalize_rows(gamma.T @ stats.U)
-        P = normalize_rows(np.einsum("nk,nab->kab", gamma, stats.V))
+        counts = gamma.T @ stats.X
+        nu = normalize_rows(counts[:, :s])
+        P = normalize_rows(counts[:, s:].reshape(-1, s, s))
 
         with np.errstate(divide="ignore", invalid="ignore"):
             logw = log_mixture_weights(np.log(mu), np.log(nu), np.log(P), stats)

@@ -64,6 +64,9 @@ class MultistartReport:
     max_iters, and all_final_deltas[r] is its last |delta L|, the step the
     stopping rule judged.  A failed restart records False and NaN; a restart
     that ran a single iteration records a NaN delta.
+
+    tied_indices lists, in increasing order, every restart whose objective
+    lies within that tolerance of L_max; best_index is its first entry.
     """
 
     best: FitResult
@@ -77,6 +80,7 @@ class MultistartReport:
     failures: tuple
     all_converged: np.ndarray
     all_final_deltas: np.ndarray
+    tied_indices: tuple
 
 
 def _run_restart(index, master_entropy, stats, algorithm, config, true_labels):
@@ -166,4 +170,5 @@ def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
         failures=tuple(failures),
         all_converged=converged,
         all_final_deltas=final_deltas,
+        tied_indices=tuple(np.flatnonzero(tied).tolist()),
     )

@@ -36,41 +36,47 @@ class KlReport:
     horizon: int
 
 
-def _kl_vector(p, q):
-    """sum p log(p/q) with 0 log 0 = 0; +inf when q = 0 on p's support."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    mask = p > 0
-    if np.any(q[mask] == 0):
-        return np.inf
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+def _kl_rows(p, q) -> np.ndarray:
+    """sum p log(p/q) along the last axis, broadcast over the leading axes.
+
+    0 log 0 = 0, and the divergence is +inf where q = 0 on p's support.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p * np.log(p / q)
+    return np.where(p > 0, terms, 0.0).sum(axis=-1)
+
+
+def _occupation(nu: np.ndarray, P: np.ndarray, horizon: int) -> np.ndarray:
+    """sum_{t < horizon} nu P^t: expected visits to each state before the horizon.
+
+    nu is (..., s) and P is (..., s, s), one chain per leading index.
+    """
+    if horizon < 0:
+        raise ValidationError("horizon must be >= 0")
+    occupation = np.zeros_like(nu)
+    marginal = nu
+    for _ in range(horizon):
+        occupation = occupation + marginal
+        marginal = (marginal[..., None, :] @ P)[..., 0, :]
+    return occupation
+
+
+def _average(weights: np.ndarray, row_kl: np.ndarray) -> np.ndarray:
+    """sum_a weights[..., a] * row_kl[..., a]; a state of weight 0 adds 0, even against +inf."""
+    return (weights * np.where(weights > 0, row_kl, 0.0)).sum(axis=-1)
 
 
 def kl_trajectory(params: MixtureParams, i: int, j: int, horizon: int) -> float:
     """Exact KL divergence between length-`horizon` trajectory laws of chains i and j.
 
-    Propagates the state marginal of chain i forward and accumulates the
-    initial-distribution divergence plus, per step, the marginal-weighted
-    divergence between matching transition rows.  O(horizon * s^2); returns
-    +inf when chain j fails to cover chain i's reachable support.
+    The initial-distribution divergence plus the divergences between
+    matching transition rows, weighted by chain i's expected visits to each
+    state over the first `horizon` steps.  O(horizon * s^2); returns +inf
+    when chain j fails to cover chain i's reachable support.
     """
-    if horizon < 0:
-        raise ValidationError("horizon must be >= 0")
-    nu_i, nu_j = params.nu[i], params.nu[j]
-    p_i, p_j = params.P[i], params.P[j]
-
-    total = _kl_vector(nu_i, nu_j)
-    if np.isinf(total):
-        return np.inf
-    row_kl = np.array([_kl_vector(p_i[a], p_j[a]) for a in range(params.s)])
-    marginal = nu_i.copy()
-    for _ in range(horizon):
-        step_terms = np.where(marginal > 0, marginal * row_kl, 0.0)
-        total += float(step_terms.sum())
-        if np.isinf(total):
-            return np.inf
-        marginal = marginal @ p_i
-    return total
+    occupation = _occupation(params.nu[i], params.P[i], horizon)
+    return float(_kl_rows(params.nu[i], params.nu[j])
+                 + _average(occupation, _kl_rows(params.P[i], params.P[j])))
 
 
 def stationary_distribution(transition: np.ndarray, tol: float = 1e-12,
@@ -105,14 +111,6 @@ def _stationary_of(params: MixtureParams, i: int) -> np.ndarray:
         ) from exc
 
 
-def _rate_under(params: MixtureParams, pi: np.ndarray, i: int, j: int) -> float:
-    """Row divergences of P_i from P_j averaged under chain i's stationary measure pi."""
-    row_kl = np.array([_kl_vector(params.P[i][a], params.P[j][a])
-                       for a in range(params.s)])
-    terms = np.where(pi > 0, pi * row_kl, 0.0)
-    return float(terms.sum())
-
-
 def kl_rate(params: MixtureParams, i: int, j: int) -> float:
     """Asymptotic per-step KL divergence of chain i from chain j.
 
@@ -120,36 +118,29 @@ def kl_rate(params: MixtureParams, i: int, j: int) -> float:
     stationary measure.  Raises NumericalError naming the component when the
     stationary computation does not converge.
     """
-    return _rate_under(params, _stationary_of(params, i), i, j)
+    return float(_average(_stationary_of(params, i), _kl_rows(params.P[i], params.P[j])))
 
 
-def _divergence_matrix(params: MixtureParams, horizon: int) -> np.ndarray:
-    """D[i, j] = kl_trajectory(params, i, j, horizon), zero on the diagonal."""
-    k = params.k
-    divergence = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                divergence[i, j] = kl_trajectory(params, i, j, horizon)
-    return divergence
+def _row_kl_tensor(params: MixtureParams) -> np.ndarray:
+    """R[i, j, a] = KL(P_i(a, .) || P_j(a, .)), zero where i == j."""
+    return _kl_rows(params.P[:, None], params.P[None, :])
+
+
+def _divergence_matrix(params: MixtureParams, row_kl: np.ndarray, horizon: int) -> np.ndarray:
+    """D[i, j] = kl_trajectory(params, i, j, horizon) for all pairs, zero on the diagonal."""
+    occupation = _occupation(params.nu, params.P, horizon)
+    return (_kl_rows(params.nu[:, None], params.nu[None, :])
+            + _average(occupation[:, None, :], row_kl))
 
 
 def _bound_from_divergence(mu: np.ndarray, divergence: np.ndarray) -> float:
     """(1/2) * sum_i max_{j != i} exp(-D_ij) / (1/mu_i + 1/mu_j)."""
-    k = mu.shape[0]
-    total = 0.0
     with np.errstate(divide="ignore"):
-        inv_mu = np.where(mu > 0, 1.0 / mu, np.inf)
-    for i in range(k):
-        best = 0.0
-        for j in range(k):
-            if j == i:
-                continue
-            denom = inv_mu[i] + inv_mu[j]
-            term = 0.0 if np.isinf(denom) else np.exp(-divergence[i, j]) / denom
-            best = max(best, term)
-        total += best
-    return 0.5 * total
+        inv_mu = 1.0 / mu
+    # a zero weight makes the denominator +inf and its term 0
+    terms = np.exp(-divergence) / (inv_mu[:, None] + inv_mu[None, :])
+    np.fill_diagonal(terms, 0.0)
+    return 0.5 * float(terms.max(axis=1).sum())
 
 
 def misclassification_bound(params: MixtureParams, horizon: int) -> float:
@@ -159,7 +150,8 @@ def misclassification_bound(params: MixtureParams, horizon: int) -> float:
     with D_ij the trajectory-law KL divergence at the given horizon.
     Components with infinite divergence or zero weight contribute nothing.
     """
-    return _bound_from_divergence(params.mu, _divergence_matrix(params, horizon))
+    divergence = _divergence_matrix(params, _row_kl_tensor(params), horizon)
+    return _bound_from_divergence(params.mu, divergence)
 
 
 def bayes_classify(params: MixtureParams, data: TrajectoryDataset):
@@ -186,16 +178,18 @@ def bayes_classify(params: MixtureParams, data: TrajectoryDataset):
 
 
 def kl_report(params: MixtureParams, horizon: int) -> KlReport:
-    """Pairwise divergence matrix, per-step rate matrix, and the error bound."""
+    """Pairwise divergence matrix, per-step rate matrix, and the error bound.
+
+    The row-KL tensor is built once and weighted by each chain's expected
+    visits for the divergences and by its stationary measure for the rates.
+    """
     k = params.k
-    pairwise = _divergence_matrix(params, horizon)
+    row_kl = _row_kl_tensor(params)
+    pairwise = _divergence_matrix(params, row_kl, horizon)
     rates = np.zeros((k, k))
     if k > 1:  # a single chain has no rates, so no stationary measure is needed
-        for i in range(k):
-            pi = _stationary_of(params, i)
-            for j in range(k):
-                if i != j:
-                    rates[i, j] = _rate_under(params, pi, i, j)
+        stationary = np.stack([_stationary_of(params, i) for i in range(k)])
+        rates = _average(stationary[:, None, :], row_kl)
     return KlReport(
         pairwise=pairwise,
         rates=rates,

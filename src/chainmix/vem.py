@@ -12,6 +12,7 @@ to its floor, pruning them without any model comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import digamma as _scipy_digamma, gammaln
@@ -122,38 +123,52 @@ class DirichletPosterior:
         )
 
 
-def _log_beta_rows(arr: np.ndarray) -> np.ndarray:
-    """log B along the last axis for a stack of positive parameter vectors."""
-    return gammaln(arr).sum(axis=-1) - gammaln(arr.sum(axis=-1))
+class _Block(NamedTuple):
+    """Layout of the stacked Dirichlet parameters of a k-component, s-state model.
+
+    The stack is [n_hat, rows.ravel(), sum(n_hat), rows.sum(axis=1)]: every
+    Dirichlet parameter, then every Dirichlet total.  `rows` is the
+    (k*(s+1), s) block whose rows are, per component, nu_i and then the s
+    rows of P_i, so `rows.reshape(k, s + s*s)` lines up with the design
+    block X.  `prior` holds each entry's prior parameter, `owner[e]` the
+    index among the totals of entry e's total, and `log_b_prior` the summed
+    log-beta of all prior Dirichlets.
+    """
+
+    prior: np.ndarray
+    owner: np.ndarray
+    log_b_prior: float
 
 
-def _elbo_value(n_hat, n_i_hat, n_ialpha_hat, log_mu_t, log_nu_t, log_p_t,
-                log_c) -> float:
+def _block(k: int, s: int) -> _Block:
+    groups = k * (s + 1)
+    return _Block(
+        prior=np.concatenate([np.full(k, 1.0 / k), np.ones(groups * s)]),
+        owner=np.concatenate([np.zeros(k, dtype=np.intp),
+                              np.repeat(np.arange(1, groups + 1), s)]),
+        log_b_prior=float(k * gammaln(1.0 / k) - gammaln(1.0) - groups * gammaln(float(s))),
+    )
+
+
+def _stack(n_hat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The stacked parameters and totals laid out as `_Block` describes."""
+    return np.concatenate([n_hat, rows.ravel(), [n_hat.sum()], rows.sum(axis=1)])
+
+
+def _elbo_value(block: _Block, stack: np.ndarray, log_theta: np.ndarray,
+                log_c: np.ndarray) -> float:
     """Variational lower bound: data term minus Dirichlet divergence terms.
 
-    Each correction term is the negative KL divergence between a posterior
-    Dirichlet and its prior, expressed through log-beta differences and the
-    geometric-mean (digamma) log parameters.
+    `log_theta` holds the geometric-mean (digamma) log parameters of the
+    stack's entries.  Each correction term is the negative KL divergence
+    between a posterior Dirichlet and its prior, expressed through log-beta
+    differences and the geometric-mean log parameters; summed over all
+    Dirichlets they are one signed sum of gammaln over the stack.
     """
-    k = n_hat.shape[0]
-    s = n_i_hat.shape[1]
-    prior_mu = 1.0 / k
-    log_b_prior_mu = k * gammaln(prior_mu) - gammaln(1.0)
-    log_b_prior_s = -gammaln(float(s))
-
-    term_mu = (
-        _log_beta_rows(n_hat) - log_b_prior_mu
-        - ((n_hat - prior_mu) * log_mu_t).sum()
-    )
-    term_nu = (
-        _log_beta_rows(n_i_hat) - log_b_prior_s
-        - ((n_i_hat - 1.0) * log_nu_t).sum(axis=1)
-    ).sum()
-    term_p = (
-        _log_beta_rows(n_ialpha_hat) - log_b_prior_s
-        - ((n_ialpha_hat - 1.0) * log_p_t).sum(axis=2)
-    ).sum()
-    return float(log_c.sum() + term_mu + term_nu + term_p)
+    entries = block.prior.size
+    lg = gammaln(stack)
+    return float(log_c.sum() + lg[:entries].sum() - lg[entries:].sum()
+                 - block.log_b_prior - (stack[:entries] - block.prior) @ log_theta)
 
 
 def elbo(stats: SufficientStats, posterior: DirichletPosterior,
@@ -166,15 +181,15 @@ def elbo(stats: SufficientStats, posterior: DirichletPosterior,
     With no trajectories the bound is 0 at the prior.
     """
     del stats
-    return _elbo_value(
-        posterior.n_hat,
-        posterior.n_i_hat,
-        posterior.n_ialpha_hat,
-        np.asarray(log_mu_tilde, dtype=np.float64),
-        np.asarray(log_nu_tilde, dtype=np.float64),
-        np.asarray(log_p_tilde, dtype=np.float64),
-        np.asarray(log_c, dtype=np.float64),
-    )
+    k, s = posterior.k, posterior.s
+    rows = np.concatenate([posterior.n_i_hat[:, None, :], posterior.n_ialpha_hat],
+                          axis=1).reshape(-1, s)
+    log_rows = np.concatenate([np.asarray(log_nu_tilde, dtype=np.float64)[:, None, :],
+                               np.asarray(log_p_tilde, dtype=np.float64)], axis=1)
+    log_theta = np.concatenate([np.asarray(log_mu_tilde, dtype=np.float64),
+                                log_rows.ravel()])
+    return _elbo_value(_block(k, s), _stack(posterior.n_hat, rows), log_theta,
+                       np.asarray(log_c, dtype=np.float64))
 
 
 def vem_fit(stats: SufficientStats, init: Responsibilities,
@@ -185,29 +200,34 @@ def vem_fit(stats: SufficientStats, init: Responsibilities,
     posterior-mean point estimates; the objective trace is the variational
     lower bound per iteration.  Terminates when |delta L| <=
     tol_scale * N * T_mean or at max_iters.
+
+    Each iteration takes one matrix product for the posterior counts, one
+    digamma and one gammaln over the stacked Dirichlet parameters, and one
+    matrix product for the E-step.
     """
     if init.k != config.k_max:
         raise ValidationError("init must have k_max columns")
-    prior_mu = 1.0 / config.k_max
+    k, s = config.k_max, stats.s
+    block = _block(k, s)
+    entries = block.prior.size
 
     def step(gamma, it):
-        n_hat = prior_mu + gamma.sum(axis=0)
-        n_i_hat = 1.0 + gamma.T @ stats.U
-        n_ialpha_hat = 1.0 + np.einsum("nk,nab->kab", gamma, stats.V)
-
-        log_mu_t = digamma(n_hat) - digamma(n_hat.sum())
-        log_nu_t = digamma(n_i_hat) - digamma(n_i_hat.sum(axis=1))[:, None]
-        log_p_t = digamma(n_ialpha_hat) - digamma(n_ialpha_hat.sum(axis=2))[:, :, None]
-
-        logw = log_mixture_weights(log_mu_t, log_nu_t, log_p_t, stats)
+        n_hat = block.prior[:k] + gamma.sum(axis=0)
+        rows = (1.0 + gamma.T @ stats.X).reshape(-1, s)
+        stack = _stack(n_hat, rows)
+        psi = digamma(stack)
+        log_theta = psi[:entries] - psi[entries:][block.owner]
+        log_design = log_theta[k:].reshape(k, -1)
+        logw = log_mixture_weights(log_theta[:k], log_design[:, :s],
+                                   log_design[:, s:].reshape(k, s, s), stats)
         gamma, log_c = log_normalize_rows(logw)
-        objective = _elbo_value(n_hat, n_i_hat, n_ialpha_hat,
-                                log_mu_t, log_nu_t, log_p_t, log_c)
-        return gamma, objective, (n_hat, n_i_hat, n_ialpha_hat)
+        return gamma, _elbo_value(block, stack, log_theta, log_c), (n_hat, rows)
 
-    gamma, (n_hat, n_i_hat, n_ialpha_hat), trace, converged, iterations = (
-        coordinate_ascent(stats, init, step, config.max_iters, config.tol_scale)
+    gamma, (n_hat, rows), trace, converged, iterations = coordinate_ascent(
+        stats, init, step, config.max_iters, config.tol_scale
     )
+    rows = rows.reshape(k, s + 1, s)
+    n_i_hat, n_ialpha_hat = rows[:, 0], rows[:, 1:]
 
     responsibilities = Responsibilities(gamma)
     posterior = DirichletPosterior(

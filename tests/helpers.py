@@ -91,3 +91,73 @@ def strictly_positive_params(k, s, seed, floor=0.05):
         return x / x.sum(axis=-1, keepdims=True)
 
     return MixtureParams(mu=draw(k), nu=draw(k, s), P=draw(k, s, s))
+
+
+def _reference_kl_vector(p, q):
+    """sum p log(p/q) with 0 log 0 = 0; +inf when q = 0 on p's support."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    mask = p > 0
+    if np.any(q[mask] == 0):
+        return np.inf
+    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+
+
+def reference_kl_trajectory(params, i, j, horizon):
+    """Per-step loop form of `chainmix.kl_trajectory`: propagate chain i's marginal."""
+    nu_i, nu_j = params.nu[i], params.nu[j]
+    p_i, p_j = params.P[i], params.P[j]
+    total = _reference_kl_vector(nu_i, nu_j)
+    if np.isinf(total):
+        return np.inf
+    row_kl = np.array([_reference_kl_vector(p_i[a], p_j[a]) for a in range(params.s)])
+    marginal = nu_i.copy()
+    for _ in range(horizon):
+        with np.errstate(invalid="ignore"):  # 0 * inf at unreached states is masked
+            step_terms = np.where(marginal > 0, marginal * row_kl, 0.0)
+        total += float(step_terms.sum())
+        if np.isinf(total):
+            return np.inf
+        marginal = marginal @ p_i
+    return total
+
+
+def reference_kl_rate(params, i, j):
+    """Per-pair loop form of `chainmix.kl_rate`."""
+    from chainmix.theory import stationary_distribution
+
+    pi = stationary_distribution(params.P[i])
+    row_kl = np.array([_reference_kl_vector(params.P[i][a], params.P[j][a])
+                       for a in range(params.s)])
+    return float(np.where(pi > 0, pi * row_kl, 0.0).sum())
+
+
+def reference_bound(mu, divergence):
+    """(1/2) * sum_i max_{j != i} exp(-D_ij) / (1/mu_i + 1/mu_j), one pair at a time."""
+    k = mu.shape[0]
+    total = 0.0
+    with np.errstate(divide="ignore"):
+        inv_mu = np.where(mu > 0, 1.0 / mu, np.inf)
+    for i in range(k):
+        best = 0.0
+        for j in range(k):
+            if j == i:
+                continue
+            denom = inv_mu[i] + inv_mu[j]
+            term = 0.0 if np.isinf(denom) else np.exp(-divergence[i, j]) / denom
+            best = max(best, term)
+        total += best
+    return 0.5 * total
+
+
+def reference_kl_report(params, horizon):
+    """(pairwise, rates, bound) of `chainmix.kl_report` by per-pair loops."""
+    k = params.k
+    pairwise = np.zeros((k, k))
+    rates = np.zeros((k, k))
+    for i in range(k):
+        for j in range(k):
+            if i != j:
+                pairwise[i, j] = reference_kl_trajectory(params, i, j, horizon)
+                rates[i, j] = reference_kl_rate(params, i, j)
+    return pairwise, rates, reference_bound(params.mu, pairwise)

@@ -6,6 +6,7 @@ import pytest
 
 from chainmix import dataio
 from chainmix.cli import main
+from chainmix.multistart import TIE_RTOL
 
 from helpers import two_arm_spiral
 
@@ -103,6 +104,21 @@ class TestFit:
         assert all(r["converged"] in ("0", "1") and float(r["final_abs_delta"]) >= 0
                    for r in rows)
         assert (out / "confusion.csv").exists()
+
+    def test_fit_json_lists_tied_restarts(self, simulated, tmp_path):
+        out = tmp_path / "fit"
+        rc = run_cli("fit", "--input", simulated / "trajectories.txt",
+                     "--algorithm", "vem", "--k-max", 5, "--restarts", 4,
+                     "--seed", 22, "--out", out)
+        assert rc == 0
+        summary = json.loads((out / "fit.json").read_text())
+        with open(out / "restarts.csv") as fh:
+            objectives = [float(r["final_objective"]) for r in csv.DictReader(fh)]
+        best = max(objectives)
+        tied = [r for r, value in enumerate(objectives)
+                if value >= best - TIE_RTOL * max(1.0, abs(best))]
+        assert summary["tied_restarts"] == tied
+        assert summary["best_restart"] == tied[0]
 
     def test_malformed_header_is_an_error_exit(self, tmp_path, capsys):
         path = tmp_path / "trajectories.txt"
@@ -254,6 +270,17 @@ class TestMisa:
         assert 2.0 <= mean_a <= 6.0
         assert all(r["gene_a"] == "00" for r in rows)
 
+    def test_params_json_not_an_object_fails(self, tmp_path, capsys):
+        params = tmp_path / "rates.json"
+        params.write_text("[1, 2]")
+        rc = run_cli("misa", "--f-r", 0.1, "--t-end", 5, "--params-json", params,
+                     "--out", tmp_path / "misa")
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert str(params) in err["error"]["message"]
+        assert "JSON object" in err["error"]["message"]
+
     def test_trajectory_csv(self, tmp_path):
         rc = run_cli("misa", "--f-r", 0.1, "--t-end", 5, "--n-traj", 2,
                      "--burn-in", 5, "--seed", 46, "--out", tmp_path)
@@ -334,6 +361,29 @@ class TestExperiment:
         assert err["error"]["type"] == "ValidationError"
         assert named in err["error"]["message"]
         assert not (tmp_path / "cfg").exists()
+
+    def test_malformed_config_json_fails(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"seed": 1,')
+        rc = run_cli("--config", config, "experiment", "--name", "fig2",
+                     "--instances", 1, "--restarts", 2, "--out", tmp_path / "cfg")
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert str(config) in err["error"]["message"]
+        assert "not valid JSON" in err["error"]["message"]
+        assert not (tmp_path / "cfg").exists()
+
+    def test_spec_not_an_object_fails(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text("[1, 2]")
+        rc = run_cli("experiment", "--name", "custom", "--spec", spec,
+                     "--out", tmp_path / "exp")
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert str(spec) in err["error"]["message"]
+        assert "JSON object" in err["error"]["message"]
 
     def test_config_key_of_another_subcommand_allowed(self, tmp_path):
         config = tmp_path / "config.json"

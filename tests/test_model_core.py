@@ -159,6 +159,19 @@ class TestSufficientStats:
         with pytest.raises(ValidationError):
             SufficientStats(U=np.array([[1.0, 1.0]]), V=np.zeros((1, 2, 2)))
 
+    def test_counts_stored_once_in_the_design_block(self):
+        data = TrajectoryDataset(([0, 1, 1, 2], [2, 2, 0], [1]), s=3)
+        built = sufficient_stats(data)
+        given = SufficientStats(built.U.copy(), built.V.astype(np.int64))
+        for stats in (built, given):
+            assert stats.X.shape == (3, 12) and stats.X.flags.c_contiguous
+            assert np.array_equal(stats.X, np.hstack([stats.U, stats.V.reshape(3, 9)]))
+            assert np.shares_memory(stats.U, stats.X)
+            assert np.shares_memory(stats.V, stats.X)
+            for arr in (stats.X, stats.U, stats.V):
+                assert not arr.flags.writeable
+        assert np.array_equal(given.X, built.X) and given.X.dtype == np.float64
+
 
 class TestDirichletMoments:
     def test_mean_symmetry(self):
@@ -223,7 +236,8 @@ class TestEStep:
         expected = (log_mu[None, :] + stats.U @ log_nu.T
                     + np.einsum("nab,kab->nk", stats.V, log_P))
         w = log_mixture_weights(log_mu, log_nu, log_P, stats)
-        assert np.array_equal(w, expected)
+        # one product with the design block sums in another order than einsum
+        np.testing.assert_allclose(w, expected, rtol=1e-14, atol=0)
 
     def test_neg_inf_entry_hit_by_a_count(self, stats):
         log_mu, log_nu, log_P = self._log_params(1)

@@ -11,12 +11,20 @@ from chainmix import (
     kl_rate,
     kl_report,
     kl_trajectory,
+    random_mixture_params,
     sample_mixture,
     misclassification_bound,
 )
 from chainmix.theory import stationary_distribution
 
-from helpers import enumerate_kl, strictly_positive_params
+from helpers import (
+    enumerate_kl,
+    reference_bound,
+    reference_kl_rate,
+    reference_kl_report,
+    reference_kl_trajectory,
+    strictly_positive_params,
+)
 
 
 def duplicate_component_params():
@@ -234,3 +242,97 @@ class TestKlReportStructure:
         monkeypatch.setattr(theory, "stationary_distribution", fail_on_component_1)
         with pytest.raises(NumericalError, match="component 1"):
             kl_report(params, 5)
+
+
+def assert_matches_reference(actual, expected):
+    """Same +inf pattern, no NaN, and the finite entries within 1e-12 relative."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert not np.isnan(actual).any()
+    assert np.array_equal(np.isinf(actual), np.isinf(expected))
+    finite = np.isfinite(expected)
+    np.testing.assert_allclose(actual[finite], expected[finite], rtol=1e-12, atol=0)
+
+
+def sparse_support_params():
+    """Zeros in nu and in P rows, with infinite row divergences reached and not.
+
+    Chain 0 never visits state 2, where its row diverges infinitely from
+    chain 1's: D_01 stays finite.  Chain 3 starts in state 1 with probability
+    0.4, and its row there puts mass on state 2, which chain 1's row
+    excludes: D_31 is finite at horizon 0 and +inf from horizon 1.
+    Component 2 has weight zero.
+    """
+    return MixtureParams(
+        mu=[0.4, 0.3, 0.0, 0.3],
+        nu=[[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.6, 0.4, 0.0]],
+        P=[[[0.5, 0.5, 0.0], [0.3, 0.7, 0.0], [0.2, 0.2, 0.6]],
+           [[0.4, 0.6, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]],
+           [[1 / 3, 1 / 3, 1 / 3], [0.0, 0.5, 0.5], [0.1, 0.1, 0.8]],
+           [[0.5, 0.5, 0.0], [0.3, 0.3, 0.4], [0.2, 0.0, 0.8]]],
+    )
+
+
+def random_sparse_params(k, s, seed):
+    """Random model with about a third of the nu and off-diagonal P entries zeroed.
+
+    Every P keeps its diagonal, so each chain is aperiodic and its stationary
+    power iteration converges.
+    """
+    rng = np.random.default_rng(seed)
+    mu = rng.dirichlet(np.ones(k))
+    nu = rng.dirichlet(np.ones(s), size=k)
+    nu[rng.random((k, s)) < 0.35] = 0.0
+    nu[np.arange(k), rng.integers(s, size=k)] += 0.5
+    P = rng.dirichlet(np.ones(s), size=(k, s))
+    P[(rng.random((k, s, s)) < 0.35) & ~np.eye(s, dtype=bool)] = 0.0
+    P += 0.1 * np.eye(s)
+    return MixtureParams(mu=mu, nu=nu / nu.sum(axis=1, keepdims=True),
+                         P=P / P.sum(axis=2, keepdims=True))
+
+
+def theory_models():
+    rng = np.random.default_rng(401)
+    models = [random_mixture_params(int(rng.integers(1, 6)), int(rng.integers(1, 6)),
+                                    seed=int(rng.integers(2**31)))
+              for _ in range(80)]
+    models += [random_sparse_params(int(rng.integers(2, 6)), int(rng.integers(2, 6)),
+                                    seed=int(rng.integers(2**31)))
+               for _ in range(20)]
+    return models + [sparse_support_params(), duplicate_component_params()]
+
+
+class TestArraysMatchPairLoops:
+    """The row-KL tensor arrays against the per-pair loops they replaced."""
+
+    @pytest.mark.parametrize("horizon", [0, 1, 7, 30])
+    def test_kl_report(self, horizon):
+        for params in theory_models():
+            pairwise, rates, bound = reference_kl_report(params, horizon)
+            report = kl_report(params, horizon)
+            assert_matches_reference(report.pairwise, pairwise)
+            assert_matches_reference(report.rates, rates)
+            assert report.bound == pytest.approx(bound, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("horizon", [0, 1, 7, 30])
+    def test_pair_functions(self, horizon):
+        models = theory_models()
+        for params in models[::4] + models[-2:]:
+            k = params.k
+            divergence = np.array([[reference_kl_trajectory(params, i, j, horizon)
+                                    for j in range(k)] for i in range(k)])
+            assert_matches_reference(
+                [[kl_trajectory(params, i, j, horizon) for j in range(k)] for i in range(k)],
+                divergence)
+            assert misclassification_bound(params, horizon) == pytest.approx(
+                reference_bound(params.mu, divergence), rel=1e-12, abs=0)
+            if horizon == 0:
+                assert_matches_reference(
+                    [[kl_rate(params, i, j) for j in range(k)] for i in range(k)],
+                    [[reference_kl_rate(params, i, j) for j in range(k)] for i in range(k)])
+
+    def test_sparse_model_infinities(self):
+        params = sparse_support_params()
+        at_0, at_1 = kl_report(params, 0), kl_report(params, 1)
+        assert np.isfinite(at_0.pairwise[0, 1]) and np.isfinite(at_1.pairwise[0, 1])
+        assert np.isfinite(at_0.pairwise[3, 1]) and at_1.pairwise[3, 1] == np.inf
+        assert at_0.pairwise[1, 0] == np.inf  # nu_1 puts mass where nu_0 has none

@@ -194,6 +194,18 @@ class TestVemFit:
         assert np.allclose(fit_a.responsibilities.gamma[perm],
                            fit_b.responsibilities.gamma, atol=1e-9)
 
+    def test_one_digamma_call_per_iteration(self, monkeypatch):
+        from chainmix import vem
+        params = random_mixture_params(3, 3, seed=61)
+        data, _ = sample_mixture(params, 30, 10, seed=62)
+        calls = []
+        wrapped = vem.digamma
+        monkeypatch.setattr(vem, "digamma", lambda x: calls.append(1) or wrapped(x))
+        fit, _ = vem_fit(sufficient_stats(data), sample_simplex_rows(30, 5, seed=63),
+                         VemConfig(k_max=5))
+        assert fit.iterations > 1
+        assert len(calls) == fit.iterations
+
     def test_init_width_must_match_k_max(self):
         ds = TrajectoryDataset(([0, 1],), s=2)
         stats = sufficient_stats(ds)
