@@ -29,6 +29,11 @@ from .theory import kl_report
 from .vem import VemConfig
 
 
+# The MISA rates that --params-json and the rate flags may override; f_r has
+# its own required flag.
+_MISA_RATES = ("g00", "g01", "g10", "g11", "d", "h_a", "f_a", "h_r")
+
+
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
     parser.add_argument("--tol-scale", type=float, default=1e-12,
@@ -96,10 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_misa.add_argument("--burn-in", type=float, default=100.0)
     p_misa.add_argument("--n-traj", type=int, default=1)
     p_misa.add_argument("--params-json", type=Path,
-                        help="JSON with rate overrides (g00, g01, g10, g11, d, h_a, f_a, h_r)")
-    for rate in ("g00", "g01", "g10", "g11", "d", "h-a", "f-a", "h-r"):
-        p_misa.add_argument(f"--{rate}", type=float, default=None,
-                            help=f"override the {rate.replace('-', '_')} rate")
+                        help=f"JSON with rate overrides ({', '.join(_MISA_RATES)})")
+    for rate in _MISA_RATES:
+        p_misa.add_argument(f"--{rate.replace('_', '-')}", type=float, default=None,
+                            help=f"override the {rate} rate")
     _add_common(p_misa)
 
     p_exp = sub.add_parser("experiment", help="run a named experiment recipe")
@@ -241,23 +246,20 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _read_json_object(path: Path, what: str) -> dict:
-    """The JSON object in `path`; ValidationError naming the file otherwise."""
-    with open(path) as handle:
-        try:
-            value = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
-    if not isinstance(value, dict):
-        raise ValidationError(f"{what} {path} must hold a JSON object")
-    return value
-
-
 def _cmd_misa(args) -> int:
     overrides = {}
     if args.params_json is not None:
-        overrides = _read_json_object(args.params_json, "params file")
-    for rate in ("g00", "g01", "g10", "g11", "d", "h_a", "f_a", "h_r"):
+        overrides = dataio.read_json_object(args.params_json, "params file")
+        if "f_r" in overrides:
+            raise ValidationError(
+                f"params file {args.params_json} sets 'f_r'; give it with --f-r"
+            )
+        unknown = sorted(set(overrides) - set(_MISA_RATES))
+        if unknown:
+            raise ValidationError(
+                f"params file {args.params_json} has keys that name no rate: {unknown}"
+            )
+    for rate in _MISA_RATES:
         value = getattr(args, rate)
         if value is not None:
             overrides[rate] = value
@@ -278,7 +280,7 @@ def _cmd_misa(args) -> int:
 def _experiment_kwargs(args):
     overrides = {}
     if args.spec is not None:
-        overrides = _read_json_object(args.spec, "spec file")
+        overrides = dataio.read_json_object(args.spec, "spec file")
     name = overrides.pop("name", args.name)
     flag_map = {
         "trials": args.trials,
@@ -362,7 +364,7 @@ def _apply_config(parser, argv) -> None:
     known, _ = probe.parse_known_args(argv)
     if known.config is None:
         return
-    defaults = _read_json_object(known.config, "config file")
+    defaults = dataio.read_json_object(known.config, "config file")
     subs = [sub for action in parser._subparsers._group_actions
             for sub in action.choices.values()]
     options = {action.dest for sub in subs for action in sub._actions} - {"help"}

@@ -20,6 +20,10 @@ from .model_core import TrajectoryDataset, as_rng
 # Ridge scale for the embedding-coefficient solve; the kernel matrix is
 # often numerically singular and this perturbs it negligibly.
 _RIDGE_SCALE = 1e-10
+# Assignment embeds points in row blocks whose kernel block against the
+# training points holds at most this many entries (1 MB of float64): memory
+# stays bounded for long inputs, and the block's temporaries stay in cache.
+_ASSIGN_BLOCK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -280,14 +284,18 @@ def spectral_fit(points, kernel, s: int, r: int = None, seed=None) -> SpectralMo
     )
 
 
-def spectral_embed(model: SpectralModel, points) -> np.ndarray:
-    """Embed points with the fitted out-of-sample extension."""
-    x = _as_points(points)
+def _check_dimension(model: SpectralModel, x: np.ndarray):
     if x.shape[1] != model.points.shape[1]:
         raise ValidationError(
             f"point dimension {x.shape[1]} does not match training dimension "
             f"{model.points.shape[1]}"
         )
+
+
+def spectral_embed(model: SpectralModel, points) -> np.ndarray:
+    """Embed points with the fitted out-of-sample extension."""
+    x = _as_points(points)
+    _check_dimension(model, x)
     return (model.alpha @ model.kernel(model.points, x)).T
 
 
@@ -301,11 +309,22 @@ def spectral_assign(model: SpectralModel, points) -> np.ndarray:
 
 
 def discretize_trajectories(model: SpectralModel, trajectories) -> TrajectoryDataset:
-    """Map continuous trajectories (uniformly sampled in time) to state sequences."""
-    discrete = []
-    for traj in trajectories:
-        arr = np.asarray(traj, dtype=np.float64)
-        if arr.ndim != 2:
+    """Map continuous trajectories (uniformly sampled in time) to state sequences.
+
+    The points of all trajectories are assigned together, in row blocks
+    whose kernel block against the training points has at most
+    `_ASSIGN_BLOCK_ENTRIES` entries.
+    """
+    parts = [np.asarray(traj, dtype=np.float64) for traj in trajectories]
+    for part in parts:
+        if part.ndim != 2:
             raise ValidationError("each trajectory must be a (T+1, D) array")
-        discrete.append(spectral_assign(model, arr))
-    return TrajectoryDataset(tuple(discrete), s=model.s)
+        _check_dimension(model, part)
+    sizes = np.array([part.shape[0] for part in parts], dtype=np.int64)
+    states = np.empty(sizes.sum(), dtype=np.int64)
+    if parts:
+        stacked = np.concatenate(parts)
+        rows = max(1, _ASSIGN_BLOCK_ENTRIES // model.points.shape[0])
+        for start in range(0, stacked.shape[0], rows):
+            states[start:start + rows] = spectral_assign(model, stacked[start:start + rows])
+    return TrajectoryDataset.from_flat(states, sizes, model.s)

@@ -170,9 +170,21 @@ def write_labels(path, labels, one_based: bool = False):
             handle.write(f"{int(value) + offset}\n")
 
 
-def read_params(path) -> MixtureParams:
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in `path`; ValidationError naming `what` and the file
+    when the file is not valid JSON or holds something other than an object."""
     with open(path) as handle:
-        payload = json.load(handle)
+        try:
+            value = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} {path} must hold a JSON object")
+    return value
+
+
+def read_params(path) -> MixtureParams:
+    payload = read_json_object(path, "model file")
     for key in ("k", "s", "mu", "nu", "P"):
         if key not in payload:
             raise ValidationError(f"{path}: missing field {key!r}")
@@ -216,8 +228,7 @@ def read_posterior(path):
     """Returns (DirichletPosterior, elbo_trace array)."""
     from .model_core import Responsibilities
 
-    with open(path) as handle:
-        payload = json.load(handle)
+    payload = read_json_object(path, "posterior file")
     posterior = DirichletPosterior(
         n_hat=np.asarray(payload["N_hat"], dtype=np.float64),
         n_i_hat=np.asarray(payload["N_i_hat"], dtype=np.float64),
@@ -321,8 +332,7 @@ def write_spectral_model(path, model: SpectralModel):
 
 
 def read_spectral_model(path) -> SpectralModel:
-    with open(path) as handle:
-        return SpectralModel.from_dict(json.load(handle))
+    return SpectralModel.from_dict(read_json_object(path, "spectral model file"))
 
 
 def write_misa_csv(path, trajectory):

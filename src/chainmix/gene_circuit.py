@@ -16,12 +16,15 @@ binding rates versus the ordered-pair x*(x-1) convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .clustering import GaussianKernel, PointSet, discretize_trajectories, spectral_fit
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .metrics import accuracy
 from .model_core import TrajectoryDataset, sufficient_stats
 from .multistart import MultistartReport, multistart_fit
@@ -31,6 +34,8 @@ _RNG_CHUNK = 8192
 # Pools larger than this are subsampled before the dense spectral fit; all
 # points are still assigned through the out-of-sample embedding.
 _MAX_FIT_POINTS = 1500
+# The timed stages of misa_mixture_experiment, in order.
+_STAGES = ("simulate", "cluster", "discretize", "fit", "score")
 
 
 @dataclass(frozen=True)
@@ -49,7 +54,10 @@ class MisaParams:
 
     def __post_init__(self):
         for name in ("f_r", "g00", "g01", "g10", "g11", "d", "h_a", "f_a", "h_r"):
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"rate {name} must be a number, not {value!r}")
+            if not value > 0:
                 raise ValidationError(f"rate {name} must be positive")
 
     def production(self, activator: int, repressor: int) -> float:
@@ -75,75 +83,109 @@ class MisaState:
         object.__setattr__(self, "gene_b", tuple(self.gene_b))
 
 
-# Reaction table: propensity index -> state delta, as explicit updates in
-# _apply.  Order: productions, degradations, activator bind/unbind for A
-# and B, repressor bind/unbind for A and B.
-_N_REACTIONS = 12
+def _ssa_events(params: MisaParams, rng, state: tuple, sample_times: list,
+                chunk: int, n_chunks=None):
+    """Run the exact SSA from `state` = (ia, ja, ib, jb, a, b) at time 0.
 
+    Records the state holding immediately before each time of the increasing
+    list `sample_times`, and stops once all are recorded or, when `n_chunks`
+    is given, once that many draw chunks are used up.  Each chunk holds
+    `chunk` exponential waits, then `chunk` uniforms, one pair per event.
+    Returns (samples, final state, final time); a sample is the tuple
+    (a, b, ia, ja, ib, jb).
 
-def _propensities(ia, ja, ib, jb, a, b, p: MisaParams):
-    return (
-        p.production(ia, ja),
-        p.production(ib, jb),
-        p.d * a,
-        p.d * b,
-        p.h_a * a * (a - 1) * 0.5 if ia == 0 else 0.0,
-        p.f_a if ia == 1 else 0.0,
-        p.h_a * b * (b - 1) * 0.5 if ib == 0 else 0.0,
-        p.f_a if ib == 1 else 0.0,
-        p.h_r * b * (b - 1) * 0.5 if ja == 0 else 0.0,
-        p.f_r if ja == 1 else 0.0,
-        p.h_r * a * (a - 1) * 0.5 if jb == 0 else 0.0,
-        p.f_r if jb == 1 else 0.0,
-    )
+    The twelve reactions, in propensity order: production of A and of B
+    (rate g_ij of the gene's own condition), degradation of A and of B,
+    activator binding and unbinding for A and for B, repressor binding and
+    unbinding for A (by B proteins) and for B (by A proteins).  The event is
+    the first reaction whose cumulative propensity exceeds u; the nested ifs
+    below search the cumulative sums, summed left to right, for it.
+    """
+    g = ((params.g00, params.g01), (params.g10, params.g11))
+    d, h_a, f_a = params.d, params.h_a, params.f_a
+    h_r, f_r = params.h_r, params.f_r
+    ia, ja, ib, jb, a, b = state
+    times = list(sample_times) + [math.inf]
+    n_samples = len(sample_times)
+    samples = []
+    next_sample = times[0]
+    exps = unis = None
+    cursor = chunk
+    used = 0
+    t = 0.0
+    while True:
+        c0 = g[ia][ja]
+        c1 = c0 + g[ib][jb]
+        c2 = c1 + d * a
+        c3 = c2 + d * b
+        c4 = c3 + (h_a * a * (a - 1) * 0.5 if ia == 0 else 0.0)
+        c5 = c4 + (f_a if ia == 1 else 0.0)
+        c6 = c5 + (h_a * b * (b - 1) * 0.5 if ib == 0 else 0.0)
+        c7 = c6 + (f_a if ib == 1 else 0.0)
+        c8 = c7 + (h_r * b * (b - 1) * 0.5 if ja == 0 else 0.0)
+        c9 = c8 + (f_r if ja == 1 else 0.0)
+        c10 = c9 + (h_r * a * (a - 1) * 0.5 if jb == 0 else 0.0)
+        total = c10 + (f_r if jb == 1 else 0.0)
+        if cursor == chunk:
+            if used == n_chunks:
+                break
+            # a memoryview yields Python floats about as fast as a list,
+            # without holding a float object per draw
+            exps = memoryview(rng.standard_exponential(chunk))
+            unis = memoryview(rng.random(chunk))
+            cursor = 0
+            used += 1
+        t_next = t + exps[cursor] / total
+        u = unis[cursor] * total
+        cursor += 1
 
+        if next_sample < t_next:
+            while times[len(samples)] < t_next:
+                samples.append((a, b, ia, ja, ib, jb))
+            if len(samples) == n_samples:
+                break
+            next_sample = times[len(samples)]
 
-def _apply(reaction, ia, ja, ib, jb, a, b):
-    if reaction == 0:
-        a += 1
-    elif reaction == 1:
-        b += 1
-    elif reaction == 2:
-        a -= 1
-    elif reaction == 3:
-        b -= 1
-    elif reaction == 4:
-        ia, a = 1, a - 2
-    elif reaction == 5:
-        ia, a = 0, a + 2
-    elif reaction == 6:
-        ib, b = 1, b - 2
-    elif reaction == 7:
-        ib, b = 0, b + 2
-    elif reaction == 8:
-        ja, b = 1, b - 2
-    elif reaction == 9:
-        ja, b = 0, b + 2
-    elif reaction == 10:
-        jb, a = 1, a - 2
-    elif reaction == 11:
-        jb, a = 0, a + 2
-    return ia, ja, ib, jb, a, b
+        if u < c5:
+            if u < c2:
+                if u < c0:
+                    a += 1
+                elif u < c1:
+                    b += 1
+                else:
+                    a -= 1
+            elif u < c3:
+                b -= 1
+            elif u < c4:
+                ia, a = 1, a - 2
+            else:
+                ia, a = 0, a + 2
+        elif u < c8:
+            if u < c6:
+                ib, b = 1, b - 2
+            elif u < c7:
+                ib, b = 0, b + 2
+            else:
+                ja, b = 1, b - 2
+        elif u < c9:
+            ja, b = 0, b + 2
+        elif u < c10:
+            jb, a = 1, a - 2
+        else:
+            jb, a = 0, a + 2
+        t = t_next
+    return samples, (ia, ja, ib, jb, a, b), t
 
 
 def misa_step_ssa(state: MisaState, params: MisaParams, rng):
-    """One Gillespie event: returns (next_state, waiting_time)."""
-    ia, ja = state.gene_a
-    ib, jb = state.gene_b
-    props = _propensities(ia, ja, ib, jb, state.a, state.b, params)
-    total = sum(props)
-    if total <= 0:
-        raise NumericalError("total propensity is zero")
-    wait = rng.standard_exponential() / total
-    u = rng.random() * total
-    acc = 0.0
-    reaction = _N_REACTIONS - 1
-    for idx, prop in enumerate(props):
-        acc += prop
-        if u < acc:
-            reaction = idx
-            break
-    ia, ja, ib, jb, a, b = _apply(reaction, ia, ja, ib, jb, state.a, state.b)
+    """One Gillespie event: returns (next_state, waiting_time).
+
+    Draws one exponential, then one uniform from `rng`.
+    """
+    _, (ia, ja, ib, jb, a, b), wait = _ssa_events(
+        params, rng, (*state.gene_a, *state.gene_b, state.a, state.b), [],
+        chunk=1, n_chunks=1,
+    )
     return MisaState(gene_a=(ia, ja), gene_b=(ib, jb), a=a, b=b), wait
 
 
@@ -180,79 +222,45 @@ def misa_simulate(params: MisaParams, t_end: float, sample_interval: float = 1.0
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
 
     if initial_state is None:
-        ia = ja = ib = jb = 0
-        a = b = 0
+        state = (0, 0, 0, 0, 0, 0)
     else:
-        ia, ja = initial_state.gene_a
-        ib, jb = initial_state.gene_b
-        a, b = initial_state.a, initial_state.b
+        state = (*initial_state.gene_a, *initial_state.gene_b,
+                 initial_state.a, initial_state.b)
 
     n_samples = int(np.floor(t_end / sample_interval)) + 1
     sample_times = burn_in + sample_interval * np.arange(n_samples)
 
-    out_a = np.empty(n_samples, dtype=np.int64)
-    out_b = np.empty(n_samples, dtype=np.int64)
-    out_ga = np.empty((n_samples, 2), dtype=np.int64)
-    out_gb = np.empty((n_samples, 2), dtype=np.int64)
-
-    # Local bindings and chunked random draws keep the event loop cheap.
-    p = params
-    exps = rng.standard_exponential(_RNG_CHUNK)
-    unis = rng.random(_RNG_CHUNK)
-    cursor = _RNG_CHUNK
-
-    t = 0.0
-    idx = 0
-    while idx < n_samples:
-        props = _propensities(ia, ja, ib, jb, a, b, p)
-        total = (
-            props[0] + props[1] + props[2] + props[3] + props[4] + props[5]
-            + props[6] + props[7] + props[8] + props[9] + props[10] + props[11]
-        )
-        if cursor >= _RNG_CHUNK:
-            exps = rng.standard_exponential(_RNG_CHUNK)
-            unis = rng.random(_RNG_CHUNK)
-            cursor = 0
-        t_next = t + exps[cursor] / total
-        u = unis[cursor] * total
-        cursor += 1
-
-        while idx < n_samples and sample_times[idx] < t_next:
-            out_a[idx] = a
-            out_b[idx] = b
-            out_ga[idx] = (ia, ja)
-            out_gb[idx] = (ib, jb)
-            idx += 1
-        if idx >= n_samples:
-            break
-
-        acc = 0.0
-        reaction = _N_REACTIONS - 1
-        for ridx in range(_N_REACTIONS):
-            acc += props[ridx]
-            if u < acc:
-                reaction = ridx
-                break
-        ia, ja, ib, jb, a, b = _apply(reaction, ia, ja, ib, jb, a, b)
-        t = t_next
+    # One chunk pair is drawn and discarded before the run: every seeded
+    # trajectory depends on that draw, so it stays.
+    rng.standard_exponential(_RNG_CHUNK)
+    rng.random(_RNG_CHUNK)
+    samples, _, _ = _ssa_events(params, rng, state, sample_times.tolist(),
+                                chunk=_RNG_CHUNK)
+    columns = np.array(samples, dtype=np.int64)
 
     return MisaTrajectory(
         times=sample_interval * np.arange(n_samples),
-        a=out_a,
-        b=out_b,
-        gene_a=out_ga,
-        gene_b=out_gb,
+        a=columns[:, 0].copy(),
+        b=columns[:, 1].copy(),
+        gene_a=columns[:, 2:4].copy(),
+        gene_b=columns[:, 4:6].copy(),
     )
 
 
 @dataclass(frozen=True)
 class MisaMixtureResult:
-    """Outcome of the two-population discrimination experiment."""
+    """Outcome of the two-population discrimination experiment.
+
+    `stage_s` holds the wall time in seconds (`time.perf_counter`) of each
+    stage: "simulate", "cluster", "discretize", "fit" and "score".  It varies
+    from run to run and takes no part in comparisons.
+    """
 
     dataset: TrajectoryDataset
     true_labels: np.ndarray
     accuracy: float
     report: MultistartReport
+    stage_s: dict = field(default_factory=dict, compare=False)
 
 
 def misa_mixture_experiment(f_r_1: float, f_r_2: float, n_per_group: int = 15,
@@ -273,6 +281,7 @@ def misa_mixture_experiment(f_r_1: float, f_r_2: float, n_per_group: int = 15,
     master = np.random.SeedSequence(seed)
     sim_seqs = master.spawn(2 * n_per_group)
     cluster_seq, fit_seq, sub_seq = master.spawn(3)
+    marks = [time.perf_counter()]  # each stage ends at the next mark
 
     trajectories = []
     for g, f_r in enumerate((f_r_1, f_r_2)):
@@ -285,6 +294,7 @@ def misa_mixture_experiment(f_r_1: float, f_r_2: float, n_per_group: int = 15,
     true_labels = np.repeat(np.arange(2), n_per_group)
 
     pooled = np.vstack(trajectories)
+    marks.append(time.perf_counter())
     if pooled.shape[0] > _MAX_FIT_POINTS:
         pick = np.random.default_rng(sub_seq).choice(
             pooled.shape[0], size=_MAX_FIT_POINTS, replace=False
@@ -294,7 +304,9 @@ def misa_mixture_experiment(f_r_1: float, f_r_2: float, n_per_group: int = 15,
         fit_points = pooled
     model = spectral_fit(PointSet(fit_points), GaussianKernel(sigma=sigma),
                          s=n_states, seed=cluster_seq)
+    marks.append(time.perf_counter())
     dataset = discretize_trajectories(model, trajectories)
+    marks.append(time.perf_counter())
 
     stats = sufficient_stats(dataset)
     report = multistart_fit(
@@ -302,10 +314,14 @@ def misa_mixture_experiment(f_r_1: float, f_r_2: float, n_per_group: int = 15,
         config=VemConfig(k_max=k_max),
         seed=fit_seq, true_labels=true_labels,
     )
+    marks.append(time.perf_counter())
     acc, _ = accuracy(true_labels, report.best.labels)
+    marks.append(time.perf_counter())
     return MisaMixtureResult(
         dataset=dataset,
         true_labels=true_labels,
         accuracy=acc,
         report=report,
+        stage_s={name: end - begin
+                 for name, begin, end in zip(_STAGES, marks, marks[1:])},
     )

@@ -161,3 +161,108 @@ def reference_kl_report(params, horizon):
                 pairwise[i, j] = reference_kl_trajectory(params, i, j, horizon)
                 rates[i, j] = reference_kl_rate(params, i, j)
     return pairwise, rates, reference_bound(params.mu, pairwise)
+
+
+def reference_propensities(ia, ja, ib, jb, a, b, p):
+    """The twelve MISA reaction propensities as a tuple, in reaction order."""
+    return (
+        p.production(ia, ja),
+        p.production(ib, jb),
+        p.d * a,
+        p.d * b,
+        p.h_a * a * (a - 1) * 0.5 if ia == 0 else 0.0,
+        p.f_a if ia == 1 else 0.0,
+        p.h_a * b * (b - 1) * 0.5 if ib == 0 else 0.0,
+        p.f_a if ib == 1 else 0.0,
+        p.h_r * b * (b - 1) * 0.5 if ja == 0 else 0.0,
+        p.f_r if ja == 1 else 0.0,
+        p.h_r * a * (a - 1) * 0.5 if jb == 0 else 0.0,
+        p.f_r if jb == 1 else 0.0,
+    )
+
+
+def _reference_event(props, u, ia, ja, ib, jb, a, b):
+    """Apply the first reaction whose cumulative propensity exceeds u."""
+    acc = 0.0
+    reaction = 11
+    for idx, prop in enumerate(props):
+        acc += prop
+        if u < acc:
+            reaction = idx
+            break
+    if reaction == 0:
+        a += 1
+    elif reaction == 1:
+        b += 1
+    elif reaction == 2:
+        a -= 1
+    elif reaction == 3:
+        b -= 1
+    elif reaction == 4:
+        ia, a = 1, a - 2
+    elif reaction == 5:
+        ia, a = 0, a + 2
+    elif reaction == 6:
+        ib, b = 1, b - 2
+    elif reaction == 7:
+        ib, b = 0, b + 2
+    elif reaction == 8:
+        ja, b = 1, b - 2
+    elif reaction == 9:
+        ja, b = 0, b + 2
+    elif reaction == 10:
+        jb, a = 1, a - 2
+    elif reaction == 11:
+        jb, a = 0, a + 2
+    return ia, ja, ib, jb, a, b
+
+
+def reference_misa_step(state, params, rng):
+    """One Gillespie event by a sequential scan of the propensity table."""
+    ia, ja = state.gene_a
+    ib, jb = state.gene_b
+    props = reference_propensities(ia, ja, ib, jb, state.a, state.b, params)
+    total = sum(props)
+    wait = rng.standard_exponential() / total
+    u = rng.random() * total
+    ia, ja, ib, jb, a, b = _reference_event(props, u, ia, ja, ib, jb, state.a, state.b)
+    return type(state)(gene_a=(ia, ja), gene_b=(ib, jb), a=a, b=b), wait
+
+
+def reference_misa_simulate(params, t_end, sample_interval=1.0, seed=None,
+                            burn_in=100.0, initial_state=None):
+    """The sampled (a, b, gene_a, gene_b) arrays of a plain one-event-at-a-time
+    SSA loop that draws its waits and uniforms in the same 8192-event chunks
+    (and discards the same first chunk pair) as `misa_simulate`."""
+    chunk = 8192
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    if initial_state is None:
+        ia = ja = ib = jb = a = b = 0
+    else:
+        (ia, ja), (ib, jb) = initial_state.gene_a, initial_state.gene_b
+        a, b = initial_state.a, initial_state.b
+    n_samples = int(np.floor(t_end / sample_interval)) + 1
+    sample_times = burn_in + sample_interval * np.arange(n_samples)
+    rows = []
+    exps = rng.standard_exponential(chunk)
+    unis = rng.random(chunk)
+    cursor = chunk
+    t = 0.0
+    while len(rows) < n_samples:
+        props = reference_propensities(ia, ja, ib, jb, a, b, params)
+        total = sum(props)
+        if cursor >= chunk:
+            exps = rng.standard_exponential(chunk)
+            unis = rng.random(chunk)
+            cursor = 0
+        t_next = t + exps[cursor] / total
+        u = unis[cursor] * total
+        cursor += 1
+        while len(rows) < n_samples and sample_times[len(rows)] < t_next:
+            rows.append((a, b, ia, ja, ib, jb))
+        if len(rows) == n_samples:
+            break
+        ia, ja, ib, jb, a, b = _reference_event(props, u, ia, ja, ib, jb, a, b)
+        t = t_next
+    rows = np.array(rows, dtype=np.int64)
+    return rows[:, 0], rows[:, 1], rows[:, 2:4], rows[:, 4:6]

@@ -229,6 +229,21 @@ class TestCluster:
 
 
 class TestBound:
+    @pytest.mark.parametrize("command", ["bound", "simulate"])
+    @pytest.mark.parametrize("content, text", [('{"k": 1,', "not valid JSON"),
+                                               ("[1, 2]", "JSON object")])
+    def test_unusable_model_file_fails(self, tmp_path, capsys, command, content, text):
+        model = tmp_path / "model.json"
+        model.write_text(content)
+        extra = ("--n-traj", 2) if command == "simulate" else ()
+        rc = run_cli(command, "--model", model, "--t-len", 3, *extra,
+                     "--out", tmp_path / "out")
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert f"model file {model}" in err["error"]["message"]
+        assert text in err["error"]["message"]
+
     def test_duplicate_component_bound(self, tmp_path, capsys):
         from chainmix import MixtureParams
         params = MixtureParams(mu=[0.5, 0.5], nu=[[0.4, 0.6]] * 2,
@@ -280,6 +295,21 @@ class TestMisa:
         assert err["error"]["type"] == "ValidationError"
         assert str(params) in err["error"]["message"]
         assert "JSON object" in err["error"]["message"]
+
+    @pytest.mark.parametrize("content, text", [
+        ('{"foo": 1, "g00": 4.0}', "name no rate: ['foo']"),
+        ('{"f_r": 0.5}', "sets 'f_r'"),
+        ('{"g00": "fast"}', "rate g00 must be a number"),
+    ])
+    def test_unusable_params_json_fails(self, tmp_path, capsys, content, text):
+        params = tmp_path / "rates.json"
+        params.write_text(content)
+        rc = run_cli("misa", "--f-r", 0.1, "--t-end", 5, "--params-json", params,
+                     "--out", tmp_path / "misa")
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert text in err["error"]["message"]
 
     def test_trajectory_csv(self, tmp_path):
         rc = run_cli("misa", "--f-r", 0.1, "--t-end", 5, "--n-traj", 2,

@@ -205,6 +205,30 @@ class TestDiscretize:
         assert states[0] != states[1]
         assert np.array_equal(states[:2], states[2:])
 
+    def test_matches_per_trajectory_assignment_across_blocks(self, monkeypatch):
+        import chainmix.clustering as clustering
+
+        model, points = self._model()
+        rng = np.random.default_rng(33)
+        trajs = [points[rng.integers(0, len(points), size=n)] + 0.1 * rng.standard_normal((n, 2))
+                 for n in (1, 7, 3, 12, 5)]
+        expected = np.concatenate([spectral_assign(model, t) for t in trajs])
+        # 3 rows per block: blocks straddle the trajectory boundaries
+        for entries in (3 * model.points.shape[0], 1 << 22):
+            monkeypatch.setattr(clustering, "_ASSIGN_BLOCK_ENTRIES", entries)
+            ds = discretize_trajectories(model, trajs)
+            assert np.array_equal(ds.states, expected)
+            assert list(ds.lengths) == [0, 6, 2, 11, 4]
+
+    @pytest.mark.parametrize("traj, text", [
+        (np.zeros(4), r"each trajectory must be a \(T\+1, D\) array"),
+        (np.zeros((4, 3)), "point dimension 3 does not match training dimension 2"),
+    ])
+    def test_bad_trajectory_rejected(self, traj, text):
+        model, points = self._model()
+        with pytest.raises(ValidationError, match=text):
+            discretize_trajectories(model, [points[:3], traj])
+
     def test_dataset_shape(self):
         model, points = self._model()
         ds = discretize_trajectories(model, [points[:4], points[-3:]])

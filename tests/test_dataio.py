@@ -202,6 +202,16 @@ class TestParamsJson:
         with pytest.raises(ValidationError, match="nu"):
             dataio.read_params(path)
 
+    @pytest.mark.parametrize("content, text", [('{"k": 1,', "is not valid JSON"),
+                                               ('"model"', "must hold a JSON object")])
+    def test_unusable_json_is_a_validation_error(self, tmp_path, content, text):
+        path = tmp_path / "model.json"
+        path.write_text(content)
+        for reader in (dataio.read_params, dataio.read_posterior,
+                       dataio.read_spectral_model):
+            with pytest.raises(ValidationError, match=text):
+                reader(path)
+
 
 class TestPosteriorJson:
     def test_round_trip(self, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,17 @@ from chainmix import (
     misa_simulate,
     misa_step_ssa,
 )
-from chainmix.gene_circuit import _propensities
+
+from helpers import reference_misa_simulate, reference_misa_step, reference_propensities
 
 
 class TestPropensities:
+    """The rate table of the reference loop, which TestMatchesReferenceLoop
+    ties to the SSA event loop."""
+
     def test_zero_proteins_only_production_and_unbinding(self):
         p = MisaParams(f_r=1.0)
-        props = _propensities(1, 1, 1, 1, 0, 0, p)
+        props = reference_propensities(1, 1, 1, 1, 0, 0, p)
         # productions active
         assert props[0] == p.g11 and props[1] == p.g11
         # degradations and bindings vanish at zero counts
@@ -27,21 +33,26 @@ class TestPropensities:
 
     def test_single_protein_cannot_bind(self):
         p = MisaParams(f_r=1.0)
-        props = _propensities(0, 0, 0, 0, 1, 0, p)
+        props = reference_propensities(0, 0, 0, 0, 1, 0, p)
         assert props[4] == 0.0  # activator binding of gene A needs two proteins
         assert props[10] == 0.0  # repressor binding of gene B likewise
 
     def test_production_reads_own_gene_condition(self):
         p = MisaParams(f_r=1.0)
-        assert _propensities(1, 0, 0, 0, 5, 5, p)[0] == p.g10 == 100.0
-        assert _propensities(0, 1, 0, 0, 5, 5, p)[0] == p.g01
-        assert _propensities(0, 0, 1, 0, 5, 5, p)[1] == p.g10
+        assert reference_propensities(1, 0, 0, 0, 5, 5, p)[0] == p.g10 == 100.0
+        assert reference_propensities(0, 1, 0, 0, 5, 5, p)[0] == p.g01
+        assert reference_propensities(0, 0, 1, 0, 5, 5, p)[1] == p.g10
 
     def test_rates_must_be_positive(self):
         with pytest.raises(ValidationError):
             MisaParams(f_r=0.0)
         with pytest.raises(ValidationError):
             MisaParams(f_r=1.0, d=-1.0)
+
+    @pytest.mark.parametrize("value", ["1.0", None, True, [1.0]])
+    def test_rates_must_be_numbers(self, value):
+        with pytest.raises(ValidationError, match="rate h_a must be a number"):
+            MisaParams(f_r=1.0, h_a=value)
 
 
 class TestStepSsa:
@@ -123,6 +134,109 @@ class TestSimulate:
             misa_simulate(MisaParams(f_r=1.0), t_end=0.0, seed=1)
 
 
+def _conditions(genes):
+    """Gene conditions as two-digit codes: (1, 0) -> 10."""
+    return [10 * int(i) + int(j) for i, j in genes]
+
+
+class TestSeededContract:
+    """Seeded SSA outputs pinned to the values the event loop has always drawn."""
+
+    def test_low_unbinding_rate(self):
+        traj = misa_simulate(MisaParams(f_r=0.01), t_end=12.0, seed=2024, burn_in=20.0)
+        assert traj.a.tolist() == [3, 8, 15, 15, 14, 15, 12, 10, 13, 14, 16, 10, 6]
+        assert traj.b.tolist() == [16, 7, 5, 8, 6, 9, 12, 11, 12, 11, 8, 12, 10]
+        assert _conditions(traj.gene_a) == [11] * 13
+        assert _conditions(traj.gene_b) == [1, 11, 11, 1, 11, 11, 11, 11, 11, 11, 1, 11, 11]
+
+    def test_high_unbinding_rate(self):
+        traj = misa_simulate(MisaParams(f_r=0.25), t_end=12.0, seed=2025, burn_in=20.0)
+        assert traj.a.tolist() == [94, 92, 93, 92, 96, 112, 83, 89, 102, 98, 112, 101, 112]
+        assert traj.b.tolist() == [13, 21, 18, 11, 11, 8, 7, 6, 7, 9, 3, 8, 12]
+        assert _conditions(traj.gene_a) == [10] * 13
+        assert _conditions(traj.gene_b) == [11] * 9 + [1] * 4
+
+    def test_initial_state_and_half_unit_grid(self):
+        init = MisaState(gene_a=(1, 0), gene_b=(0, 1), a=80, b=3)
+        traj = misa_simulate(MisaParams(f_r=0.05), t_end=6.0, sample_interval=0.5,
+                             seed=2026, burn_in=0.0, initial_state=init)
+        assert traj.a.tolist() == [80, 85, 94, 104, 89, 102, 111, 105, 82, 52, 35, 24, 18]
+        assert traj.b.tolist() == [3, 5, 7, 6, 9, 10, 12, 10, 10, 12, 15, 8, 13]
+        assert _conditions(traj.gene_a) == [10] * 8 + [11] * 5
+        assert _conditions(traj.gene_b) == [1, 1, 11, 11, 11, 1, 1, 11, 11, 11, 11, 11, 1]
+
+    def test_generator_seed_draws_are_unchanged(self):
+        rng = np.random.default_rng(2027)
+        traj = misa_simulate(MisaParams(f_r=0.25), t_end=5.0, seed=rng, burn_in=3.0)
+        assert traj.a.tolist() == [74, 99, 106, 64, 30, 19]
+        assert traj.b.tolist() == [11, 12, 38, 18, 11, 5]
+        assert _conditions(traj.gene_a) == [10, 10, 10, 11, 11, 11]
+        assert _conditions(traj.gene_b) == [11] * 6
+        # the generator's next draw shows how many draws the run consumed
+        assert rng.random() == float.fromhex("0x1.028ff70f93437p-1")
+
+    def test_step_chain(self):
+        rng = np.random.default_rng(2028)
+        params = MisaParams(f_r=0.25)
+        state = MisaState(gene_a=(0, 0), gene_b=(0, 0), a=0, b=0)
+        checkpoints = {
+            50: (MisaState((1, 0), (0, 0), 32, 7), "0x1.1723937f50037p+0"),
+            100: (MisaState((1, 0), (0, 1), 53, 9), "0x1.6eac79b50c5a3p+0"),
+            150: (MisaState((1, 0), (1, 1), 71, 10), "0x1.c158d21d7ecd6p+0"),
+            200: (MisaState((1, 0), (1, 1), 67, 10), "0x1.02b1e21a9a852p+1"),
+        }
+        elapsed = 0.0
+        for step in range(1, 201):
+            state, wait = misa_step_ssa(state, params, rng)
+            elapsed += wait
+            if step in checkpoints:
+                expected_state, expected_elapsed = checkpoints[step]
+                assert state == expected_state
+                assert elapsed == float.fromhex(expected_elapsed)
+        assert rng.random() == float.fromhex("0x1.21252d1dc0e1ap-1")
+
+
+class TestMatchesReferenceLoop:
+    """The event loop against a sequential scan of the propensity table."""
+
+    @pytest.mark.parametrize("f_r", [0.01, 0.05, 0.25, 1.0])
+    def test_simulate(self, f_r):
+        init = MisaState(gene_a=(0, 1), gene_b=(1, 0), a=3, b=40)
+        cases = [
+            dict(t_end=8.0, seed=seed, burn_in=30.0) for seed in range(5)
+        ] + [
+            dict(t_end=4.0, sample_interval=0.25, seed=9, burn_in=0.0,
+                 initial_state=init),
+            dict(t_end=3.0, sample_interval=7.0, seed=10, burn_in=2.5),
+        ]
+        for case in cases:
+            traj = misa_simulate(MisaParams(f_r=f_r), **case)
+            expected = reference_misa_simulate(MisaParams(f_r=f_r), **case)
+            for got, want in zip((traj.a, traj.b, traj.gene_a, traj.gene_b), expected):
+                assert np.array_equal(got, want), case
+
+    def test_generator_left_in_the_same_state(self):
+        params = MisaParams(f_r=0.25, g10=40.0)
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        misa_simulate(params, t_end=6.0, seed=rng, burn_in=5.0)
+        reference_misa_simulate(params, t_end=6.0, seed=ref_rng, burn_in=5.0)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_steps_from_every_gene_condition(self):
+        # small counts make zero and tied propensities common
+        rng = np.random.default_rng(12)
+        conditions = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        params = MisaParams(f_r=0.3, h_a=0.7, h_r=0.2)
+        for trial in range(400):
+            state = MisaState(gene_a=conditions[trial % 4],
+                              gene_b=conditions[(trial // 4) % 4],
+                              a=int(rng.integers(0, 4)), b=int(rng.integers(0, 4)))
+            seed = int(rng.integers(2**32))
+            got = misa_step_ssa(state, params, np.random.default_rng(seed))
+            want = reference_misa_step(state, params, np.random.default_rng(seed))
+            assert got == want, (state, seed)
+
+
 def test_spectral_states_cover_metastable_regions():
     # intermediate unbinding rate: the circuit toggles between competing
     # regimes, and sigma=50 spectral clustering into 4 states should carve
@@ -157,3 +271,14 @@ class TestMixtureExperiment:
         assert result.dataset.s == 4
         assert np.array_equal(result.true_labels,
                               np.repeat([0, 1], 10))
+
+    def test_stage_times_are_reported_and_not_compared(self):
+        kwargs = dict(n_per_group=3, t_len=4, seed=15, restarts=2, burn_in=5.0)
+        first = misa_mixture_experiment(0.01, 1.0, **kwargs)
+        second = misa_mixture_experiment(0.01, 1.0, **kwargs)
+        assert list(first.stage_s) == ["simulate", "cluster", "discretize", "fit", "score"]
+        assert all(seconds >= 0.0 for seconds in first.stage_s.values())
+        compared = {f.name: f.compare for f in dataclasses.fields(first)}
+        assert compared["stage_s"] is False
+        assert np.array_equal(first.dataset.states, second.dataset.states)
+        assert first.accuracy == second.accuracy
