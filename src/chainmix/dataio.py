@@ -240,18 +240,20 @@ def read_posterior(path):
 
 def write_restart_csv(path, report):
     """Per-restart diagnostics: index, seed, final objective, iterations,
-    accuracy, converged (1/0) and the final |delta L|; failed restarts leave
-    the objective, converged and delta cells empty."""
+    accuracy, converged (1/0), the final |delta L| and the wall time in
+    seconds; failed restarts leave the objective, converged, delta and
+    wall-time cells empty."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["restart", "seed", "final_objective", "iterations", "accuracy",
-                         "converged", "final_abs_delta"])
+                         "converged", "final_abs_delta", "wall_s"])
         for r in range(len(report.seeds)):
             acc = ""
             if report.all_accuracies is not None and np.isfinite(report.all_accuracies[r]):
                 acc = f"{report.all_accuracies[r]:.6f}"
             obj = report.all_objectives[r]
             delta = report.all_final_deltas[r]
+            wall = report.all_wall_s[r]
             writer.writerow([
                 r,
                 report.seeds[r],
@@ -260,6 +262,7 @@ def write_restart_csv(path, report):
                 acc,
                 "" if np.isnan(obj) else int(report.all_converged[r]),
                 "" if np.isnan(delta) else repr(float(delta)),
+                "" if np.isnan(wall) else repr(float(wall)),
             ])
 
 

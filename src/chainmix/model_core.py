@@ -13,6 +13,7 @@ to and from 1-based indexing (see chainmix.dataio).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -47,6 +48,20 @@ def uniform_simplex(rng: np.random.Generator, *shape) -> np.ndarray:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _as_states(values):
+    """Return (`values` as an int64 array, -1), or (None, i) when flat entry i
+    is the first value that is not a whole number.
+
+    Only float input is inspected; int64 input is used without a copy.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f":
+        whole = (np.isfinite(arr) & (arr == np.trunc(arr))).ravel()
+        if not whole.all():
+            return None, int(np.argmin(whole))
+    return arr.astype(np.int64, copy=False), -1
 
 
 class _FlatStates(NamedTuple):
@@ -87,17 +102,23 @@ class TrajectoryDataset:
 
     def __post_init__(self):
         if isinstance(self.trajectories, _FlatStates):
-            states = np.asarray(self.trajectories.states, dtype=np.int64)
+            states, fraction = _as_states(self.trajectories.states)
             sizes = np.asarray(self.trajectories.sizes, dtype=np.int64)
+            if fraction >= 0:
+                n = int(np.searchsorted(np.cumsum(sizes), fraction, side="right"))
+                raise ValidationError(
+                    f"trajectory {n} must be a nonempty 1-D integer sequence")
             if states.ndim != 1 or sizes.ndim != 1:
                 raise ValidationError("flat states and sizes must be 1-D arrays")
         else:
-            parts = [np.asarray(t, dtype=np.int64) for t in self.trajectories]
-            # a part that is not 1-D gets size 0 so the size check names it
-            sizes = np.array([p.size if p.ndim == 1 else 0 for p in parts],
+            parts = [_as_states(t)[0] for t in self.trajectories]
+            # a part that is not 1-D or holds a value that is not a whole
+            # number gets size 0 so the size check names it
+            sizes = np.array([0 if p is None or p.ndim != 1 else p.size for p in parts],
                              dtype=np.int64)
             # with no parts, the empty `sizes` stands in; it is rejected below
-            states = np.concatenate([p.ravel() for p in parts]) if parts else sizes
+            states = (np.concatenate([p.ravel() for p in parts if p is not None])
+                      if parts else sizes)
         bad = np.flatnonzero(sizes < 1)
         if bad.size:
             raise ValidationError(
@@ -268,7 +289,8 @@ class Responsibilities:
         g = np.asarray(self.gamma, dtype=np.float64)
         if g.ndim != 2:
             raise ValidationError("gamma must be a 2-D (N, k) array")
-        if np.any(g < 0) or np.any(g > 1 + 1e-12):
+        # written so that a NaN entry fails too
+        if not np.all((g >= 0) & (g <= 1 + 1e-12)):
             raise ValidationError("gamma entries must lie in [0, 1]")
         if np.any(np.abs(g.sum(axis=1) - 1.0) > _SUM_TOL):
             raise ValidationError("each gamma row must sum to 1")
@@ -312,11 +334,21 @@ def labels_from_responsibilities(gamma: np.ndarray) -> np.ndarray:
     return np.argmax(gamma, axis=1).astype(np.int64)
 
 
-def _categorical_rows(rng, cum_rows):
-    """Draw one index per row from row-wise cumulative distributions."""
-    u = rng.random(cum_rows.shape[0])
-    idx = (u[:, None] >= cum_rows).sum(axis=1)
-    return np.minimum(idx, cum_rows.shape[1] - 1)
+def _categorical(rng, columns, rows) -> np.ndarray:
+    """Draw one index per trajectory m from row `rows[m]` of a cumulative table.
+
+    `columns` holds the table by column: columns[b][r] is the cumulative
+    probability of indices 0..b in row r.  The draw is the number of columns
+    below the last that a uniform variate reaches.  Cumulative rows never
+    decrease, so this is the count over all columns capped at the last
+    index, and a variate above a row total that rounding left short of 1
+    still picks the last index.  One `rng.random(len(rows))` per call.
+    """
+    u = rng.random(rows.size)
+    idx = np.zeros(rows.size, dtype=np.int64)
+    for col in columns[:-1]:
+        idx += u >= col[rows]
+    return idx
 
 
 def sample_mixture(params: MixtureParams, n: int, t: int, seed=None):
@@ -332,16 +364,18 @@ def sample_mixture(params: MixtureParams, n: int, t: int, seed=None):
     rng = as_rng(seed)
     k, s = params.k, params.s
 
-    cum_mu = np.cumsum(params.mu)[None, :].repeat(n, axis=0)
-    z = _categorical_rows(rng, cum_mu)
+    z = _categorical(rng, np.cumsum(params.mu)[:, None], np.zeros(n, dtype=np.int64))
 
-    cum_nu = np.cumsum(params.nu, axis=1)
     states = np.empty((n, t + 1), dtype=np.int64)
-    states[:, 0] = _categorical_rows(rng, cum_nu[z])
+    states[:, 0] = _categorical(rng, np.cumsum(params.nu, axis=1).T, z)
 
-    cum_P = np.cumsum(params.P, axis=2)
+    # column b of the transition table, row z*s + a: P_z(a, 0..b) summed
+    cum_P = np.ascontiguousarray(np.cumsum(params.P, axis=2).reshape(k * s, s).T)
+    base = z * s
+    prev = states[:, 0]
     for step in range(t):
-        states[:, step + 1] = _categorical_rows(rng, cum_P[z, states[:, step]])
+        prev = _categorical(rng, cum_P, base + prev)
+        states[:, step + 1] = prev
 
     data = TrajectoryDataset.from_flat(states.ravel(), np.full(n, t + 1), s=s)
     return data, z.astype(np.int64)
@@ -417,11 +451,11 @@ def log_mixture_weights(log_mu, log_nu, log_P, stats: SufficientStats) -> np.nda
     """
     k = log_mu.shape[0]
     log_theta = np.concatenate([log_nu, log_P.reshape(k, -1)], axis=1)
-    neg_inf = np.isneginf(log_theta)
     # (L X^T)^T rather than X L^T: in the second form OpenBLAS packs all of X
     # into its work buffer, which then stays resident (4.9 MB at N=20000, s=5)
-    if not neg_inf.any():
+    if log_theta.min() > -np.inf:  # False for a NaN too, which the mask leaves as it is
         return log_mu + (log_theta @ stats.X.T).T
+    neg_inf = np.isneginf(log_theta)
     w = log_mu + (np.where(neg_inf, 0.0, log_theta) @ stats.X.T).T
     w[(stats.X > 0) @ neg_inf.T] = -np.inf
     return w
@@ -435,6 +469,11 @@ def log_normalize_rows(logw: np.ndarray):
     callers treat that as a support failure.
     """
     m = logw.max(axis=1)
+    if math.isfinite(m.sum()):  # every row max is finite: no row needs a mask
+        gamma = np.exp(logw - m[:, None])
+        sums = gamma.sum(axis=1)
+        gamma /= sums[:, None]
+        return gamma, m + np.log(sums)
     finite = np.isfinite(m)
     # rows without a finite max are overwritten below, so shifting them by 0 is safe
     e = np.exp(logw - np.where(finite, m, 0.0)[:, None])
@@ -468,7 +507,7 @@ def coordinate_ascent(stats: SufficientStats, init: Responsibilities, step,
     trace = []
     for it in range(1, max_iters + 1):
         gamma, objective, params = step(gamma, it)
-        if not np.isfinite(objective):
+        if not math.isfinite(objective):
             raise NumericalError(
                 f"objective became non-finite ({objective})", iteration=it
             )

@@ -11,7 +11,8 @@ to a shorter one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,6 +68,10 @@ class MultistartReport:
 
     tied_indices lists, in increasing order, every restart whose objective
     lies within that tolerance of L_max; best_index is its first entry.
+
+    all_wall_s[r] is restart r's wall time in seconds (`time.perf_counter`),
+    NaN for a failed restart.  It varies from run to run, so it takes no
+    part in equality.
     """
 
     best: FitResult
@@ -81,6 +86,7 @@ class MultistartReport:
     all_converged: np.ndarray
     all_final_deltas: np.ndarray
     tied_indices: tuple
+    all_wall_s: np.ndarray = field(compare=False)
 
 
 def _run_restart(index, master_entropy, stats, algorithm, config, true_labels):
@@ -126,16 +132,19 @@ def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
     iterations = np.zeros(restarts, dtype=np.int64)
     converged = np.zeros(restarts, dtype=bool)
     final_deltas = np.full(restarts, np.nan)
+    wall_s = np.full(restarts, np.nan)
     accuracies = np.full(restarts, np.nan) if true_labels is not None else None
     results = [None] * restarts
     failures = []
     for r in range(restarts):
+        begin = time.perf_counter()
         try:
             fit, posterior, acc = _run_restart(r, master_entropy, stats, algorithm,
                                                config, true_labels)
         except NumericalError as exc:
             failures.append((r, str(exc)))
             continue
+        wall_s[r] = time.perf_counter() - begin
         results[r] = (fit, posterior)
         objectives[r] = fit.objective
         iterations[r] = fit.iterations
@@ -171,4 +180,5 @@ def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
         all_converged=converged,
         all_final_deltas=final_deltas,
         tied_indices=tuple(np.flatnonzero(tied).tolist()),
+        all_wall_s=wall_s,
     )

@@ -83,19 +83,36 @@ def stationary_distribution(transition: np.ndarray, tol: float = 1e-12,
                             max_iters: int = 10**6) -> np.ndarray:
     """Stationary measure by power iteration from the uniform vector.
 
-    Raises NumericalError if the iteration does not reach an L1 residual
-    below `tol` (periodic or otherwise non-convergent chains are reported,
-    not regularized).
+    Step t of the iteration is pi_t = uniform P^t, and it converges at the
+    first t < max_iters whose one-step L1 residual |pi_t P - pi_t| is below
+    `tol`, returning pi_t P.  A row vector times a stochastic matrix never
+    grows in L1, so the residual never rises along the iteration.  The
+    residual is therefore checked only at t = 0, 1, 3, 7, ..., reached by
+    repeated squaring of P, and at t = max_iters - 1 before giving up: a
+    O(log max_iters) walk that converges and fails for the same chains,
+    up to rounding, as checking every step.
+
+    Raises NumericalError if no step below max_iters reaches the tolerance
+    (periodic or otherwise non-convergent chains are reported, not
+    regularized).
     """
     p = np.asarray(transition, dtype=np.float64)
     s = p.shape[0]
     pi = np.full(s, 1.0 / s)
-    for _ in range(max_iters):
+    last = max_iters - 1
+    t, jump = 0, p  # pi = pi_t and jump = P^(t+1), while t = 2^j - 1
+    while t <= last:
         nxt = pi @ p
         nxt /= nxt.sum()
         if np.abs(nxt - pi).sum() < tol:
             return nxt
-        pi = nxt
+        if t == last:
+            break
+        if 2 * t + 1 <= last:
+            pi, t, jump = pi @ jump, 2 * t + 1, jump @ jump
+        else:
+            pi, t = pi @ np.linalg.matrix_power(p, last - t), last
+        pi /= pi.sum()
     raise NumericalError(
         f"power iteration did not converge to tolerance {tol}"
     )

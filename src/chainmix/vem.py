@@ -38,7 +38,8 @@ def digamma(x):
     scalars or arrays and returns a float for scalar input.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr) & (arr > 0)):
+    # a NaN fails the first comparison, because min and max propagate it
+    if arr.size and not (arr.min() > 0 and arr.max() < np.inf):
         raise ValueError("digamma requires x > 0")
     out = _scipy_digamma(arr)
     return float(out) if arr.ndim == 0 else out
@@ -210,11 +211,18 @@ def vem_fit(stats: SufficientStats, init: Responsibilities,
     k, s = config.k_max, stats.s
     block = _block(k, s)
     entries = block.prior.size
+    stack_size = entries + 1 + k * (s + 1)
 
     def step(gamma, it):
-        n_hat = block.prior[:k] + gamma.sum(axis=0)
-        rows = (1.0 + gamma.T @ stats.X).reshape(-1, s)
-        stack = _stack(n_hat, rows)
+        # the stack of `_stack`, filled in place: parameters, then totals
+        stack = np.empty(stack_size)
+        n_hat, rows, totals = stack[:k], stack[k:entries], stack[entries:]
+        np.add(block.prior[:k], gamma.sum(axis=0), out=n_hat)
+        np.matmul(gamma.T, stats.X, out=rows.reshape(k, -1))
+        rows += 1.0
+        rows = rows.reshape(-1, s)
+        totals[0] = n_hat.sum()
+        rows.sum(axis=1, out=totals[1:])
         psi = digamma(stack)
         log_theta = psi[:entries] - psi[entries:][block.owner]
         log_design = log_theta[k:].reshape(k, -1)

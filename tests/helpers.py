@@ -122,6 +122,24 @@ def reference_kl_trajectory(params, i, j, horizon):
     return total
 
 
+def reference_stationary_distribution(transition, tol=1e-12, max_iters=10**6):
+    """Step-by-step form of `chainmix.theory.stationary_distribution`.
+
+    Returns (measure, steps): the first step t < max_iters whose one-step L1
+    residual is below `tol` gives measure pi_{t+1} and steps t + 1.  Raises
+    AssertionError when no step does.
+    """
+    p = np.asarray(transition, dtype=np.float64)
+    pi = np.full(p.shape[0], 1.0 / p.shape[0])
+    for t in range(max_iters):
+        nxt = pi @ p
+        nxt /= nxt.sum()
+        if np.abs(nxt - pi).sum() < tol:
+            return nxt, t + 1
+        pi = nxt
+    raise AssertionError(f"no convergence in {max_iters} steps")
+
+
 def reference_kl_rate(params, i, j):
     """Per-pair loop form of `chainmix.kl_rate`."""
     from chainmix.theory import stationary_distribution
@@ -129,7 +147,7 @@ def reference_kl_rate(params, i, j):
     pi = stationary_distribution(params.P[i])
     row_kl = np.array([_reference_kl_vector(params.P[i][a], params.P[j][a])
                        for a in range(params.s)])
-    return float(np.where(pi > 0, pi * row_kl, 0.0).sum())
+    return float((pi * np.where(pi > 0, row_kl, 0.0)).sum())
 
 
 def reference_bound(mu, divergence):

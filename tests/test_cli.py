@@ -99,10 +99,11 @@ class TestFit:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert list(rows[0]) == ["restart", "seed", "final_objective", "iterations",
-                                 "accuracy", "converged", "final_abs_delta"]
+                                 "accuracy", "converged", "final_abs_delta", "wall_s"]
         assert all(r["final_objective"] for r in rows)
         assert all(r["converged"] in ("0", "1") and float(r["final_abs_delta"]) >= 0
                    for r in rows)
+        assert all(float(r["wall_s"]) > 0 for r in rows)
         assert (out / "confusion.csv").exists()
 
     def test_fit_json_lists_tied_restarts(self, simulated, tmp_path):

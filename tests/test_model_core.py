@@ -17,6 +17,30 @@ from chainmix import (
 from chainmix.model_core import SufficientStats, log_mixture_weights, log_normalize_rows
 
 
+# Seeded sampler outputs: (k, s, params seed, labels, states, next random()).
+# Each case samples 8 trajectories of 5 transitions from
+# random_mixture_params(k, s, seed) with Generator(100 + seed) as the seed.
+_SAMPLER_GOLDEN = [
+    (4, 3, 11, [1, 1, 2, 2, 2, 0, 2, 2],
+     [[1, 1, 2, 1, 1, 1], [1, 2, 2, 1, 2, 1], [1, 0, 1, 0, 1, 1], [2, 0, 0, 0, 1, 0],
+      [0, 1, 0, 0, 0, 1], [1, 0, 1, 0, 1, 0], [1, 1, 1, 0, 1, 0], [2, 2, 0, 1, 0, 1]],
+     0.6899897646317632),
+    (4, 5, 2, [1, 3, 3, 2, 3, 2, 3, 3],
+     [[4, 4, 3, 4, 3, 3], [3, 1, 1, 1, 1, 1], [2, 0, 1, 0, 0, 3], [1, 4, 0, 2, 1, 3],
+      [4, 4, 3, 4, 2, 0], [2, 1, 4, 0, 2, 4], [4, 3, 2, 0, 3, 4], [4, 0, 4, 3, 4, 3]],
+     0.8242522835792867),
+    (2, 2, 3, [1, 1, 0, 1, 1, 0, 1, 1],
+     [[1, 1, 1, 1, 1, 1], [0, 0, 1, 1, 1, 0], [1, 0, 0, 0, 0, 0], [1, 1, 0, 1, 0, 1],
+      [0, 1, 0, 1, 0, 1], [1, 0, 0, 0, 1, 1], [0, 1, 1, 1, 1, 0], [0, 1, 1, 1, 1, 1]],
+     0.16441914724668405),
+    (3, 1, 4, [2, 2, 0, 0, 0, 2, 2, 0], [[0] * 6] * 8, 0.6488714001062404),
+    (1, 4, 5, [0] * 8,
+     [[1, 1, 1, 2, 1, 2], [0, 1, 0, 1, 0, 1], [1, 2, 2, 2, 2, 1], [1, 2, 1, 2, 2, 2],
+      [0, 1, 1, 1, 2, 0], [0, 1, 2, 2, 0, 2], [1, 2, 0, 0, 0, 1], [1, 1, 2, 0, 0, 1]],
+     0.7246424786617761),
+]
+
+
 class TestTrajectoryDataset:
     def test_basic_properties(self):
         ds = TrajectoryDataset(([0, 1, 1], [2], [1, 0]), s=3)
@@ -35,6 +59,20 @@ class TestTrajectoryDataset:
             TrajectoryDataset(([],), s=1)
         with pytest.raises(ValidationError):
             TrajectoryDataset((), s=1)
+
+    @pytest.mark.parametrize("bad", [[0, 1.5, 2.7], [0.0, np.nan], [1.0, np.inf]])
+    def test_values_that_are_not_whole_numbers_rejected(self, bad):
+        text = "trajectory 1 must be a nonempty 1-D integer sequence"
+        with pytest.raises(ValidationError, match=text):
+            TrajectoryDataset(([0, 1], bad), s=3)
+        with pytest.raises(ValidationError, match=text):
+            TrajectoryDataset.from_flat(np.array([0.0, 1.0] + bad), [2, len(bad)], s=3)
+
+    def test_whole_floats_and_int64_states_accepted(self):
+        ds = TrajectoryDataset(([0.0, 2.0], np.array([1.0])), s=3)
+        assert ds.states.dtype == np.int64 and ds.states.tolist() == [0, 2, 1]
+        states = np.array([0, 1, 2, 1], dtype=np.int64)
+        assert TrajectoryDataset.from_flat(states, [2, 2], s=3).states is states
 
 
 class TestMixtureParams:
@@ -87,6 +125,30 @@ class TestSampleMixture:
         assert np.array_equal(z1, z2)
         for a, b in zip(d1.trajectories, d2.trajectories):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("k, s, seed, labels, states, next_draw", _SAMPLER_GOLDEN)
+    def test_seeded_outputs_pinned(self, k, s, seed, labels, states, next_draw):
+        rng = np.random.default_rng(100 + seed)
+        data, z = sample_mixture(random_mixture_params(k, s, seed=seed), 8, 5, seed=rng)
+        assert z.tolist() == labels
+        assert data.states.reshape(8, 6).tolist() == states
+        assert rng.random() == next_draw
+
+    def test_seeded_outputs_pinned_with_exact_zeros(self):
+        # zero entries make flat steps in the cumulative rows; a draw on a
+        # step must never land on a state of probability 0
+        p = MixtureParams(mu=[0.5, 0.0, 0.5],
+                          nu=[[0.0, 1.0, 0.0], [1 / 3] * 3, [0.5, 0.0, 0.5]],
+                          P=[[[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]],
+                             [[1 / 3] * 3] * 3,
+                             [[0.25, 0.0, 0.75], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]]])
+        rng = np.random.default_rng(106)
+        data, z = sample_mixture(p, 8, 5, seed=rng)
+        assert z.tolist() == [2, 0, 0, 0, 2, 0, 0, 0]
+        assert data.states.reshape(8, 6).tolist() == [
+            [0, 2, 0, 0, 2, 0], [1, 0, 1, 0, 1, 0], [1, 2, 2, 2, 2, 2], [1, 2, 2, 2, 2, 2],
+            [2, 0, 2, 1, 1, 1], [1, 0, 1, 0, 1, 2], [1, 0, 1, 2, 2, 2], [1, 0, 1, 0, 1, 0]]
+        assert rng.random() == 0.9669849304872099
 
     def test_empirical_transition_frequencies(self):
         # single long chain: empirical row frequencies approach P
@@ -216,6 +278,13 @@ class TestResponsibilities:
     def test_valid(self):
         r = Responsibilities(np.array([[0.25, 0.75]]))
         assert r.n == 1 and r.k == 2
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, value):
+        with pytest.raises(ValidationError, match=r"gamma entries must lie in \[0, 1\]"):
+            Responsibilities(np.full((2, 2), value))
+        with pytest.raises(ValidationError, match=r"gamma entries must lie in \[0, 1\]"):
+            Responsibilities(np.array([[value, 1.0], [0.5, 0.5]]))
 
 
 class TestEStep:

@@ -159,6 +159,26 @@ class TestMultistart:
         assert not single.all_converged.any()
         assert np.isnan(single.all_final_deltas).all()
 
+    def test_wall_times_recorded_and_not_compared(self, small_problem, monkeypatch):
+        import dataclasses
+        from chainmix import multistart
+        stats, _ = small_problem
+        calls = []
+
+        def fail_restart_1(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise NumericalError("injected failure")
+            return em_fit(*args, **kwargs)
+
+        monkeypatch.setattr(multistart, "em_fit", fail_restart_1)
+        report = multistart_fit(stats, "em", restarts=3, config=EmConfig(k=2), seed=80)
+        assert report.failures == ((1, "injected failure"),)
+        assert np.isnan(report.all_wall_s[1])
+        assert np.all(report.all_wall_s[[0, 2]] > 0)
+        compared = [f.name for f in dataclasses.fields(report) if f.compare]
+        assert "all_wall_s" not in compared and "all_final_deltas" in compared
+
     def test_unknown_algorithm_rejected(self, small_problem):
         stats, _ = small_problem
         from chainmix import ValidationError

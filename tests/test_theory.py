@@ -23,6 +23,7 @@ from helpers import (
     reference_kl_rate,
     reference_kl_report,
     reference_kl_trajectory,
+    reference_stationary_distribution,
     strictly_positive_params,
 )
 
@@ -118,6 +119,65 @@ class TestKlRate:
                                P=[p, np.full((3, 3), 1 / 3)])
         with pytest.raises(NumericalError, match="component 0"):
             kl_rate(params, 0, 1)
+
+
+class TestStationaryDistribution:
+    """The log-step walk against the step-by-step power iteration."""
+
+    def test_period_two_chain_with_stationary_uniform_start(self):
+        # uniform is already stationary, so the first residual is 0 even
+        # though the chain is periodic
+        p = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for max_iters in (1, 2000, 10**6):
+            assert np.array_equal(stationary_distribution(p, max_iters=max_iters), [0.5, 0.5])
+
+    def test_two_closed_classes_keep_their_uniform_mass(self):
+        # {0, 1} holds 2/3 of the start and has stationary measure (2/3, 1/3)
+        p = np.array([[0.9, 0.1, 0.0], [0.2, 0.8, 0.0], [0.0, 0.0, 1.0]])
+        pi = stationary_distribution(p)
+        np.testing.assert_allclose(pi, [4 / 9, 2 / 9, 1 / 3], rtol=0, atol=1e-11)
+        reference, _ = reference_stationary_distribution(p)
+        assert np.abs(pi - reference).sum() < 1e-11
+
+    def test_transient_state_drains_into_closed_classes(self):
+        p = np.array([[0.5, 0.25, 0.25, 0.0],
+                      [0.0, 0.3, 0.7, 0.0],
+                      [0.0, 0.6, 0.4, 0.0],
+                      [0.0, 0.0, 0.0, 1.0]])
+        pi = stationary_distribution(p)
+        # state 0 sends its 1/4 start to {1, 2}, which then holds 3/4 with
+        # measure (6/13, 7/13) inside it
+        np.testing.assert_allclose(pi, [0.0, 0.75 * 6 / 13, 0.75 * 7 / 13, 0.25],
+                                   rtol=0, atol=1e-11)
+        reference, _ = reference_stationary_distribution(p)
+        assert np.abs(pi - reference).sum() < 1e-11
+
+    def test_late_convergence_within_max_iters(self):
+        # the one-step residual 0.01 * 0.97^t first drops below 1e-12 at
+        # t = 756, past max_iters / 2 for max_iters = 800 and 1000
+        p = np.array([[0.99, 0.01], [0.02, 0.98]])
+        _, steps = reference_stationary_distribution(p)
+        assert steps == 757
+        for max_iters in (800, 1000):
+            pi = stationary_distribution(p, max_iters=max_iters)
+            np.testing.assert_allclose(pi, [2 / 3, 1 / 3], rtol=0, atol=1e-10)
+        with pytest.raises(NumericalError, match="did not converge"):
+            stationary_distribution(p, max_iters=700)
+
+    @pytest.mark.parametrize("max_iters", [0, 1])
+    def test_too_few_steps_raise(self, max_iters):
+        p = np.array([[0.9, 0.1], [0.5, 0.5]])
+        with pytest.raises(NumericalError,
+                           match=r"^power iteration did not converge to tolerance 1e-12$"):
+            stationary_distribution(p, max_iters=max_iters)
+
+    def test_matches_step_by_step_iteration(self):
+        for params in theory_models():
+            for transition in params.P:
+                reference, _ = reference_stationary_distribution(transition)
+                pi = stationary_distribution(transition)
+                # slow-mixing chains stop up to about 3e-11 from the limit
+                assert np.abs(pi - reference).sum() < 1e-10
 
 
 class TestThm1Bound:
