@@ -4,7 +4,9 @@ All outputs are plot-ready CSV/JSON; no figures are rendered.  Every
 subcommand honors --seed for end-to-end reproducibility, and a JSON config
 file can supply defaults for any flag (command-line values win).  The exit
 code is 0 only if every requested run succeeded; failures produce a
-machine-readable JSON summary on stderr.
+machine-readable JSON summary on stderr.  A successful `fit` prints one JSON
+line on stderr too: restarts, converged, failed and tied restart counts, and
+the command's wall time in seconds.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import inspect
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +148,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    start = time.perf_counter()
     data = dataio.read_trajectories(args.input, one_based=args.one_based)
     stats = sufficient_stats(data)
     true_labels = None
@@ -190,9 +194,13 @@ def _cmd_fit(args) -> int:
                                best.objective_trace)
     print(f"best of {args.restarts} restarts: objective {best.objective:.6f}, "
           f"{best.surviving_components} surviving components")
-    if report.failures:
-        print(f"note: {len(report.failures)} restart(s) failed numerically",
-              file=sys.stderr)
+    print(json.dumps({
+        "restarts": args.restarts,
+        "converged": int(report.all_converged.sum()),
+        "failed": len(report.failures),
+        "tied": len(report.tied_indices),
+        "wall_s": time.perf_counter() - start,
+    }), file=sys.stderr)
     return 0
 
 

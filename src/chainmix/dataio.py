@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -26,21 +27,31 @@ from .vem import DirichletPosterior
 # Longest state token whose value is sure to fit in int64.
 _MAX_DIGITS = 18
 
+# Separators are ASCII whitespace (the space and \t \n \v \f \r) and the
+# comma; every other byte belongs to a token.  Translation tables: byte to
+# 1 for a token byte and 0 for a separator, and byte to its value minus '0'
+# (wrapping around below '0', so a digit maps to 0..9 and nothing else does).
+_SEPARATORS = b" ,\t\n\v\f\r"
+_TOKEN_BYTES = bytes(b not in _SEPARATORS for b in range(256))
+_DIGIT_VALUES = bytes((b - ord("0")) % 256 for b in range(256))
 
-def _marks_per_line(marks, line_starts):
-    """Number of True entries of `marks` on each line.
 
-    Only the bytes that start a line or carry a mark are kept, so each count
-    is a difference of positions among them and no per-byte integer array
-    is made.
+def _tokens_per_line(first, breaks, trailing: bool):
+    """Number of token starts on each line, from the marks `first` of token
+    starts and the mask `breaks` of line-break bytes.
+
+    Breaks are marked in `first` too (in place; no break byte is a token), so
+    one compress lists the marks in file order with True at each break, and
+    a line's count is the number of marks between its break and the one
+    before.  `trailing` says that a last line runs to the end of the file
+    without a break.  No per-byte integer array is made.
     """
-    at_line = np.zeros(marks.size, dtype=bool)
-    at_line[line_starts] = True
-    kept = marks | at_line
-    rows = np.flatnonzero(np.compress(kept, at_line))
-    entries = np.diff(rows, append=np.count_nonzero(kept))
-    # a line's entries are its marks plus its first byte, unless that is a mark
-    return entries - 1 + np.compress(kept, marks)[rows]
+    first |= breaks
+    marks = np.compress(first, breaks)
+    ends = np.flatnonzero(marks)
+    if trailing:
+        ends = np.append(ends, marks.size)
+    return np.diff(ends, prepend=-1) - 1
 
 
 def read_trajectories(path, one_based: bool = False) -> TrajectoryDataset:
@@ -52,65 +63,89 @@ def read_trajectories(path, one_based: bool = False) -> TrajectoryDataset:
     of ASCII-digit tokens separated by ASCII whitespace or commas.  All
     tokens are parsed together; only comment, header and blank lines are
     visited one at a time.  Errors name the file and the 1-based line.
+
+    Memory: besides the file's bytes (read into one bytearray, in which
+    comment lines are blanked) and the returned states, the parse holds
+    three file-sized masks (line breaks, token bytes, token starts) and the
+    token bytes as digit values, which one `bytes.translate` extracts;
+    '\\r' and '#' are searched for only when the file contains them.
     """
+    # a bytearray, filled in place, so no second copy of the file is made
     with open(path, "rb") as handle:
-        raw = handle.read()
+        raw = bytearray(os.fstat(handle.fileno()).st_size)
+        del raw[handle.readinto(raw):]
+        raw += handle.read()  # whatever a pipe or a file that grew still holds
     buf = np.frombuffer(raw, dtype=np.uint8)
-    newline = buf == ord("\n")
-    lone_cr = buf == ord("\r")
-    lone_cr[:-1] &= ~newline[1:]
-    breaks = np.flatnonzero(newline | lone_cr)
-    del newline, lone_cr
-    line_starts = np.concatenate(([0], breaks + 1))
-    line_ends = np.append(breaks, buf.size)
-    if line_starts[-1] == buf.size:  # nothing follows the last line break
+    breaks = buf == ord("\n")
+    if b"\r" in raw:  # a \r not followed by \n ends a line too
+        cr = np.flatnonzero(buf == ord("\r"))
+        # a \r at the end of the file is compared with itself
+        breaks[cr[buf[np.minimum(cr + 1, buf.size - 1)] != ord("\n")]] = True
+    at = np.flatnonzero(breaks)
+    line_starts = np.concatenate(([0], at + 1))
+    line_ends = np.append(at, buf.size)
+    del at
+    trailing = line_starts[-1] < buf.size
+    if not trailing:  # nothing follows the last line break
         line_starts, line_ends = line_starts[:-1], line_ends[:-1]
     if not line_starts.size:
         raise ValidationError(f"{path}: no trajectories found")
 
-    # separators are ASCII whitespace (\t \n \v \f \r are bytes 9..13) and the comma
-    token = (buf != ord(" ")) & (buf != ord(",")) & (buf - np.uint8(9) > 4)
-    first = token.copy()
-    first[1:] &= ~token[:-1]
-    counts = _marks_per_line(first, line_starts)
-
+    # Comment and header lines are read, then blanked to spaces in the
+    # buffer, so they hold no tokens.  The first malformed header is
+    # reported after any empty trajectory on an earlier line.
     declared_s = None
-    hash_lines = np.searchsorted(line_starts, np.flatnonzero(buf == ord("#")), side="right") - 1
-    for li in np.union1d(hash_lines, np.flatnonzero(counts == 0)).tolist():
-        lo, hi = line_starts[li], line_ends[li]
-        text = raw[lo:hi].strip()
-        if text.startswith(b"#"):
-            counts[li] = 0
-            token[lo:hi] = False
-            first[lo:hi] = False
+    header_error = None
+    if b"#" in raw:
+        hash_lines = np.searchsorted(line_starts, np.flatnonzero(buf == ord("#")),
+                                     side="right") - 1
+        for li in np.unique(hash_lines).tolist():
+            lo, hi = line_starts[li], line_ends[li]
+            text = raw[lo:hi].strip()
+            if not text.startswith(b"#"):
+                continue
             body = text[1:].strip().decode(errors="replace")
             if body.startswith("s="):
                 try:
                     declared_s = int(body[2:].strip())
                 except ValueError as exc:
-                    raise ValidationError(f"{path}:{li + 1}: bad header: {exc}") from exc
-        elif text and not counts[li]:
-            raise ValidationError(f"{path}:{li + 1}: empty trajectory")
+                    header_error = (li, exc)
+                    break
+            buf[lo:hi] = ord(" ")
 
-    digits = buf - np.uint8(ord("0"))  # wraps around for bytes below '0'
-    bad = token & (digits > 9)
-    if bad.any():
-        li = int(np.searchsorted(line_starts, bad.argmax(), side="right")) - 1
+    token = np.frombuffer(raw.translate(_TOKEN_BYTES), dtype=bool)
+    first = np.empty_like(token)
+    first[:1] = token[:1]
+    np.greater(token[1:], token[:-1], out=first[1:])  # a token byte after a separator
+    counts = _tokens_per_line(first, breaks, trailing)
+    del breaks
+
+    for li in np.flatnonzero(counts == 0).tolist():
+        if header_error is not None and li > header_error[0]:
+            break
+        if raw[line_starts[li]:line_ends[li]].strip():
+            raise ValidationError(f"{path}:{li + 1}: empty trajectory")
+    if header_error is not None:
+        li, exc = header_error
+        raise ValidationError(f"{path}:{li + 1}: bad header: {exc}") from exc
+
+    # the token bytes in file order, as digit values
+    digits = np.frombuffer(raw.translate(_DIGIT_VALUES, _SEPARATORS), dtype=np.uint8)
+    if digits.size and digits.max() > 9:
+        pos = np.flatnonzero(token)[np.argmax(digits > 9)]
+        li = int(np.searchsorted(line_starts, pos, side="right")) - 1
         words = raw[line_starts[li]:line_ends[li]].replace(b",", b" ").split()
         word = next(w for w in words if not w.isdigit()).decode(errors="replace")
         raise ValidationError(f"{path}:{li + 1}: invalid state token {word!r}")
-    del bad
 
-    digits = np.compress(token, digits)
-    starts = np.compress(token, first)
-    if starts.all():
+    if counts.sum() == digits.size:  # every token is one digit
         states = digits.astype(np.int64)
     else:
-        at = np.flatnonzero(starts)
+        at = np.flatnonzero(np.compress(token, first))
         width = np.diff(at, append=digits.size)
         if width.max() > _MAX_DIGITS:
-            pos = np.flatnonzero(first)[np.argmax(width > _MAX_DIGITS)]
-            li = int(np.searchsorted(line_starts, pos, side="right")) - 1
+            token_index = np.argmax(width > _MAX_DIGITS)
+            li = int(np.searchsorted(np.cumsum(counts), token_index, side="right"))
             raise ValidationError(
                 f"{path}:{li + 1}: state token longer than {_MAX_DIGITS} digits")
         states = np.zeros(at.size, dtype=np.int64)

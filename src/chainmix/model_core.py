@@ -54,10 +54,15 @@ def _as_states(values):
     """Return (`values` as an int64 array, -1), or (None, i) when flat entry i
     is the first value that is not a whole number.
 
-    Only float input is inspected; int64 input is used without a copy.
+    Integer and float input are accepted; any other dtype (bool, string,
+    complex, object) is rejected at entry 0.  Only float input is inspected
+    value by value, and int64 input is used without a copy.
     """
     arr = np.asarray(values)
-    if arr.dtype.kind == "f":
+    kind = arr.dtype.kind
+    if kind not in "iuf":
+        return None, 0
+    if kind == "f":
         whole = (np.isfinite(arr) & (arr == np.trunc(arr))).ravel()
         if not whole.all():
             return None, int(np.argmin(whole))
@@ -234,6 +239,7 @@ class SufficientStats:
         V = np.asarray(self.V)
         if U.ndim != 2 or V.ndim != 3 or V.shape[:1] != U.shape[:1] or V.shape[1:] != (U.shape[1],) * 2:
             raise ValidationError("expected shapes U:(N,s), V:(N,s,s)")
+        counts = V
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "V", V)
         n, s = U.shape
@@ -243,7 +249,13 @@ class SufficientStats:
         object.__setattr__(self, "V", V)
         if not (np.all((U == 0) | (U == 1)) and np.all(U.sum(axis=1) == 1)):
             raise ValidationError("each row of U must be one-hot")
-        if np.any(V < 0) or not np.all(V == np.round(V)):
+        # integer counts need only the sign check, made on the given array;
+        # any other input is checked for whole numbers in X
+        if counts.dtype.kind in "iub":
+            bad = counts.size and counts.min() < 0
+        else:
+            bad = np.any(V < 0) or not np.all(V == np.round(V))
+        if bad:
             raise ValidationError("V must contain nonnegative integer counts")
 
     @cached_property
@@ -334,7 +346,7 @@ def labels_from_responsibilities(gamma: np.ndarray) -> np.ndarray:
     return np.argmax(gamma, axis=1).astype(np.int64)
 
 
-def _categorical(rng, columns, rows) -> np.ndarray:
+def _categorical(rng, columns, rows, out, u, gathered, hit) -> np.ndarray:
     """Draw one index per trajectory m from row `rows[m]` of a cumulative table.
 
     `columns` holds the table by column: columns[b][r] is the cumulative
@@ -342,13 +354,22 @@ def _categorical(rng, columns, rows) -> np.ndarray:
     below the last that a uniform variate reaches.  Cumulative rows never
     decrease, so this is the count over all columns capped at the last
     index, and a variate above a row total that rounding left short of 1
-    still picks the last index.  One `rng.random(len(rows))` per call.
+    still picks the last index.  One `rng.random` fill of `u` per call.
+
+    The draw is written into `out`, which is returned.  `u`, `gathered` and
+    `hit` are work buffers of the same length, owned by the caller and
+    overwritten here.  Every row index is in range, so the clipping gather
+    never clips; it is used because `take` with `out=` buffers its result
+    in the default "raise" mode.  The method, not `np.take`, is called: the
+    function adds about 1 µs of Python per call, which small n would feel.
     """
-    u = rng.random(rows.size)
-    idx = np.zeros(rows.size, dtype=np.int64)
+    rng.random(out=u)
+    out.fill(0)
     for col in columns[:-1]:
-        idx += u >= col[rows]
-    return idx
+        col.take(rows, out=gathered, mode="clip")
+        np.greater_equal(u, gathered, out=hit)
+        out += hit
+    return out
 
 
 def sample_mixture(params: MixtureParams, n: int, t: int, seed=None):
@@ -356,6 +377,10 @@ def sample_mixture(params: MixtureParams, n: int, t: int, seed=None):
 
     Returns (TrajectoryDataset, labels) where labels[n] is the true latent
     component of trajectory n.  Deterministic given `seed`.
+
+    The n-sized work arrays (row indices, uniforms, gathered column,
+    comparison mask and the current states) are allocated once per call and
+    reused at every step; only the returned states and labels outlive it.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -363,22 +388,26 @@ def sample_mixture(params: MixtureParams, n: int, t: int, seed=None):
         raise ValidationError("t must be >= 0")
     rng = as_rng(seed)
     k, s = params.k, params.s
+    work = (np.empty(n), np.empty(n), np.empty(n, dtype=bool))
 
-    z = _categorical(rng, np.cumsum(params.mu)[:, None], np.zeros(n, dtype=np.int64))
+    rows = np.zeros(n, dtype=np.int64)  # mu is a table of one row
+    z = _categorical(rng, np.cumsum(params.mu)[:, None], rows,
+                     np.empty(n, dtype=np.int64), *work)
 
     states = np.empty((n, t + 1), dtype=np.int64)
-    states[:, 0] = _categorical(rng, np.cumsum(params.nu, axis=1).T, z)
+    prev = _categorical(rng, np.cumsum(params.nu, axis=1).T, z,
+                        np.empty(n, dtype=np.int64), *work)
+    states[:, 0] = prev
 
     # column b of the transition table, row z*s + a: P_z(a, 0..b) summed
     cum_P = np.ascontiguousarray(np.cumsum(params.P, axis=2).reshape(k * s, s).T)
     base = z * s
-    prev = states[:, 0]
     for step in range(t):
-        prev = _categorical(rng, cum_P, base + prev)
-        states[:, step + 1] = prev
+        np.add(base, prev, out=rows)
+        states[:, step + 1] = _categorical(rng, cum_P, rows, prev, *work)
 
     data = TrajectoryDataset.from_flat(states.ravel(), np.full(n, t + 1), s=s)
-    return data, z.astype(np.int64)
+    return data, z
 
 
 def sufficient_stats(data: TrajectoryDataset) -> SufficientStats:
@@ -448,15 +477,21 @@ def log_mixture_weights(log_mu, log_nu, log_P, stats: SufficientStats) -> np.nda
     with the convention 0 * log 0 = 0: a -inf log-parameter hit by a positive
     count forces the weight to -inf, and one that no count hits adds nothing.
     The support mask is built only when log_nu or log_P holds a -inf.
+
+    Returns a fresh (N, k) F-ordered array, the transpose of the product;
+    log_mu is added into it in place, and the caller owns it.
     """
     k = log_mu.shape[0]
     log_theta = np.concatenate([log_nu, log_P.reshape(k, -1)], axis=1)
     # (L X^T)^T rather than X L^T: in the second form OpenBLAS packs all of X
     # into its work buffer, which then stays resident (4.9 MB at N=20000, s=5)
     if log_theta.min() > -np.inf:  # False for a NaN too, which the mask leaves as it is
-        return log_mu + (log_theta @ stats.X.T).T
+        w = (log_theta @ stats.X.T).T
+        w += log_mu
+        return w
     neg_inf = np.isneginf(log_theta)
-    w = log_mu + (np.where(neg_inf, 0.0, log_theta) @ stats.X.T).T
+    w = (np.where(neg_inf, 0.0, log_theta) @ stats.X.T).T
+    w += log_mu
     w[(stats.X > 0) @ neg_inf.T] = -np.inf
     return w
 
@@ -467,20 +502,32 @@ def log_normalize_rows(logw: np.ndarray):
     Returns (gamma, log_norms) with gamma = exp(logw - log_norms[:, None]).
     Rows that are entirely -inf yield log_norms of -inf and NaN gamma; the
     callers treat that as a support failure.
+
+    Consumes `logw`: it must be a float64 array the caller no longer needs.
+    The shift, the exponential and the division happen in place, so the
+    returned gamma is `logw` itself, and log_norms is the buffer that held
+    the row sums.
     """
     m = logw.max(axis=1)
     if math.isfinite(m.sum()):  # every row max is finite: no row needs a mask
-        gamma = np.exp(logw - m[:, None])
+        logw -= m[:, None]
+        gamma = np.exp(logw, out=logw)
         sums = gamma.sum(axis=1)
         gamma /= sums[:, None]
-        return gamma, m + np.log(sums)
+        log_norms = np.log(sums, out=sums)
+        log_norms += m
+        return gamma, log_norms
     finite = np.isfinite(m)
     # rows without a finite max are overwritten below, so shifting them by 0 is safe
-    e = np.exp(logw - np.where(finite, m, 0.0)[:, None])
-    sums = e.sum(axis=1)
+    logw -= np.where(finite, m, 0.0)[:, None]
+    gamma = np.exp(logw, out=logw)
+    sums = gamma.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_norms = np.where(finite, m + np.log(sums), -np.inf)
-        gamma = np.where(finite[:, None], e / sums[:, None], np.nan)
+        gamma /= sums[:, None]
+        log_norms = np.log(sums, out=sums)
+        log_norms += m
+    gamma[~finite] = np.nan
+    log_norms[~finite] = -np.inf
     return gamma, log_norms
 
 

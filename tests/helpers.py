@@ -284,3 +284,124 @@ def reference_misa_simulate(params, t_end, sample_interval=1.0, seed=None,
         t = t_next
     rows = np.array(rows, dtype=np.int64)
     return rows[:, 0], rows[:, 1], rows[:, 2:4], rows[:, 4:6]
+
+
+def reference_log_mixture_weights(log_mu, log_nu, log_P, stats):
+    """The out-of-place E-step weights the in-place `log_mixture_weights`
+    replaced: `log_mu + (L Xᵀ)ᵀ`, with the −inf support mask when L has a
+    −inf."""
+    k = log_mu.shape[0]
+    log_theta = np.concatenate([log_nu, log_P.reshape(k, -1)], axis=1)
+    if log_theta.min() > -np.inf:
+        return log_mu + (log_theta @ stats.X.T).T
+    neg_inf = np.isneginf(log_theta)
+    w = log_mu + (np.where(neg_inf, 0.0, log_theta) @ stats.X.T).T
+    w[(stats.X > 0) @ neg_inf.T] = -np.inf
+    return w
+
+
+def reference_log_normalize_rows(logw):
+    """The out-of-place row normalization the in-place `log_normalize_rows`
+    replaced; it leaves `logw` as it is."""
+    import math
+
+    m = logw.max(axis=1)
+    if math.isfinite(m.sum()):
+        gamma = np.exp(logw - m[:, None])
+        sums = gamma.sum(axis=1)
+        gamma /= sums[:, None]
+        return gamma, m + np.log(sums)
+    finite = np.isfinite(m)
+    e = np.exp(logw - np.where(finite, m, 0.0)[:, None])
+    sums = e.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_norms = np.where(finite, m + np.log(sums), -np.inf)
+        gamma = np.where(finite[:, None], e / sums[:, None], np.nan)
+    return gamma, log_norms
+
+
+def _reference_marks_per_line(marks, line_starts):
+    at_line = np.zeros(marks.size, dtype=bool)
+    at_line[line_starts] = True
+    kept = marks | at_line
+    rows = np.flatnonzero(np.compress(kept, at_line))
+    entries = np.diff(rows, append=np.count_nonzero(kept))
+    return entries - 1 + np.compress(kept, marks)[rows]
+
+
+def reference_read_trajectories(path, one_based=False):
+    """The whole-file mask reader that `dataio.read_trajectories` replaced:
+    the same dataset and the same error texts, from several full-size
+    masks and a per-byte digit array."""
+    from chainmix import TrajectoryDataset, ValidationError
+
+    max_digits = 18
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    newline = buf == ord("\n")
+    lone_cr = buf == ord("\r")
+    lone_cr[:-1] &= ~newline[1:]
+    breaks = np.flatnonzero(newline | lone_cr)
+    line_starts = np.concatenate(([0], breaks + 1))
+    line_ends = np.append(breaks, buf.size)
+    if line_starts[-1] == buf.size:
+        line_starts, line_ends = line_starts[:-1], line_ends[:-1]
+    if not line_starts.size:
+        raise ValidationError(f"{path}: no trajectories found")
+
+    token = (buf != ord(" ")) & (buf != ord(",")) & (buf - np.uint8(9) > 4)
+    first = token.copy()
+    first[1:] &= ~token[:-1]
+    counts = _reference_marks_per_line(first, line_starts)
+
+    declared_s = None
+    hash_lines = np.searchsorted(line_starts, np.flatnonzero(buf == ord("#")), side="right") - 1
+    for li in np.union1d(hash_lines, np.flatnonzero(counts == 0)).tolist():
+        lo, hi = line_starts[li], line_ends[li]
+        text = raw[lo:hi].strip()
+        if text.startswith(b"#"):
+            counts[li] = 0
+            token[lo:hi] = False
+            first[lo:hi] = False
+            body = text[1:].strip().decode(errors="replace")
+            if body.startswith("s="):
+                try:
+                    declared_s = int(body[2:].strip())
+                except ValueError as exc:
+                    raise ValidationError(f"{path}:{li + 1}: bad header: {exc}") from exc
+        elif text and not counts[li]:
+            raise ValidationError(f"{path}:{li + 1}: empty trajectory")
+
+    digits = buf - np.uint8(ord("0"))
+    bad = token & (digits > 9)
+    if bad.any():
+        li = int(np.searchsorted(line_starts, bad.argmax(), side="right")) - 1
+        words = raw[line_starts[li]:line_ends[li]].replace(b",", b" ").split()
+        word = next(w for w in words if not w.isdigit()).decode(errors="replace")
+        raise ValidationError(f"{path}:{li + 1}: invalid state token {word!r}")
+
+    digits = np.compress(token, digits)
+    starts = np.compress(token, first)
+    if starts.all():
+        states = digits.astype(np.int64)
+    else:
+        at = np.flatnonzero(starts)
+        width = np.diff(at, append=digits.size)
+        if width.max() > max_digits:
+            pos = np.flatnonzero(first)[np.argmax(width > max_digits)]
+            li = int(np.searchsorted(line_starts, pos, side="right")) - 1
+            raise ValidationError(
+                f"{path}:{li + 1}: state token longer than {max_digits} digits")
+        states = np.zeros(at.size, dtype=np.int64)
+        for place in range(int(width.max())):
+            live = np.flatnonzero(width > place)
+            states[live] *= 10
+            states[live] += digits[at[live] + place]
+    sizes = counts[counts > 0]
+    if not sizes.size:
+        raise ValidationError(f"{path}: no trajectories found")
+    if one_based:
+        states -= 1
+    s = declared_s if declared_s is not None else int(states.max()) + 1
+    return TrajectoryDataset.from_flat(states, sizes, s=s)

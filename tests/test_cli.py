@@ -121,6 +121,24 @@ class TestFit:
         assert summary["tied_restarts"] == tied
         assert summary["best_restart"] == tied[0]
 
+    def test_summary_line_on_stderr(self, simulated, tmp_path, capsys):
+        out = tmp_path / "fit"
+        rc = run_cli("fit", "--input", simulated / "trajectories.txt",
+                     "--algorithm", "em", "--k-max", 2, "--restarts", 3,
+                     "--seed", 22, "--out", out)
+        assert rc == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        summary = json.loads(lines[0])
+        assert sorted(summary) == ["converged", "failed", "restarts", "tied", "wall_s"]
+        fit = json.loads((out / "fit.json").read_text())
+        with open(out / "restarts.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert summary["restarts"] == 3 and summary["failed"] == 0
+        assert summary["converged"] == sum(r["converged"] == "1" for r in rows)
+        assert summary["tied"] == len(fit["tied_restarts"]) >= 1
+        assert summary["wall_s"] >= sum(float(r["wall_s"]) for r in rows) > 0
+
     def test_malformed_header_is_an_error_exit(self, tmp_path, capsys):
         path = tmp_path / "trajectories.txt"
         path.write_text("# s=abc\n0 1\n1 0\n")

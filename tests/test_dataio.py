@@ -14,6 +14,8 @@ from chainmix import (
 )
 from chainmix import dataio
 
+from helpers import reference_read_trajectories
+
 
 class TestTrajectoryFiles:
     def test_round_trip(self, tmp_path):
@@ -129,6 +131,105 @@ class TestTrajectoryFiles:
         path.write_text(f"0 1\n0 {token}\n", encoding="utf-8")
         with pytest.raises(ValidationError, match=f"{path.name}:2: "):
             dataio.read_trajectories(path)
+
+
+def _outcome(read, path):
+    """What a reader returns, or the text and cause of the error it raises."""
+    try:
+        data = read(path)
+    except ValidationError as exc:
+        return "error", str(exc), type(exc.__cause__).__name__
+    return "data", data.s, data.sizes.tolist(), data.states.tolist()
+
+
+_SEPARATORS = [b" ", b",", b"\t", b", ", b"  ", b"\x0b", b"\x0c", b" ,", b",,"]
+_LINE_ENDS = [b"\n", b"\r\n", b"\r"]
+
+
+def _random_line(rng, faulty):
+    r = rng.random()
+    if r < 0.08:
+        return bytes(rng.choice([b"# note", b"  # s=7", b"#s=12", b"# s= 3 ", b"#"]))
+    if r < 0.14:
+        return bytes(rng.choice([b"", b"   ", b"\t", b" \x0b "]))
+    if faulty and r < 0.18:
+        return bytes(rng.choice([b"# s=abc", b",", b" , ,", b"# s=", b"#s=1.5"]))
+    tokens = []
+    for _ in range(int(rng.integers(1, 8))):
+        width = int(rng.choice([1, 1, 1, 2, 3, 18] + ([19, 25] if faulty else [])))
+        token = bytes(rng.integers(ord("0"), ord("9") + 1, size=width, dtype=np.uint8))
+        if faulty and rng.random() < 0.05:
+            token = bytes(rng.choice([b"x", b"1a", b"+1", b"#", b"\xd9\xa3", b"-2"]))
+        tokens.append(token)
+    seps = [_SEPARATORS[int(i)] for i in rng.integers(len(_SEPARATORS), size=len(tokens))]
+    body = b"".join(t + sep for t, sep in zip(tokens, seps[:-1] + [b""]))
+    return bytes(rng.choice([b"", b" ", b"\t", b","])) + body + bytes(
+        rng.choice([b"", b" ", b",", b"\t"]))
+
+
+def _random_file(rng, faulty):
+    """Bytes of a trajectory file with random line endings (\\n, \\r\\n, lone
+    \\r, mixed, none at the end, a stray \\r at EOF), comments, headers, blank
+    lines, commas and tabs, and tokens of up to 18 digits; with `faulty`,
+    malformed headers, separator-only lines, bad and over-long tokens too."""
+    lines = [_random_line(rng, faulty) for _ in range(int(rng.integers(0, 9)))]
+    end = _LINE_ENDS[int(rng.integers(3))] if rng.random() < 0.7 else None
+    raw = b"".join(line + (end or _LINE_ENDS[int(rng.integers(3))]) for line in lines)
+    if lines and rng.random() < 0.3:
+        raw = raw.rstrip(b"\r\n")
+    if rng.random() < 0.05:
+        raw += b"\r"
+    return raw
+
+
+class TestReaderMatchesWholeFileMaskReader:
+    """`read_trajectories` against the reader it replaced (tests/helpers.py):
+    the same dataset, or the same error text, on every file."""
+
+    ERROR_TEXTS = ("no trajectories found", "bad header", "empty trajectory",
+                   "invalid state token", "longer than 18 digits", "state indices must lie")
+
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_random_files(self, tmp_path, faulty):
+        rng = np.random.default_rng(41 + faulty)
+        path = tmp_path / "traj.txt"
+        seen = set()
+        for _ in range(400):
+            path.write_bytes(_random_file(rng, faulty))
+            got = _outcome(dataio.read_trajectories, path)
+            assert got == _outcome(reference_read_trajectories, path), path.read_bytes()
+            seen.update(["data"] if got[0] == "data" else
+                        [t for t in self.ERROR_TEXTS if t in got[1]])
+        # the faulty files reach every error text
+        assert seen >= ({"data", *self.ERROR_TEXTS} if faulty else {"data"})
+
+    @pytest.mark.parametrize("raw, text", [
+        (b"# s=3\r\n0 1\r\n\r\n", None),
+        (b"0 1\r2\r", None),
+        (b"0 1\r2 0\r", None),
+        (b"0 1\n2\r", None),
+        (b"\r\r0\r\n\n\r1", None),
+        (b"# s=20\n 12, 7,\t19\n#c\n\n000000000000000011 3\n", None),
+        (b"123456789012345678 0\n", None),
+        (b"", "no trajectories found"),
+        (b"# s=3\n# only comments\n\n", "no trajectories found"),
+        (b"0 1\n# s=x\n", "2: bad header: invalid literal"),
+        (b"0 1\n ,\t,\n# s=x\n", "2: empty trajectory"),
+        (b"# s=x\n ,\n", "1: bad header"),
+        (b"0 1\n2 q3\n", "2: invalid state token 'q3'"),
+        (b"0 1\n# s=2\n2 1\n", "state indices must lie in [0, 2)"),
+        (b"0\n1\n" + b"1" * 19 + b"\n", "3: state token longer than 18 digits"),
+        (b"0 x\n" + b"1" * 19 + b"\n", "1: invalid state token 'x'"),
+    ])
+    def test_edge_cases_and_every_error_text(self, tmp_path, raw, text):
+        path = tmp_path / "traj.txt"
+        path.write_bytes(raw)
+        got = _outcome(dataio.read_trajectories, path)
+        assert got == _outcome(reference_read_trajectories, path)
+        if text is None:
+            assert got[0] == "data"
+        else:
+            assert got[0] == "error" and text in got[1]
 
 
 class TestDatasetValidation:

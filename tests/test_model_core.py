@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,8 @@ from chainmix import (
     sufficient_stats,
 )
 from chainmix.model_core import SufficientStats, log_mixture_weights, log_normalize_rows
+
+from helpers import reference_log_mixture_weights, reference_log_normalize_rows
 
 
 # Seeded sampler outputs: (k, s, params seed, labels, states, next random()).
@@ -67,6 +71,19 @@ class TestTrajectoryDataset:
             TrajectoryDataset(([0, 1], bad), s=3)
         with pytest.raises(ValidationError, match=text):
             TrajectoryDataset.from_flat(np.array([0.0, 1.0] + bad), [2, len(bad)], s=3)
+
+    @pytest.mark.parametrize("bad", [["0", "2", "1"], [True, False], [0j, 1 + 0j],
+                                     np.array([0, 1], dtype=object)])
+    def test_states_that_are_not_numbers_rejected(self, bad):
+        text = "trajectory 1 must be a nonempty 1-D integer sequence"
+        with pytest.raises(ValidationError, match=text):
+            TrajectoryDataset(([0, 1], bad), s=3)
+        with pytest.raises(ValidationError, match=text.replace("1", "0", 1)):
+            TrajectoryDataset.from_flat(np.asarray(bad), [len(bad)], s=3)
+
+    def test_unsigned_states_accepted(self):
+        ds = TrajectoryDataset.from_flat(np.array([2, 0, 1], dtype=np.uint8), [3], s=3)
+        assert ds.states.dtype == np.int64 and ds.states.tolist() == [2, 0, 1]
 
     def test_whole_floats_and_int64_states_accepted(self):
         ds = TrajectoryDataset(([0.0, 2.0], np.array([1.0])), s=3)
@@ -150,6 +167,18 @@ class TestSampleMixture:
             [2, 0, 2, 1, 1, 1], [1, 0, 1, 0, 1, 2], [1, 0, 1, 2, 2, 2], [1, 0, 1, 0, 1, 0]]
         assert rng.random() == 0.9669849304872099
 
+    def test_large_sample_checksum_pinned(self):
+        # recorded before the sampler reused its work arrays across steps
+        rng = np.random.default_rng(2025)
+        data, z = sample_mixture(random_mixture_params(4, 5, seed=2024), 20000, 100, seed=rng)
+        assert data.states.dtype == np.int64 and z.dtype == np.int64
+        assert hashlib.sha256(data.states.astype("<i8").tobytes()).hexdigest() == (
+            "2b52942071cf5886cd2fb667f2a027004c8342054719121d396acefd593343e0")
+        assert hashlib.sha256(z.astype("<i8").tobytes()).hexdigest() == (
+            "b934c8bcbfecd8d3e6d7e4c128b90cd25be87d15b378f614903ceb946ee05255")
+        assert rng.bit_generator.state["state"]["state"] == (
+            33639191097067537054326667564781486490)
+
     def test_empirical_transition_frequencies(self):
         # single long chain: empirical row frequencies approach P
         rng = np.random.default_rng(7)
@@ -220,6 +249,21 @@ class TestSufficientStats:
     def test_one_hot_validation(self):
         with pytest.raises(ValidationError):
             SufficientStats(U=np.array([[1.0, 1.0]]), V=np.zeros((1, 2, 2)))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.float64])
+    def test_negative_counts_rejected(self, dtype):
+        V = np.zeros((1, 2, 2), dtype=dtype)
+        V[0, 1, 0] = -1
+        with pytest.raises(ValidationError, match="nonnegative integer counts"):
+            SufficientStats(U=np.array([[1.0, 0.0]]), V=V)
+
+    def test_counts_must_be_whole_numbers(self):
+        U = np.array([[1.0, 0.0]])
+        with pytest.raises(ValidationError, match="nonnegative integer counts"):
+            SufficientStats(U=U, V=np.array([[[0.5, 0.0], [0.0, 0.0]]]))
+        for V in (np.array([[[2.0, 0.0], [1.0, 0.0]]]), np.array([[[2, 0], [1, 0]]], dtype=np.uint16),
+                  np.array([[[True, False], [True, False]]])):
+            assert SufficientStats(U=U, V=V).V.sum() == V.sum()
 
     def test_counts_stored_once_in_the_design_block(self):
         data = TrajectoryDataset(([0, 1, 1, 2], [2, 2, 0], [1]), s=3)
@@ -331,3 +375,46 @@ class TestEStep:
         assert log_norms[0] == pytest.approx(np.log(4.0))
         assert np.all(np.isnan(gamma[1])) and log_norms[1] == -np.inf
         assert np.array_equal(gamma[2], [0.0, 1.0]) and log_norms[2] == 5.0
+
+
+class TestEStepMatchesOutOfPlaceFormulas:
+    """The in-place E-step against the out-of-place formulas it replaced,
+    bit for bit (tests/helpers.py keeps those)."""
+
+    @staticmethod
+    def _problem(k, seed, n=60, s=3):
+        rng = np.random.default_rng(seed)
+        params = random_mixture_params(k, s, seed=rng)
+        data, _ = sample_mixture(params, n, 12, seed=rng)
+        return sufficient_stats(data), (np.log(params.mu), np.log(params.nu), np.log(params.P))
+
+    @pytest.mark.parametrize("k", [2, 4, 10])
+    @pytest.mark.parametrize("support", ["finite", "neg_inf", "nan"])
+    def test_log_mixture_weights(self, k, support):
+        stats, (log_mu, log_nu, log_P) = self._problem(k, k)
+        if support == "neg_inf":
+            log_P[0, 1, :2] = -np.inf
+            log_nu[k - 1, 0] = -np.inf
+        elif support == "nan":
+            log_P[1, 0, 0] = np.nan
+        expected = reference_log_mixture_weights(log_mu, log_nu, log_P, stats)
+        w = log_mixture_weights(log_mu, log_nu, log_P, stats)
+        assert w.flags.f_contiguous == expected.flags.f_contiguous
+        assert np.array_equal(w, expected, equal_nan=True)
+
+    @pytest.mark.parametrize("k", [2, 4, 10])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rows", ["finite", "masked"])
+    def test_log_normalize_rows(self, k, order, rows):
+        stats, params = self._problem(k, 10 + k)
+        logw = np.array(log_mixture_weights(*params, stats), order=order)
+        if rows == "masked":
+            logw[3] = -np.inf
+            logw[5, 0] = np.inf
+            logw[7, k - 1] = np.nan
+            logw[9, 1:] = -np.inf
+        expected_gamma, expected_norms = reference_log_normalize_rows(logw)
+        gamma, log_norms = log_normalize_rows(logw)
+        assert np.array_equal(gamma, expected_gamma, equal_nan=True)
+        assert np.array_equal(log_norms, expected_norms, equal_nan=True)
+        assert np.shares_memory(gamma, logw)  # logw is consumed
