@@ -91,6 +91,11 @@ def _squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return (diff * diff).sum(axis=2)
 
 
+def _nearest(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of the nearest center to each row of x; ties go to the lowest."""
+    return np.argmin(_squared_distances(x, centers), axis=1).astype(np.int64, copy=False)
+
+
 def _kmeanspp_init(x: np.ndarray, s: int, rng) -> np.ndarray:
     """Distance-weighted seeding: each new center is drawn with probability
     proportional to the squared distance from the nearest chosen center."""
@@ -129,7 +134,7 @@ def kmeans(points, s: int, seed=None, max_iters: int = 300,
     else:
         centers = _kmeanspp_init(x, s, rng)
 
-    labels = np.argmin(_squared_distances(x, centers), axis=1)
+    labels = _nearest(x, centers)
     for _ in range(max_iters):
         d2 = _squared_distances(x, centers)
         nearest = d2[np.arange(m), labels].copy()
@@ -141,11 +146,11 @@ def kmeans(points, s: int, seed=None, max_iters: int = 300,
                 far = int(np.argmax(nearest))
                 centers[c] = x[far]
                 nearest[far] = 0.0
-        new_labels = np.argmin(_squared_distances(x, centers), axis=1)
+        new_labels = _nearest(x, centers)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    return centers, labels.astype(np.int64)
+    return centers, labels
 
 
 def kmeans_objective(points, centers, assignments) -> float:
@@ -192,20 +197,18 @@ class SpectralModel:
     @classmethod
     def from_dict(cls, payload: dict) -> "SpectralModel":
         kernel = kernel_from_spec(payload["kernel"])
-        points = np.asarray(payload["training_points"], dtype=np.float64)
+        points = _as_points(payload["training_points"])
         alpha = np.asarray(payload["alpha"], dtype=np.float64)
         centers = np.asarray(payload["centers"], dtype=np.float64)
         embedding = (alpha @ kernel(points, points)).T
-        model = cls(
+        return cls(
             kernel=kernel,
             points=points,
             alpha=alpha,
             centers=centers,
             embedding=embedding,
-            assignments=np.zeros(points.shape[0], dtype=np.int64),
+            assignments=_nearest(embedding, centers),
         )
-        object.__setattr__(model, "assignments", spectral_assign(model, points))
-        return model
 
 
 def _canonical_signs(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -272,7 +275,6 @@ def spectral_fit(points, kernel, s: int, r: int = None, seed=None) -> SpectralMo
     # independent of the input point order.
     order = np.lexsort(embedding.T[::-1])
     centers, _ = kmeans(embedding[order], s, seed=seed)
-    assignments = np.argmin(_squared_distances(embedding, centers), axis=1)
 
     return SpectralModel(
         kernel=kernel,
@@ -280,7 +282,7 @@ def spectral_fit(points, kernel, s: int, r: int = None, seed=None) -> SpectralMo
         alpha=alpha,
         centers=centers,
         embedding=embedding,
-        assignments=assignments.astype(np.int64),
+        assignments=_nearest(embedding, centers),
     )
 
 
@@ -304,8 +306,7 @@ def spectral_assign(model: SpectralModel, points) -> np.ndarray:
 
     Ties resolve to the lowest cluster index.
     """
-    emb = spectral_embed(model, points)
-    return np.argmin(_squared_distances(emb, model.centers), axis=1).astype(np.int64)
+    return _nearest(spectral_embed(model, points), model.centers)
 
 
 def discretize_trajectories(model: SpectralModel, trajectories) -> TrajectoryDataset:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .clustering import SpectralModel
 from .errors import ValidationError
-from .model_core import MixtureParams, TrajectoryDataset
+from .model_core import MixtureParams, Responsibilities, TrajectoryDataset
 from .theory import KlReport
 from .vem import DirichletPosterior
 
@@ -261,8 +261,6 @@ def write_posterior(path, posterior: DirichletPosterior, elbo_trace):
 
 def read_posterior(path):
     """Returns (DirichletPosterior, elbo_trace array)."""
-    from .model_core import Responsibilities
-
     payload = read_json_object(path, "posterior file")
     posterior = DirichletPosterior(
         n_hat=np.asarray(payload["N_hat"], dtype=np.float64),
@@ -278,35 +276,32 @@ def write_restart_csv(path, report):
     accuracy, converged (1/0), the final |delta L| and the wall time in
     seconds; failed restarts leave the objective, converged, delta and
     wall-time cells empty."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["restart", "seed", "final_objective", "iterations", "accuracy",
-                         "converged", "final_abs_delta", "wall_s"])
-        for r in range(len(report.seeds)):
-            acc = ""
-            if report.all_accuracies is not None and np.isfinite(report.all_accuracies[r]):
-                acc = f"{report.all_accuracies[r]:.6f}"
-            obj = report.all_objectives[r]
-            delta = report.all_final_deltas[r]
-            wall = report.all_wall_s[r]
-            writer.writerow([
-                r,
-                report.seeds[r],
-                "" if np.isnan(obj) else repr(float(obj)),
-                int(report.all_iterations[r]),
-                acc,
-                "" if np.isnan(obj) else int(report.all_converged[r]),
-                "" if np.isnan(delta) else repr(float(delta)),
-                "" if np.isnan(wall) else repr(float(wall)),
-            ])
+    rows = []
+    for r in range(len(report.seeds)):
+        acc = ""
+        if report.all_accuracies is not None and np.isfinite(report.all_accuracies[r]):
+            acc = f"{report.all_accuracies[r]:.6f}"
+        obj = report.all_objectives[r]
+        delta = report.all_final_deltas[r]
+        wall = report.all_wall_s[r]
+        rows.append([
+            r,
+            report.seeds[r],
+            "" if np.isnan(obj) else repr(float(obj)),
+            int(report.all_iterations[r]),
+            acc,
+            "" if np.isnan(obj) else int(report.all_converged[r]),
+            "" if np.isnan(delta) else repr(float(delta)),
+            "" if np.isnan(wall) else repr(float(wall)),
+        ])
+    write_table(path, ["restart", "seed", "final_objective", "iterations", "accuracy",
+                       "converged", "final_abs_delta", "wall_s"], rows)
 
 
 def write_confusion_csv(path, matrix):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["true\\est"] + [str(c) for c in matrix.col_labels])
-        for i, row_label in enumerate(matrix.row_labels):
-            writer.writerow([str(row_label)] + [int(v) for v in matrix.counts[i]])
+    write_table(path, ["true\\est"] + [str(c) for c in matrix.col_labels],
+                ([str(row_label)] + [int(v) for v in matrix.counts[i]]
+                 for i, row_label in enumerate(matrix.row_labels)))
 
 
 def _json_safe(value):
@@ -356,11 +351,7 @@ def write_points_csv(path, points):
 
 
 def write_assignments_csv(path, assignments):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["index", "cluster"])
-        for i, c in enumerate(assignments):
-            writer.writerow([i, int(c)])
+    write_table(path, ["index", "cluster"], ([i, int(c)] for i, c in enumerate(assignments)))
 
 
 def write_spectral_model(path, model: SpectralModel):
@@ -375,19 +366,10 @@ def read_spectral_model(path) -> SpectralModel:
 
 def write_misa_csv(path, trajectory):
     """Per-sample rows: time, protein counts, and gene condition codes like '10'."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "a", "b", "gene_a", "gene_b"])
-        for idx in range(trajectory.times.size):
-            ga = trajectory.gene_a[idx]
-            gb = trajectory.gene_b[idx]
-            writer.writerow([
-                f"{trajectory.times[idx]:g}",
-                int(trajectory.a[idx]),
-                int(trajectory.b[idx]),
-                f"{ga[0]}{ga[1]}",
-                f"{gb[0]}{gb[1]}",
-            ])
+    write_table(path, ["t", "a", "b", "gene_a", "gene_b"], (
+        [f"{t:g}", int(a), int(b), f"{ga[0]}{ga[1]}", f"{gb[0]}{gb[1]}"]
+        for t, a, b, ga, gb in zip(trajectory.times, trajectory.a, trajectory.b,
+                                   trajectory.gene_a, trajectory.gene_b)))
 
 
 def write_table(path, header, rows, fmt: str = "csv"):

@@ -72,17 +72,16 @@ def em_fit(stats: SufficientStats, init: Responsibilities,
     zero probability under every component or the objective becomes NaN or
     +/-inf.
     """
-    s = stats.s
+    k, s = init.k, stats.s
 
     def step(gamma, it):
         weights = gamma.sum(axis=0)
         mu = weights / weights.sum()
-        counts = gamma.T @ stats.X
-        nu = normalize_rows(counts[:, :s])
-        P = normalize_rows(counts[:, s:].reshape(-1, s, s))
+        # per component, nu_i and the rows of P_i (the layout of X's columns)
+        theta = normalize_rows((gamma.T @ stats.X).reshape(k, s + 1, s))
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            logw = log_mixture_weights(np.log(mu), np.log(nu), np.log(P), stats)
+            logw = log_mixture_weights(np.log(mu), np.log(theta).reshape(k, -1), stats)
         gamma, log_c = log_normalize_rows(logw)
         if np.any(np.isneginf(log_c)):
             bad = int(np.flatnonzero(np.isneginf(log_c))[0])
@@ -90,15 +89,15 @@ def em_fit(stats: SufficientStats, init: Responsibilities,
                 f"trajectory {bad} has zero probability under every component",
                 iteration=it,
             )
-        return gamma, float(log_c.sum()), (mu, nu, P)
+        return gamma, float(log_c.sum()), (mu, theta)
 
-    gamma, (mu, nu, P), trace, converged, iterations = coordinate_ascent(
+    gamma, (mu, theta), trace, converged, iterations = coordinate_ascent(
         stats, init, step, max_iters, tol_scale
     )
     labels = labels_from_responsibilities(gamma)
     surviving = int(np.unique(labels).size)
     return FitResult(
-        params=MixtureParams(mu=mu, nu=nu, P=P),
+        params=MixtureParams(mu=mu, nu=theta[:, 0], P=theta[:, 1:]),
         responsibilities=Responsibilities(gamma),
         labels=labels,
         objective_trace=trace,

@@ -26,7 +26,7 @@ import numpy as np
 from .clustering import GaussianKernel, PointSet, discretize_trajectories, spectral_fit
 from .errors import ValidationError
 from .metrics import accuracy
-from .model_core import TrajectoryDataset, sufficient_stats
+from .model_core import TrajectoryDataset, as_rng, sufficient_stats
 from .multistart import MultistartReport, multistart_fit
 from .vem import VemConfig
 
@@ -219,7 +219,7 @@ def misa_simulate(params: MisaParams, t_end: float, sample_interval: float = 1.0
         raise ValidationError("t_end must be positive")
     if not sample_interval > 0:
         raise ValidationError("sample_interval must be positive")
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = as_rng(seed)
 
     if initial_state is None:
         state = (0, 0, 0, 0, 0, 0)

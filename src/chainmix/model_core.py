@@ -250,11 +250,11 @@ class SufficientStats:
         if not (np.all((U == 0) | (U == 1)) and np.all(U.sum(axis=1) == 1)):
             raise ValidationError("each row of U must be one-hot")
         # integer counts need only the sign check, made on the given array;
-        # any other input is checked for whole numbers in X
+        # any other input is checked in X for finite whole numbers
         if counts.dtype.kind in "iub":
             bad = counts.size and counts.min() < 0
         else:
-            bad = np.any(V < 0) or not np.all(V == np.round(V))
+            bad = not np.all(np.isfinite(V) & (V >= 0) & (V == np.round(V)))
         if bad:
             raise ValidationError("V must contain nonnegative integer counts")
 
@@ -263,9 +263,14 @@ class SufficientStats:
         """(N, s + s*s) read-only C-ordered design block [U | V.reshape(N, s*s)].
 
         Built from the given U and V at construction, which then become views
-        into it.  Every fit contracts responsibilities or log-parameters with
-        X in one matrix product.  V is converted while it is copied in, so no
-        float copy of it is made.
+        into it.  V is converted while it is copied in, so no float copy of
+        it is made.
+
+        Every fit contracts responsibilities or log-parameters with X in one
+        matrix product, so the per-component parameters share its layout: a
+        (k, s + s*s) block whose row i is nu_i followed by the s rows of P_i.
+        Its `reshape(k, s + 1, s)` holds nu_i at `[:, 0]` and P_i at
+        `[:, 1:]`; `parameter_block` joins a separate nu and P.
         """
         n, s = self.U.shape
         X = np.empty((n, s + s * s))
@@ -469,20 +474,27 @@ def random_mixture_params(k: int, s: int, seed=None) -> MixtureParams:
     )
 
 
-def log_mixture_weights(log_mu, log_nu, log_P, stats: SufficientStats) -> np.ndarray:
+def parameter_block(nu, P) -> np.ndarray:
+    """The (k, s + s*s) block [nu_i | P_i.ravel()] laid out like the columns of X."""
+    nu = np.asarray(nu, dtype=np.float64)
+    return np.concatenate([nu[:, None, :], np.asarray(P, dtype=np.float64)],
+                          axis=1).reshape(nu.shape[0], -1)
+
+
+def log_mixture_weights(log_mu, log_theta, stats: SufficientStats) -> np.ndarray:
     """Per-trajectory, per-component unnormalized log posterior weights.
 
-    Computes log mu_i + sum_a U[n,a] log nu_i(a) + sum_ab V[n,a,b] log P_i(a,b)
-    as one product of the design block X with the stacked log-parameters,
-    with the convention 0 * log 0 = 0: a -inf log-parameter hit by a positive
-    count forces the weight to -inf, and one that no count hits adds nothing.
-    The support mask is built only when log_nu or log_P holds a -inf.
+    `log_theta` is the (k, s + s*s) log-parameter block laid out like the
+    columns of X (see `SufficientStats.X`).  Computes
+    log mu_i + sum_a U[n,a] log nu_i(a) + sum_ab V[n,a,b] log P_i(a,b)
+    as one product of X with that block, with the convention 0 * log 0 = 0:
+    a -inf log-parameter hit by a positive count forces the weight to -inf,
+    and one that no count hits adds nothing.  The support mask is built only
+    when the block holds a -inf.
 
     Returns a fresh (N, k) F-ordered array, the transpose of the product;
     log_mu is added into it in place, and the caller owns it.
     """
-    k = log_mu.shape[0]
-    log_theta = np.concatenate([log_nu, log_P.reshape(k, -1)], axis=1)
     # (L X^T)^T rather than X L^T: in the second form OpenBLAS packs all of X
     # into its work buffer, which then stays resident (4.9 MB at N=20000, s=5)
     if log_theta.min() > -np.inf:  # False for a NaN too, which the mask leaves as it is

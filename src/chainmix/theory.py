@@ -20,8 +20,10 @@ from .errors import NumericalError, ValidationError
 from .model_core import (
     MixtureParams,
     TrajectoryDataset,
+    labels_from_responsibilities,
     log_mixture_weights,
     log_normalize_rows,
+    parameter_block,
     sufficient_stats,
 )
 
@@ -182,7 +184,7 @@ def bayes_classify(params: MixtureParams, data: TrajectoryDataset):
     stats = sufficient_stats(data)
     with np.errstate(divide="ignore"):
         logw = log_mixture_weights(
-            np.log(params.mu), np.log(params.nu), np.log(params.P), stats
+            np.log(params.mu), np.log(parameter_block(params.nu, params.P)), stats
         )
     posterior, log_c = log_normalize_rows(logw)
     if np.any(np.isneginf(log_c)):
@@ -190,8 +192,7 @@ def bayes_classify(params: MixtureParams, data: TrajectoryDataset):
         raise ValidationError(
             f"trajectory {bad} has zero probability under every component"
         )
-    labels = np.argmax(posterior, axis=1).astype(np.int64)
-    return labels, posterior
+    return labels_from_responsibilities(posterior), posterior
 
 
 def kl_report(params: MixtureParams, horizon: int) -> KlReport:

@@ -27,6 +27,7 @@ from .model_core import (
     labels_from_responsibilities,
     log_mixture_weights,
     log_normalize_rows,
+    parameter_block,
 )
 
 
@@ -99,6 +100,8 @@ class DirichletPosterior:
         k = n_hat.shape[0]
         if n_i.ndim != 2 or n_i.shape[0] != k or n_ia.shape != n_i.shape + (n_i.shape[1],):
             raise ValidationError("inconsistent posterior parameter shapes")
+        if not all(np.all(np.isfinite(a)) for a in (n_hat, n_i, n_ia)):
+            raise ValidationError("posterior parameters must be finite")
         if np.any(n_hat < 1.0 / k - 1e-9):
             raise ValidationError("n_hat entries must stay at or above the 1/k prior floor")
         if np.any(n_i < 1.0 - 1e-9) or np.any(n_ia < 1.0 - 1e-9):
@@ -183,12 +186,9 @@ def elbo(stats: SufficientStats, posterior: DirichletPosterior,
     """
     del stats
     k, s = posterior.k, posterior.s
-    rows = np.concatenate([posterior.n_i_hat[:, None, :], posterior.n_ialpha_hat],
-                          axis=1).reshape(-1, s)
-    log_rows = np.concatenate([np.asarray(log_nu_tilde, dtype=np.float64)[:, None, :],
-                               np.asarray(log_p_tilde, dtype=np.float64)], axis=1)
+    rows = parameter_block(posterior.n_i_hat, posterior.n_ialpha_hat).reshape(-1, s)
     log_theta = np.concatenate([np.asarray(log_mu_tilde, dtype=np.float64),
-                                log_rows.ravel()])
+                                parameter_block(log_nu_tilde, log_p_tilde).ravel()])
     return _elbo_value(_block(k, s), _stack(posterior.n_hat, rows), log_theta,
                        np.asarray(log_c, dtype=np.float64))
 
@@ -225,9 +225,7 @@ def vem_fit(stats: SufficientStats, init: Responsibilities,
         rows.sum(axis=1, out=totals[1:])
         psi = digamma(stack)
         log_theta = psi[:entries] - psi[entries:][block.owner]
-        log_design = log_theta[k:].reshape(k, -1)
-        logw = log_mixture_weights(log_theta[:k], log_design[:, :s],
-                                   log_design[:, s:].reshape(k, s, s), stats)
+        logw = log_mixture_weights(log_theta[:k], log_theta[k:].reshape(k, -1), stats)
         gamma, log_c = log_normalize_rows(logw)
         return gamma, _elbo_value(block, stack, log_theta, log_c), (n_hat, rows)
 

@@ -286,6 +286,18 @@ def reference_misa_simulate(params, t_end, sample_interval=1.0, seed=None,
     return rows[:, 0], rows[:, 1], rows[:, 2:4], rows[:, 4:6]
 
 
+def count_calls(monkeypatch, module, *names):
+    """Wrap each named global of `module` to count its calls; returns the
+    name -> count dict that the wrappers update."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def reference_log_mixture_weights(log_mu, log_nu, log_P, stats):
     """The out-of-place E-step weights the in-place `log_mixture_weights`
     replaced: `log_mu + (L Xᵀ)ᵀ`, with the −inf support mask when L has a

@@ -178,6 +178,7 @@ class TestSpectral:
         assert loaded.kernel.sigma == model.kernel.sigma
         assert np.allclose(loaded.alpha, model.alpha)
         assert np.allclose(loaded.centers, model.centers)
+        assert np.array_equal(loaded.assignments, spectral_assign(model, model.points))
         fresh = np.array([[0.5, -0.2], [7.5, 0.3]])
         assert np.array_equal(spectral_assign(loaded, fresh),
                               spectral_assign(model, fresh))

@@ -333,6 +333,19 @@ class TestPosteriorJson:
         assert set(payload) == {"N_hat", "N_i_hat", "N_ialpha_hat",
                                 "responsibilities", "elbo_trace"}
 
+    @pytest.mark.parametrize("field", ["N_hat", "N_i_hat", "N_ialpha_hat"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, field, value):
+        arrays = {"N_hat": np.ones(2), "N_i_hat": np.ones((2, 2)),
+                  "N_ialpha_hat": np.ones((2, 2, 2))}
+        arrays[field].flat[0] = value
+        payload = {key: a.tolist() for key, a in arrays.items()}
+        payload.update(responsibilities=[[0.5, 0.5]], elbo_trace=[0.0])
+        path = tmp_path / "posterior.json"
+        path.write_text(json.dumps(payload))  # NaN and Infinity literals
+        with pytest.raises(ValidationError, match="posterior parameters must be finite"):
+            dataio.read_posterior(path)
+
 
 class TestTablesAndPoints:
     def test_points_round_trip(self, tmp_path):

@@ -16,7 +16,12 @@ from chainmix import (
     sample_mixture,
     sufficient_stats,
 )
-from chainmix.model_core import SufficientStats, log_mixture_weights, log_normalize_rows
+from chainmix.model_core import (
+    SufficientStats,
+    log_mixture_weights,
+    log_normalize_rows,
+    parameter_block,
+)
 
 from helpers import reference_log_mixture_weights, reference_log_normalize_rows
 
@@ -261,6 +266,8 @@ class TestSufficientStats:
         U = np.array([[1.0, 0.0]])
         with pytest.raises(ValidationError, match="nonnegative integer counts"):
             SufficientStats(U=U, V=np.array([[[0.5, 0.0], [0.0, 0.0]]]))
+        with pytest.raises(ValidationError, match="nonnegative integer counts"):
+            SufficientStats(U=U, V=np.array([[[np.inf, 0.0], [0.0, 0.0]]]))
         for V in (np.array([[[2.0, 0.0], [1.0, 0.0]]]), np.array([[[2, 0], [1, 0]]], dtype=np.uint16),
                   np.array([[[True, False], [True, False]]])):
             assert SufficientStats(U=U, V=V).V.sum() == V.sum()
@@ -348,23 +355,23 @@ class TestEStep:
         log_mu, log_nu, log_P = self._log_params(0)
         expected = (log_mu[None, :] + stats.U @ log_nu.T
                     + np.einsum("nab,kab->nk", stats.V, log_P))
-        w = log_mixture_weights(log_mu, log_nu, log_P, stats)
+        w = log_mixture_weights(log_mu, parameter_block(log_nu, log_P), stats)
         # one product with the design block sums in another order than einsum
         np.testing.assert_allclose(w, expected, rtol=1e-14, atol=0)
 
     def test_neg_inf_entry_hit_by_a_count(self, stats):
         log_mu, log_nu, log_P = self._log_params(1)
         log_P[1, 1, 1] = -np.inf  # only trajectory 0 makes the 1 -> 1 step
-        w = log_mixture_weights(log_mu, log_nu, log_P, stats)
+        w = log_mixture_weights(log_mu, parameter_block(log_nu, log_P), stats)
         assert w[0, 1] == -np.inf
         assert np.all(np.isfinite(w[1:])) and np.isfinite(w[0, 0])
 
     def test_neg_inf_entry_no_count_hits(self, stats):
         log_mu, log_nu, log_P = self._log_params(2)
-        finite = log_mixture_weights(log_mu, log_nu, log_P, stats)
+        finite = log_mixture_weights(log_mu, parameter_block(log_nu, log_P), stats)
         log_P[0, 2, 1] = -np.inf  # no trajectory makes the 2 -> 1 step
         log_nu[1, 0] = -np.inf  # only trajectory 0 starts in state 0
-        w = log_mixture_weights(log_mu, log_nu, log_P, stats)
+        w = log_mixture_weights(log_mu, parameter_block(log_nu, log_P), stats)
         assert np.array_equal(w[:, 0], finite[:, 0])
         assert w[0, 1] == -np.inf and np.array_equal(w[1:, 1], finite[1:, 1])
 
@@ -398,7 +405,7 @@ class TestEStepMatchesOutOfPlaceFormulas:
         elif support == "nan":
             log_P[1, 0, 0] = np.nan
         expected = reference_log_mixture_weights(log_mu, log_nu, log_P, stats)
-        w = log_mixture_weights(log_mu, log_nu, log_P, stats)
+        w = log_mixture_weights(log_mu, parameter_block(log_nu, log_P), stats)
         assert w.flags.f_contiguous == expected.flags.f_contiguous
         assert np.array_equal(w, expected, equal_nan=True)
 
@@ -407,7 +414,8 @@ class TestEStepMatchesOutOfPlaceFormulas:
     @pytest.mark.parametrize("rows", ["finite", "masked"])
     def test_log_normalize_rows(self, k, order, rows):
         stats, params = self._problem(k, 10 + k)
-        logw = np.array(log_mixture_weights(*params, stats), order=order)
+        logw = np.array(log_mixture_weights(params[0], parameter_block(*params[1:]), stats),
+                        order=order)
         if rows == "masked":
             logw[3] = -np.inf
             logw[5, 0] = np.inf
