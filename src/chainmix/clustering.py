@@ -26,7 +26,7 @@ _RIDGE_SCALE = 1e-10
 _ASSIGN_BLOCK_ENTRIES = 1 << 17
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
     """M points in D-dimensional real space, stored as an (M, D) array."""
 
@@ -81,7 +81,7 @@ class GaussianKernel:
 
 
 def kernel_from_spec(spec: dict):
-    if spec.get("name") == "gaussian":
+    if spec.get("name") == "gaussian" and "sigma" in spec:
         return GaussianKernel(sigma=float(spec["sigma"]))
     raise ValidationError(f"unknown kernel spec {spec!r}")
 
@@ -160,7 +160,7 @@ def kmeans_objective(points, centers, assignments) -> float:
     return float((diff * diff).sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralModel:
     """Fitted spectral embedding and cluster centers.
 
@@ -200,6 +200,12 @@ class SpectralModel:
         points = _as_points(payload["training_points"])
         alpha = np.asarray(payload["alpha"], dtype=np.float64)
         centers = np.asarray(payload["centers"], dtype=np.float64)
+        m = points.shape[0]
+        if alpha.ndim != 2 or alpha.shape[1] != m:
+            raise ValidationError(f"alpha must be (r, {m}) for {m} training points, not {alpha.shape}")
+        r = alpha.shape[0]
+        if centers.ndim != 2 or centers.shape[0] < 1 or centers.shape[1] != r:
+            raise ValidationError(f"centers must be (s >= 1, {r}) for r = {r}, not {centers.shape}")
         embedding = (alpha @ kernel(points, points)).T
         return cls(
             kernel=kernel,

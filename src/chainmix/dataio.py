@@ -218,11 +218,17 @@ def read_json_object(path, what: str) -> dict:
     return value
 
 
-def read_params(path) -> MixtureParams:
-    payload = read_json_object(path, "model file")
-    for key in ("k", "s", "mu", "nu", "P"):
+def _read_fields(path, what: str, keys) -> dict:
+    """`read_json_object`, which must also hold every field named in `keys`."""
+    payload = read_json_object(path, what)
+    for key in keys:
         if key not in payload:
             raise ValidationError(f"{path}: missing field {key!r}")
+    return payload
+
+
+def read_params(path) -> MixtureParams:
+    payload = _read_fields(path, "model file", ("k", "s", "mu", "nu", "P"))
     params = MixtureParams(
         mu=np.asarray(payload["mu"], dtype=np.float64),
         nu=np.asarray(payload["nu"], dtype=np.float64),
@@ -261,7 +267,8 @@ def write_posterior(path, posterior: DirichletPosterior, elbo_trace):
 
 def read_posterior(path):
     """Returns (DirichletPosterior, elbo_trace array)."""
-    payload = read_json_object(path, "posterior file")
+    payload = _read_fields(path, "posterior file", (
+        "N_hat", "N_i_hat", "N_ialpha_hat", "responsibilities", "elbo_trace"))
     posterior = DirichletPosterior(
         n_hat=np.asarray(payload["N_hat"], dtype=np.float64),
         n_i_hat=np.asarray(payload["N_i_hat"], dtype=np.float64),
@@ -361,7 +368,8 @@ def write_spectral_model(path, model: SpectralModel):
 
 
 def read_spectral_model(path) -> SpectralModel:
-    return SpectralModel.from_dict(read_json_object(path, "spectral model file"))
+    return SpectralModel.from_dict(_read_fields(
+        path, "spectral model file", ("kernel", "training_points", "alpha", "centers")))
 
 
 def write_misa_csv(path, trajectory):

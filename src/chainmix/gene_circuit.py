@@ -189,7 +189,7 @@ def misa_step_ssa(state: MisaState, params: MisaParams, rng):
     return MisaState(gene_a=(ia, ja), gene_b=(ib, jb), a=a, b=b), wait
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MisaTrajectory:
     """Uniformly sampled circuit states: times, protein counts, gene conditions."""
 
@@ -247,20 +247,19 @@ def misa_simulate(params: MisaParams, t_end: float, sample_interval: float = 1.0
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MisaMixtureResult:
     """Outcome of the two-population discrimination experiment.
 
     `stage_s` holds the wall time in seconds (`time.perf_counter`) of each
-    stage: "simulate", "cluster", "discretize", "fit" and "score".  It varies
-    from run to run and takes no part in comparisons.
+    stage: "simulate", "cluster", "discretize", "fit" and "score".
     """
 
     dataset: TrajectoryDataset
     true_labels: np.ndarray
     accuracy: float
     report: MultistartReport
-    stage_s: dict = field(default_factory=dict, compare=False)
+    stage_s: dict = field(default_factory=dict)
 
 
 def misa_mixture_experiment(f_r_1: float, f_r_2: float, n_per_group: int = 15,

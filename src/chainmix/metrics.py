@@ -25,7 +25,7 @@ def _as_labels(x, name):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
     """counts[i, j] = number of trajectories with true label i and matched estimate j."""
 

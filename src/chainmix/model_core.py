@@ -14,7 +14,7 @@ to and from 1-based indexing (see chainmix.dataio).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -76,7 +76,7 @@ class _FlatStates(NamedTuple):
     sizes: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryDataset:
     """A collection of integer-state trajectories over states {0, ..., s-1}.
 
@@ -85,17 +85,16 @@ class TrajectoryDataset:
     and reported via `zero_transition_indices`.
 
     All states live in one read-only int64 array `states`, trajectory after
-    trajectory, and `sizes[n]` is the length of trajectory n.
-    `trajectories` is a tuple of read-only views into `states`.  Build a
-    dataset from a sequence of trajectories, `TrajectoryDataset(trajs, s)`,
-    or from the flat form, `TrajectoryDataset.from_flat(states, sizes, s)`;
-    both are validated by the same checks.
+    trajectory, and `sizes[n]` is the length of trajectory n; the dataset
+    stores nothing else.  Build one from a sequence of trajectories,
+    `TrajectoryDataset(parts, s)`, or from the flat form with
+    `TrajectoryDataset.from_flat(states, sizes, s)`; both pass the same checks.
     """
 
-    trajectories: tuple
+    parts: InitVar[tuple]
     s: int
-    states: np.ndarray = field(init=False, repr=False, compare=False)
-    sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    states: np.ndarray = field(init=False, repr=False)
+    sizes: np.ndarray = field(init=False, repr=False)
 
     @classmethod
     def from_flat(cls, states, sizes, s: int) -> TrajectoryDataset:
@@ -105,10 +104,10 @@ class TrajectoryDataset:
         """
         return cls(_FlatStates(states, sizes), s)
 
-    def __post_init__(self):
-        if isinstance(self.trajectories, _FlatStates):
-            states, fraction = _as_states(self.trajectories.states)
-            sizes = np.asarray(self.trajectories.sizes, dtype=np.int64)
+    def __post_init__(self, parts):
+        if isinstance(parts, _FlatStates):
+            states, fraction = _as_states(parts.states)
+            sizes = np.asarray(parts.sizes, dtype=np.int64)
             if fraction >= 0:
                 n = int(np.searchsorted(np.cumsum(sizes), fraction, side="right"))
                 raise ValidationError(
@@ -116,7 +115,7 @@ class TrajectoryDataset:
             if states.ndim != 1 or sizes.ndim != 1:
                 raise ValidationError("flat states and sizes must be 1-D arrays")
         else:
-            parts = [_as_states(t)[0] for t in self.trajectories]
+            parts = [_as_states(t)[0] for t in parts]
             # a part that is not 1-D or holds a value that is not a whole
             # number gets size 0 so the size check names it
             sizes = np.array([0 if p is None or p.ndim != 1 else p.size for p in parts],
@@ -142,12 +141,14 @@ class TrajectoryDataset:
             raise ValidationError(
                 f"state indices must lie in [0, {self.s}); found range [{lo}, {hi}]"
             )
-        ends = np.cumsum(sizes).tolist()
-        states = _freeze(states)
-        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "states", _freeze(states))
         object.__setattr__(self, "sizes", _freeze(sizes))
-        object.__setattr__(self, "trajectories", tuple(
-            states[a:b] for a, b in zip([0] + ends[:-1], ends)))
+
+    @cached_property
+    def trajectories(self) -> tuple:
+        """Read-only views into `states`, one per trajectory; built on first use."""
+        ends = np.cumsum(self.sizes).tolist()
+        return tuple(self.states[a:b] for a, b in zip([0] + ends[:-1], ends))
 
     @property
     def n(self) -> int:
@@ -171,7 +172,7 @@ class TrajectoryDataset:
         return tuple(np.flatnonzero(self.sizes == 1).tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureParams:
     """Point parameters (mu, nu_i, P_i) of a k-component chain mixture.
 
@@ -220,63 +221,49 @@ class MixtureParams:
         return self.nu.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SufficientStats:
     """Per-trajectory initial-state indicators and transition-count matrices.
 
     U : (N, s) one-hot rows marking each trajectory's initial state.
     V : (N, s, s) V[n, a, b] counts transitions a -> b in trajectory n.
+    X : (N, s + s*s) read-only C-ordered design block [U | V.reshape(N, s*s)].
 
-    The counts are stored once, in the design block `X`; U and V are
-    read-only views into it.
+    The given U and V are validated and copied into X once (V is converted
+    on the way in, with no float copy), and then become read-only views of X.
+
+    Every fit contracts responsibilities or log-parameters with X in one
+    matrix product, so the per-component parameters share its layout: a
+    (k, s + s*s) block whose row i is nu_i followed by the s rows of P_i.
+    Its `reshape(k, s + 1, s)` holds nu_i at `[:, 0]` and P_i at `[:, 1:]`;
+    `parameter_block` joins a separate nu and P.
     """
 
     U: np.ndarray
     V: np.ndarray
+    X: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        U = np.asarray(self.U, dtype=np.float64)
-        V = np.asarray(self.V)
+        U, V = np.asarray(self.U), np.asarray(self.V)
         if U.ndim != 2 or V.ndim != 3 or V.shape[:1] != U.shape[:1] or V.shape[1:] != (U.shape[1],) * 2:
             raise ValidationError("expected shapes U:(N,s), V:(N,s,s)")
-        counts = V
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "V", V)
-        n, s = U.shape
-        X = self.X
-        U, V = X[:, :s], X[:, s:].reshape(n, s, s)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "V", V)
-        if not (np.all((U == 0) | (U == 1)) and np.all(U.sum(axis=1) == 1)):
+        if U.dtype.kind not in "iubf" or not (
+                np.all((U == 0) | (U == 1)) and np.all(U.sum(axis=1) == 1)):
             raise ValidationError("each row of U must be one-hot")
-        # integer counts need only the sign check, made on the given array;
-        # any other input is checked in X for finite whole numbers
-        if counts.dtype.kind in "iub":
-            bad = counts.size and counts.min() < 0
+        # integer counts need only a sign check; float ones must be finite whole numbers
+        if V.dtype.kind in "iub":
+            bad = V.size and V.min() < 0
         else:
-            bad = not np.all(np.isfinite(V) & (V >= 0) & (V == np.round(V)))
+            bad = V.dtype.kind != "f" or not np.all(np.isfinite(V) & (V >= 0) & (V == np.round(V)))
         if bad:
             raise ValidationError("V must contain nonnegative integer counts")
-
-    @cached_property
-    def X(self) -> np.ndarray:
-        """(N, s + s*s) read-only C-ordered design block [U | V.reshape(N, s*s)].
-
-        Built from the given U and V at construction, which then become views
-        into it.  V is converted while it is copied in, so no float copy of
-        it is made.
-
-        Every fit contracts responsibilities or log-parameters with X in one
-        matrix product, so the per-component parameters share its layout: a
-        (k, s + s*s) block whose row i is nu_i followed by the s rows of P_i.
-        Its `reshape(k, s + 1, s)` holds nu_i at `[:, 0]` and P_i at
-        `[:, 1:]`; `parameter_block` joins a separate nu and P.
-        """
-        n, s = self.U.shape
+        n, s = U.shape
         X = np.empty((n, s + s * s))
-        X[:, :s] = self.U
-        X[:, s:] = self.V.reshape(n, s * s)
-        return _freeze(X)
+        X[:, :s] = U
+        X[:, s:] = V.reshape(n, s * s)
+        object.__setattr__(self, "X", _freeze(X))
+        object.__setattr__(self, "U", X[:, :s])
+        object.__setattr__(self, "V", X[:, s:].reshape(n, s, s))
 
     @property
     def n(self) -> int:
@@ -296,7 +283,7 @@ class SufficientStats:
         return float(self.transition_counts.mean())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Responsibilities:
     """Per-trajectory posterior probabilities over components: gamma (N, k)."""
 
@@ -322,7 +309,7 @@ class Responsibilities:
         return self.gamma.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Converged fit: point parameters, responsibilities, labels, and trace.
 

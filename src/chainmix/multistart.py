@@ -12,7 +12,7 @@ to a shorter one.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,7 @@ def _master_entropy(seed) -> int:
     return int(seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultistartReport:
     """Outcome of a batch of restarts.
 
@@ -70,8 +70,7 @@ class MultistartReport:
     lies within that tolerance of L_max; best_index is its first entry.
 
     all_wall_s[r] is restart r's wall time in seconds (`time.perf_counter`),
-    NaN for a failed restart.  It varies from run to run, so it takes no
-    part in equality.
+    NaN for a failed restart.
     """
 
     best: FitResult
@@ -86,7 +85,7 @@ class MultistartReport:
     all_converged: np.ndarray
     all_final_deltas: np.ndarray
     tied_indices: tuple
-    all_wall_s: np.ndarray = field(compare=False)
+    all_wall_s: np.ndarray
 
 
 def _run_restart(index, master_entropy, stats, algorithm, config, true_labels):

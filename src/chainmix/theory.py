@@ -28,7 +28,7 @@ from .model_core import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KlReport:
     """Pairwise divergences at a horizon, per-step rates, and the error bound."""
 

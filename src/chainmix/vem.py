@@ -79,7 +79,7 @@ class VemConfig:
             raise ValidationError("prune_threshold must be >= 1/k_max")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirichletPosterior:
     """Variational Dirichlet posterior over all mixture parameters.
 

@@ -346,6 +346,46 @@ class TestPosteriorJson:
         with pytest.raises(ValidationError, match="posterior parameters must be finite"):
             dataio.read_posterior(path)
 
+    def test_missing_field(self, tmp_path):
+        path = tmp_path / "posterior.json"
+        path.write_text(json.dumps({"N_i_hat": [[1.0]], "N_ialpha_hat": [[[1.0]]],
+                                    "responsibilities": [[1.0]], "elbo_trace": [0.0]}))
+        with pytest.raises(ValidationError, match="missing field 'N_hat'"):
+            dataio.read_posterior(path)
+
+
+class TestSpectralModelJson:
+    @staticmethod
+    def _payload(**changes):
+        payload = {"kernel": {"name": "gaussian", "sigma": 1.0},
+                   "training_points": [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]],
+                   "alpha": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                   "centers": [[0.0, 0.0], [1.0, 1.0]]}
+        payload.update(changes)
+        return payload
+
+    def test_missing_field(self, tmp_path):
+        payload = self._payload()
+        del payload["alpha"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="missing field 'alpha'"):
+            dataio.read_spectral_model(path)
+
+    @pytest.mark.parametrize("changes, text", [
+        ({"kernel": {"name": "gaussian"}}, "unknown kernel spec"),
+        ({"alpha": [[1.0, 0.0], [0.0, 1.0]]}, r"alpha must be \(r, 3\) for 3 training points, not \(2, 2\)"),
+        ({"alpha": [[1.0, 0.0, 0.0]]}, r"centers must be \(s >= 1, 1\) for r = 1, not \(2, 2\)"),
+        ({"centers": [[0.0, 0.0, 0.0]]}, r"centers must be \(s >= 1, 2\) for r = 2, not \(1, 3\)"),
+    ], ids=["kernel-without-sigma", "alpha-columns", "alpha-rows", "centers-columns"])
+    def test_malformed_model_rejected(self, tmp_path, changes, text):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self._payload(**changes)))
+        with pytest.raises(ValidationError, match=text):
+            dataio.read_spectral_model(path)
+        path.write_text(json.dumps(self._payload()))
+        assert dataio.read_spectral_model(path).assignments.shape == (3,)
+
 
 class TestTablesAndPoints:
     def test_points_round_trip(self, tmp_path):

@@ -159,6 +159,7 @@ def test_numerical_failure_carries_iteration_index():
     stats = SufficientStats.__new__(SufficientStats)  # bypass count validation
     object.__setattr__(stats, "U", U)
     object.__setattr__(stats, "V", V)
+    object.__setattr__(stats, "X", np.hstack([U, V.reshape(1, 4)]))
     with pytest.raises(NumericalError) as err:
         em_fit(stats, Responsibilities(np.ones((1, 1))))
     assert err.value.iteration == 1

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -272,13 +270,11 @@ class TestMixtureExperiment:
         assert np.array_equal(result.true_labels,
                               np.repeat([0, 1], 10))
 
-    def test_stage_times_are_reported_and_not_compared(self):
+    def test_stage_times_are_reported(self):
         kwargs = dict(n_per_group=3, t_len=4, seed=15, restarts=2, burn_in=5.0)
         first = misa_mixture_experiment(0.01, 1.0, **kwargs)
         second = misa_mixture_experiment(0.01, 1.0, **kwargs)
         assert list(first.stage_s) == ["simulate", "cluster", "discretize", "fit", "score"]
         assert all(seconds >= 0.0 for seconds in first.stage_s.values())
-        compared = {f.name: f.compare for f in dataclasses.fields(first)}
-        assert compared["stage_s"] is False
         assert np.array_equal(first.dataset.states, second.dataset.states)
         assert first.accuracy == second.accuracy

@@ -90,6 +90,20 @@ class TestTrajectoryDataset:
         ds = TrajectoryDataset.from_flat(np.array([2, 0, 1], dtype=np.uint8), [3], s=3)
         assert ds.states.dtype == np.int64 and ds.states.tolist() == [2, 0, 1]
 
+    @pytest.mark.parametrize("build", [
+        lambda: TrajectoryDataset(([0, 1, 2], [2], [1, 1]), s=3),
+        lambda: TrajectoryDataset.from_flat(np.array([0, 1, 2, 2, 1, 1]), [3, 1, 2], s=3),
+    ], ids=["sequence", "flat"])
+    def test_trajectories_built_on_first_use(self, build):
+        ds = build()
+        assert "trajectories" not in vars(ds)
+        views = ds.trajectories
+        assert ds.trajectories is views
+        assert [v.tolist() for v in views] == [[0, 1, 2], [2], [1, 1]]
+        for view, (a, b) in zip(views, [(0, 3), (3, 4), (4, 6)]):
+            assert np.array_equal(view, ds.states[a:b])
+            assert np.shares_memory(view, ds.states) and not view.flags.writeable
+
     def test_whole_floats_and_int64_states_accepted(self):
         ds = TrajectoryDataset(([0.0, 2.0], np.array([1.0])), s=3)
         assert ds.states.dtype == np.int64 and ds.states.tolist() == [0, 2, 1]
@@ -252,8 +266,10 @@ class TestSufficientStats:
             assert np.array_equal(stats.V[n], V)
 
     def test_one_hot_validation(self):
-        with pytest.raises(ValidationError):
-            SufficientStats(U=np.array([[1.0, 1.0]]), V=np.zeros((1, 2, 2)))
+        for U in (np.array([[1.0, 1.0]]), np.array([["1", "0"]]), np.array([[1 + 0j, 0j]]),
+                  np.array([[1, 0]], dtype=object)):
+            with pytest.raises(ValidationError, match="each row of U must be one-hot"):
+                SufficientStats(U=U, V=np.zeros((1, 2, 2)))
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.float64])
     def test_negative_counts_rejected(self, dtype):
@@ -268,6 +284,10 @@ class TestSufficientStats:
             SufficientStats(U=U, V=np.array([[[0.5, 0.0], [0.0, 0.0]]]))
         with pytest.raises(ValidationError, match="nonnegative integer counts"):
             SufficientStats(U=U, V=np.array([[[np.inf, 0.0], [0.0, 0.0]]]))
+        for V in (np.array([[["1", "0"], ["0", "0"]]]), np.array([[[1 + 0j, 0j], [0j, 0j]]]),
+                  np.array([[[1, 0], [0, 0]]], dtype=object)):
+            with pytest.raises(ValidationError, match="nonnegative integer counts"):
+                SufficientStats(U=U, V=V)
         for V in (np.array([[[2.0, 0.0], [1.0, 0.0]]]), np.array([[[2, 0], [1, 0]]], dtype=np.uint16),
                   np.array([[[True, False], [True, False]]])):
             assert SufficientStats(U=U, V=V).V.sum() == V.sum()

@@ -159,8 +159,7 @@ class TestMultistart:
         assert not single.all_converged.any()
         assert np.isnan(single.all_final_deltas).all()
 
-    def test_wall_times_recorded_and_not_compared(self, small_problem, monkeypatch):
-        import dataclasses
+    def test_wall_times_recorded(self, small_problem, monkeypatch):
         from chainmix import multistart
         stats, _ = small_problem
         calls = []
@@ -176,8 +175,6 @@ class TestMultistart:
         assert report.failures == ((1, "injected failure"),)
         assert np.isnan(report.all_wall_s[1])
         assert np.all(report.all_wall_s[[0, 2]] > 0)
-        compared = [f.name for f in dataclasses.fields(report) if f.compare]
-        assert "all_wall_s" not in compared and "all_final_deltas" in compared
 
     def test_unknown_algorithm_rejected(self, small_problem):
         stats, _ = small_problem
@@ -190,9 +187,11 @@ class TestMultistart:
     def test_all_failures_aggregate_error(self):
         # inf counts poison every restart; the error lists per-restart failures
         from chainmix.model_core import SufficientStats, Responsibilities
+        U, V = np.array([[1.0, 0.0]]), np.array([[[np.inf, 0.0], [0.0, 0.0]]])
         stats = SufficientStats.__new__(SufficientStats)
-        object.__setattr__(stats, "U", np.array([[1.0, 0.0]]))
-        object.__setattr__(stats, "V", np.array([[[np.inf, 0.0], [0.0, 0.0]]]))
+        object.__setattr__(stats, "U", U)
+        object.__setattr__(stats, "V", V)
+        object.__setattr__(stats, "X", np.hstack([U, V.reshape(1, 4)]))
         with pytest.raises(NumericalError, match="all 3 restarts failed"):
             multistart_fit(stats, "em", restarts=3, config=EmConfig(k=1), seed=15)
 
