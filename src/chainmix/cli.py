@@ -1,7 +1,8 @@
 """Command-line interface wiring the simulation / clustering / fitting pipeline.
 
 All outputs are plot-ready CSV/JSON; no figures are rendered.  Every
-subcommand honors --seed for end-to-end reproducibility, and a JSON config
+subcommand that draws random numbers takes --seed for end-to-end
+reproducibility, each takes only the flags it acts on, and a JSON config
 file can supply defaults for any flag (command-line values win).  The exit
 code is 0 only if every requested run succeeded; failures produce a
 machine-readable JSON summary on stderr.  A successful `fit` prints one JSON
@@ -37,16 +38,23 @@ from .vem import VemConfig
 _MISA_RATES = ("g00", "g01", "g10", "g11", "d", "h_a", "f_a", "h_r")
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    parser.add_argument("--tol-scale", type=float, default=1e-12,
-                        help="convergence tolerance scale (times N * mean T)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="format for result tables")
-    parser.add_argument("--one-based", action="store_true",
-                        help="read/write states and labels 1-based")
-    parser.add_argument("--out", type=Path, default=Path("."),
-                        help="output directory")
+# The flags that several subcommands share, by dest.  Each subcommand takes
+# --out and only those of the others that its handler reads.
+_SHARED = {
+    "seed": dict(type=int, default=0, help="master RNG seed"),
+    "tol_scale": dict(type=float, default=1e-12,
+                      help="convergence tolerance scale (times N * mean T)"),
+    "format": dict(choices=("csv", "json"), default="csv",
+                   help="format for result tables"),
+    "one_based": dict(action="store_true",
+                      help="read/write states and labels 1-based"),
+    "out": dict(type=Path, default=Path("."), help="output directory"),
+}
+
+
+def _add_shared(parser, *names):
+    for name in (*names, "out"):
+        parser.add_argument(f"--{name.replace('_', '-')}", **_SHARED[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="state count for the random model")
     p_sim.add_argument("--n-traj", type=int, required=True, help="number of trajectories")
     p_sim.add_argument("--t-len", type=int, required=True, help="transitions per trajectory")
-    _add_common(p_sim)
+    _add_shared(p_sim, "seed", "one_based")
 
     p_fit = sub.add_parser("fit", help="fit a chain mixture with EM or variational EM")
     p_fit.add_argument("--input", type=Path, required=True, help="trajectory file")
@@ -78,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--restarts", type=int, default=100,
                        help="independent random initializations")
     p_fit.add_argument("--max-iters", type=int, default=1000)
-    _add_common(p_fit)
+    _add_shared(p_fit, "seed", "tol_scale", "one_based")
 
     p_clu = sub.add_parser("cluster", help="cluster points / discretize trajectories")
     p_clu.add_argument("--points", type=Path, help="CSV of point vectors")
@@ -88,13 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_clu.add_argument("--s", type=int, required=True, help="number of clusters/states")
     p_clu.add_argument("--sigma", type=float, default=1.0,
                        help="Gaussian kernel bandwidth (spectral)")
-    _add_common(p_clu)
+    _add_shared(p_clu, "seed", "one_based")
 
     p_bound = sub.add_parser("bound", help="misclassification lower bound for a model")
     p_bound.add_argument("--model", type=Path, required=True)
     p_bound.add_argument("--t-len", type=int, required=True,
                          help="trajectory horizon for the divergences")
-    _add_common(p_bound)
+    _add_shared(p_bound)
 
     p_misa = sub.add_parser("misa", help="simulate the MISA gene circuit (SSA)")
     p_misa.add_argument("--f-r", type=float, required=True,
@@ -108,10 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     for rate in _MISA_RATES:
         p_misa.add_argument(f"--{rate.replace('_', '-')}", type=float, default=None,
                             help=f"override the {rate} rate")
-    _add_common(p_misa)
+    _add_shared(p_misa, "seed")
 
     p_exp = sub.add_parser("experiment", help="run a named experiment recipe")
-    p_exp.add_argument("--name", choices=experiments.EXPERIMENT_NAMES + ("custom",),
+    p_exp.add_argument("--name", choices=(*experiments.RECIPES, "custom"),
                        required=True)
     p_exp.add_argument("--spec", type=Path,
                        help="JSON overrides (required for --name custom: "
@@ -125,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--n-values", type=int, nargs="+", help="N grid (fig3)")
     p_exp.add_argument("--fr2-values", type=float, nargs="+",
                        help="second-population unbinding rates (fig8)")
-    _add_common(p_exp)
+    _add_shared(p_exp, "seed", "format")
 
     return parser
 
@@ -184,9 +192,7 @@ def _cmd_fit(args) -> int:
         summary["accuracy"] = acc
         dataio.write_confusion_csv(out / "confusion.csv",
                                    confusion(true_labels, best.labels, perm))
-    with open(out / "fit.json", "w") as handle:
-        json.dump(summary, handle, indent=2)
-        handle.write("\n")
+    dataio.write_json(out / "fit.json", summary, indent=2)
     dataio.write_params(out / "params.json", best.params)
     dataio.write_restart_csv(out / "restarts.csv", report)
     if report.best_posterior is not None:
@@ -307,25 +313,16 @@ def _experiment_kwargs(args):
     return name, overrides
 
 
-# The keyword parameters of each recipe are the overrides it accepts.
-_RECIPES = {
-    "fig2": experiments.run_fig2,
-    "fig3": experiments.run_fig3,
-    "fig4": experiments.run_fig4,
-    "fig8": experiments.run_fig8,
-}
-
-
 def _cmd_experiment(args) -> int:
     name, overrides = _experiment_kwargs(args)
     if name == "custom":
         raise ValidationError(
             "custom experiments must name a base recipe in the spec file, "
-            f"one of {experiments.EXPERIMENT_NAMES}"
+            f"one of {tuple(experiments.RECIPES)}"
         )
-    if name not in _RECIPES:
+    if name not in experiments.RECIPES:
         raise ValidationError(f"unknown experiment {name!r}")
-    recipe = _RECIPES[name]
+    recipe = experiments.RECIPES[name]
     unknown = set(overrides) - set(inspect.signature(recipe).parameters)
     if unknown:
         raise ValidationError(f"unsupported overrides for {name}: {sorted(unknown)}")
@@ -333,16 +330,16 @@ def _cmd_experiment(args) -> int:
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    ext = "csv" if args.format == "csv" else "json"
+    fmt = args.format
     header = list(rows[0].keys())
-    dataio.write_table(out / f"{name}_results.{ext}", header,
-                       [[row[h] for h in header] for row in rows], fmt=args.format)
+    dataio.write_table(out / f"{name}_results.{fmt}", header,
+                       [[row[h] for h in header] for row in rows], fmt=fmt)
     if name == "fig3":
         summary = experiments.summarize_fig3(rows)
         s_header = list(summary[0].keys())
-        dataio.write_table(out / f"{name}_summary.{ext}", s_header,
+        dataio.write_table(out / f"{name}_summary.{fmt}", s_header,
                            [[row[h] for h in s_header] for row in summary],
-                           fmt=args.format)
+                           fmt=fmt)
     print(f"{name}: wrote {len(rows)} result rows to {out}")
     if failures:
         print(json.dumps({"failed_cells": failures}), file=sys.stderr)
@@ -391,8 +388,6 @@ def main(argv=None) -> int:
     try:
         _apply_config(parser, argv)
         args = parser.parse_args(argv)
-        if hasattr(args, "out"):
-            args.out = Path(args.out)
         return _HANDLERS[args.command](args)
     except (ValidationError, NumericalError, OSError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),

@@ -9,6 +9,7 @@ Markov states.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +82,12 @@ class GaussianKernel:
 
 
 def kernel_from_spec(spec: dict):
-    if spec.get("name") == "gaussian" and "sigma" in spec:
-        return GaussianKernel(sigma=float(spec["sigma"]))
+    """The kernel that `to_spec` described: an object naming "gaussian" with a
+    real `sigma`; anything else raises ValidationError."""
+    if isinstance(spec, dict) and spec.get("name") == "gaussian":
+        sigma = spec.get("sigma")
+        if isinstance(sigma, numbers.Real) and not isinstance(sigma, bool):
+            return GaussianKernel(sigma=float(sigma))
     raise ValidationError(f"unknown kernel spec {spec!r}")
 
 

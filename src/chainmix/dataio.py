@@ -218,64 +218,73 @@ def read_json_object(path, what: str) -> dict:
     return value
 
 
-def _read_fields(path, what: str, keys) -> dict:
-    """`read_json_object`, which must also hold every field named in `keys`."""
+def _read_fields(path, what: str, keys, arrays) -> dict:
+    """`read_json_object`, which must also hold every field named in `keys`
+    and in `arrays`.  The fields named in `arrays` come back as float64
+    arrays; one that is not a number or an evenly nested list of numbers
+    raises ValidationError naming the file and the field."""
     payload = read_json_object(path, what)
-    for key in keys:
+    for key in (*keys, *arrays):
         if key not in payload:
             raise ValidationError(f"{path}: missing field {key!r}")
+    for key in arrays:
+        try:
+            value = np.asarray(payload[key])
+            numeric = value.dtype.kind in "iuf"
+        except ValueError:  # lists nested to uneven depths or lengths
+            numeric = False
+        if not numeric:
+            raise ValidationError(f"{what} {path}: field {key!r} must be an array of numbers")
+        payload[key] = value.astype(np.float64, copy=False)
     return payload
 
 
+def write_json(path, payload, indent=None):
+    """Write `payload` as one JSON document followed by a newline."""
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=indent)
+        handle.write("\n")
+
+
 def read_params(path) -> MixtureParams:
-    payload = _read_fields(path, "model file", ("k", "s", "mu", "nu", "P"))
-    params = MixtureParams(
-        mu=np.asarray(payload["mu"], dtype=np.float64),
-        nu=np.asarray(payload["nu"], dtype=np.float64),
-        P=np.asarray(payload["P"], dtype=np.float64),
-    )
+    payload = _read_fields(path, "model file", ("k", "s"), ("mu", "nu", "P"))
+    params = MixtureParams(mu=payload["mu"], nu=payload["nu"], P=payload["P"])
     if params.k != payload["k"] or params.s != payload["s"]:
         raise ValidationError(f"{path}: declared k/s disagree with array shapes")
     return params
 
 
 def write_params(path, params: MixtureParams):
-    payload = {
+    write_json(path, {
         "k": params.k,
         "s": params.s,
         "mu": params.mu.tolist(),
         "nu": params.nu.tolist(),
         "P": params.P.tolist(),
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    }, indent=2)
 
 
 def write_posterior(path, posterior: DirichletPosterior, elbo_trace):
-    payload = {
+    write_json(path, {
         "N_hat": posterior.n_hat.tolist(),
         "N_i_hat": posterior.n_i_hat.tolist(),
         "N_ialpha_hat": posterior.n_ialpha_hat.tolist(),
         "responsibilities": posterior.responsibilities.gamma.tolist(),
         "elbo_trace": np.asarray(elbo_trace).tolist(),
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
-        handle.write("\n")
+    })
 
 
 def read_posterior(path):
     """Returns (DirichletPosterior, elbo_trace array)."""
-    payload = _read_fields(path, "posterior file", (
+    payload = _read_fields(path, "posterior file", (), (
         "N_hat", "N_i_hat", "N_ialpha_hat", "responsibilities", "elbo_trace"))
     posterior = DirichletPosterior(
-        n_hat=np.asarray(payload["N_hat"], dtype=np.float64),
-        n_i_hat=np.asarray(payload["N_i_hat"], dtype=np.float64),
-        n_ialpha_hat=np.asarray(payload["N_ialpha_hat"], dtype=np.float64),
-        responsibilities=Responsibilities(np.asarray(payload["responsibilities"])),
+        n_hat=payload["N_hat"],
+        n_i_hat=payload["N_i_hat"],
+        n_ialpha_hat=payload["N_ialpha_hat"],
+        responsibilities=Responsibilities(payload["responsibilities"]),
     )
-    return posterior, np.asarray(payload["elbo_trace"], dtype=np.float64)
+    return posterior, payload["elbo_trace"]
 
 
 def write_restart_csv(path, report):
@@ -319,15 +328,12 @@ def _json_safe(value):
 
 
 def write_kl_report(path, report: KlReport):
-    payload = {
+    write_json(path, {
         "horizon": report.horizon,
         "pairwise": [[_json_safe(float(v)) for v in row] for row in report.pairwise],
         "rates": [[_json_safe(float(v)) for v in row] for row in report.rates],
         "bound": float(report.bound),
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    }, indent=2)
 
 
 def read_points_csv(path) -> np.ndarray:
@@ -362,14 +368,12 @@ def write_assignments_csv(path, assignments):
 
 
 def write_spectral_model(path, model: SpectralModel):
-    with open(path, "w") as handle:
-        json.dump(model.to_dict(), handle)
-        handle.write("\n")
+    write_json(path, model.to_dict())
 
 
 def read_spectral_model(path) -> SpectralModel:
     return SpectralModel.from_dict(_read_fields(
-        path, "spectral model file", ("kernel", "training_points", "alpha", "centers")))
+        path, "spectral model file", ("kernel",), ("training_points", "alpha", "centers")))
 
 
 def write_misa_csv(path, trajectory):
@@ -390,9 +394,7 @@ def write_table(path, header, rows, fmt: str = "csv"):
             for row in rows:
                 writer.writerow([_json_safe(v) for v in row])
     elif fmt == "json":
-        payload = [dict(zip(header, [_json_safe(v) for v in row])) for row in rows]
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        write_json(path, [dict(zip(header, [_json_safe(v) for v in row])) for row in rows],
+                   indent=2)
     else:
         raise ValidationError(f"unknown table format {fmt!r}")

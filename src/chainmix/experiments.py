@@ -23,12 +23,9 @@ import numpy as np
 
 from .em import EmConfig
 from .gene_circuit import misa_mixture_experiment
-from .metrics import accuracy
 from .model_core import random_mixture_params, sample_mixture, sufficient_stats
 from .multistart import multistart_fit
 from .vem import VemConfig
-
-EXPERIMENT_NAMES = ("fig2", "fig3", "fig4", "fig8")
 
 
 def _cell_seed(master: int, *key) -> int:
@@ -36,69 +33,71 @@ def _cell_seed(master: int, *key) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _failed_row(keys: dict, result_columns) -> dict:
-    """Sweep row for a cell that raised: its result columns left blank."""
-    return {**keys, **dict.fromkeys(result_columns, ""), "status": "failed"}
+def _sweep(cells, run, result_columns):
+    """Rows and failures of a sweep over `cells`, dicts of key columns.
+
+    `run(keys)` returns the values of `result_columns` for one cell.  A cell
+    that raises gets a row with blank result columns and status "failed",
+    its keys and message go to the failures, and the sweep goes on.
+    """
+    rows = []
+    failures = []
+    for keys in cells:
+        try:
+            results = dict(zip(result_columns, run(keys)))
+            status = "ok"
+        except Exception as exc:  # sweep survives individual failures
+            failures.append({**keys, "error": str(exc)})
+            results = dict.fromkeys(result_columns, "")
+            status = "failed"
+        rows.append({**keys, **results, "status": status})
+    return rows, failures
+
+
+def _simulated_fit(k_true, s, n_traj, t_len, restarts, config, seed,
+                   algorithm="vem"):
+    """Multistart report on a random mixture drawn from `seed`: parameters
+    from `seed`, data from `seed + 1`, restarts from `seed + 2`, scored
+    against the true labels."""
+    params = random_mixture_params(k_true, s, seed=seed)
+    data, labels = sample_mixture(params, n_traj, t_len, seed=seed + 1)
+    return multistart_fit(sufficient_stats(data), algorithm, restarts, config,
+                          seed=seed + 2, true_labels=labels)
+
+
+def _best_accuracy(report) -> float:
+    return float(report.all_accuracies[report.best_index])
 
 
 def run_fig2(instances: int = 20, k_true: int = 4, s: int = 3, n_traj: int = 100,
              t_len: int = 30, k_max: int = 10, restarts: int = 100,
              seed: int = 0):
     """Component-count recovery: does the best-bound run keep exactly k_true?"""
-    rows = []
-    for inst in range(instances):
-        inst_seed = _cell_seed(seed, inst)
-        params = random_mixture_params(k_true, s, seed=inst_seed)
-        data, labels = sample_mixture(params, n_traj, t_len, seed=inst_seed + 1)
-        stats = sufficient_stats(data)
-        report = multistart_fit(stats, "vem", restarts, VemConfig(k_max=k_max),
-                                seed=inst_seed + 2, true_labels=labels)
-        acc, _ = accuracy(labels, report.best.labels)
-        rows.append({
-            "instance": inst,
-            "seed": inst_seed,
-            "surviving_components": report.best.surviving_components,
-            "accuracy": acc,
-            "final_objective": report.best.objective,
-        })
-    return rows, []
+    def run(keys):
+        report = _simulated_fit(k_true, s, n_traj, t_len, restarts,
+                                VemConfig(k_max=k_max), keys["seed"])
+        return (report.best.surviving_components, _best_accuracy(report),
+                report.best.objective)
+
+    cells = ({"instance": inst, "seed": _cell_seed(seed, inst)}
+             for inst in range(instances))
+    return _sweep(cells, run, ("surviving_components", "accuracy", "final_objective"))
 
 
 def run_fig3(t_values=(5, 10, 30, 100), n_values=(25, 100, 400),
              trials: int = 250, k_true: int = 4, s: int = 3, k_max: int = 10,
              restarts: int = 8, seed: int = 0):
     """Accuracy over an (N, T) grid of simulated mixtures, `trials` per cell."""
-    rows = []
-    failures = []
-    for n_traj in n_values:
-        for t_len in t_values:
-            for trial in range(trials):
-                cell_seed = _cell_seed(seed, n_traj, t_len, trial)
-                keys = {"n": n_traj, "t": t_len, "trial": trial, "seed": cell_seed}
-                try:
-                    params = random_mixture_params(k_true, s, seed=cell_seed)
-                    data, labels = sample_mixture(params, n_traj, t_len,
-                                                  seed=cell_seed + 1)
-                    stats = sufficient_stats(data)
-                    report = multistart_fit(
-                        stats, "vem", restarts, VemConfig(k_max=k_max),
-                        seed=cell_seed + 2, true_labels=labels,
-                    )
-                    acc, _ = accuracy(labels, report.best.labels)
-                    rows.append({
-                        **keys,
-                        "accuracy": acc,
-                        "final_objective": report.best.objective,
-                        "surviving_components": report.best.surviving_components,
-                        "status": "ok",
-                    })
-                except Exception as exc:  # sweep survives individual failures
-                    failures.append({"n": n_traj, "t": t_len, "trial": trial,
-                                     "error": str(exc)})
-                    rows.append(_failed_row(
-                        keys, ("accuracy", "final_objective", "surviving_components")
-                    ))
-    return rows, failures
+    def run(keys):
+        report = _simulated_fit(k_true, s, keys["n"], keys["t"], restarts,
+                                VemConfig(k_max=k_max), keys["seed"])
+        return (_best_accuracy(report), report.best.objective,
+                report.best.surviving_components)
+
+    cells = ({"n": n_traj, "t": t_len, "trial": trial,
+              "seed": _cell_seed(seed, n_traj, t_len, trial)}
+             for n_traj in n_values for t_len in t_values for trial in range(trials))
+    return _sweep(cells, run, ("accuracy", "final_objective", "surviving_components"))
 
 
 def summarize_fig3(rows):
@@ -126,13 +125,9 @@ def run_fig4(k_max: int = 15, k_true: int = 10, s: int = 7, n_traj: int = 100,
              t_len: int = 50, restarts: int = 1000, seed: int = 0,
              algorithm: str = "vem"):
     """Final objective and accuracy for every restart on one hard instance."""
-    inst_seed = _cell_seed(seed, 0)
-    params = random_mixture_params(k_true, s, seed=inst_seed)
-    data, labels = sample_mixture(params, n_traj, t_len, seed=inst_seed + 1)
-    stats = sufficient_stats(data)
     config = VemConfig(k_max=k_max) if algorithm == "vem" else EmConfig(k=k_max)
-    report = multistart_fit(stats, algorithm, restarts, config,
-                            seed=inst_seed + 2, true_labels=labels)
+    report = _simulated_fit(k_true, s, n_traj, t_len, restarts, config,
+                            _cell_seed(seed, 0), algorithm)
     rows = []
     for r in range(restarts):
         obj = report.all_objectives[r]
@@ -151,28 +146,25 @@ def run_fig8(fr1: float = 0.01, fr2_values=(0.01, 0.05, 0.25, 1.0),
              restarts: int = 20, k_max: int = 10, sigma: float = 50.0,
              n_states: int = 4, seed: int = 0):
     """Gene-circuit discrimination accuracy over (rate ratio, T) cells."""
-    rows = []
-    failures = []
-    for fr2 in fr2_values:
-        for t_len in t_values:
-            for rep in range(reps):
-                cell_seed = _cell_seed(seed, int(round(fr2 * 10**6)), t_len, rep)
-                keys = {"f_r_1": fr1, "f_r_2": fr2, "ratio": fr2 / fr1,
-                        "t": t_len, "rep": rep, "seed": cell_seed}
-                try:
-                    result = misa_mixture_experiment(
-                        fr1, fr2, n_per_group=n_per_group, t_len=t_len,
-                        seed=cell_seed, k_max=k_max, restarts=restarts,
-                        sigma=sigma, n_states=n_states,
-                    )
-                    rows.append({
-                        **keys,
-                        "accuracy": result.accuracy,
-                        "surviving_components": result.report.best.surviving_components,
-                        "status": "ok",
-                    })
-                except Exception as exc:
-                    failures.append({"f_r_2": fr2, "t": t_len, "rep": rep,
-                                     "error": str(exc)})
-                    rows.append(_failed_row(keys, ("accuracy", "surviving_components")))
-    return rows, failures
+    def run(keys):
+        result = misa_mixture_experiment(
+            fr1, keys["f_r_2"], n_per_group=n_per_group, t_len=keys["t"],
+            seed=keys["seed"], k_max=k_max, restarts=restarts,
+            sigma=sigma, n_states=n_states,
+        )
+        return result.accuracy, result.report.best.surviving_components
+
+    cells = ({"f_r_1": fr1, "f_r_2": fr2, "ratio": fr2 / fr1, "t": t_len, "rep": rep,
+              "seed": _cell_seed(seed, int(round(fr2 * 10**6)), t_len, rep)}
+             for fr2 in fr2_values for t_len in t_values for rep in range(reps))
+    return _sweep(cells, run, ("accuracy", "surviving_components"))
+
+
+# The presets by name; the keyword parameters of each are the overrides it
+# accepts.
+RECIPES = {
+    "fig2": run_fig2,
+    "fig3": run_fig3,
+    "fig4": run_fig4,
+    "fig8": run_fig8,
+}

@@ -1,10 +1,11 @@
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from chainmix import dataio
+from chainmix import cli, dataio, experiments
 from chainmix.cli import main
 from chainmix.multistart import TIE_RTOL
 
@@ -249,8 +250,12 @@ class TestCluster:
 
 class TestBound:
     @pytest.mark.parametrize("command", ["bound", "simulate"])
-    @pytest.mark.parametrize("content, text", [('{"k": 1,', "not valid JSON"),
-                                               ("[1, 2]", "JSON object")])
+    @pytest.mark.parametrize("content, text", [
+        ('{"k": 1,', "not valid JSON"),
+        ("[1, 2]", "JSON object"),
+        ('{"k": 1, "s": 1, "mu": [1.0], "nu": [[1.0]], "P": "x"}',
+         "field 'P' must be an array of numbers"),
+    ])
     def test_unusable_model_file_fails(self, tmp_path, capsys, command, content, text):
         model = tmp_path / "model.json"
         model.write_text(content)
@@ -466,3 +471,84 @@ class TestExperiment:
                      "--seed", 51, "--out", tmp_path)
         assert rc == 0
         assert (tmp_path / "fig2_results.csv").exists()
+
+
+def _subparser(command):
+    return cli.build_parser()._subparsers._group_actions[0].choices[command]
+
+
+class _Recording(argparse.Namespace):
+    """A namespace that notes the name of every public attribute read from it
+    in the set given as `_reads`."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def _smoke_invocations(tmp_path):
+    """Invocations from the tests above, per subcommand, that together take
+    every branch in which its handler reads a flag."""
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--random-k", 2, "--random-s", 2, "--n-traj", 6,
+                   "--t-len", 5, "--seed", 21, "--out", sim) == 0
+    dataio.write_points_csv(tmp_path / "points.csv",
+                            np.random.default_rng(43).standard_normal((10, 2)))
+    return {
+        "simulate": [["--random-k", 2, "--random-s", 2, "--n-traj", 5, "--t-len", 4,
+                      "--seed", 9],
+                     ["--model", sim / "model.json", "--n-traj", 2, "--t-len", 2]],
+        "fit": [["--input", sim / "trajectories.txt", "--labels", sim / "labels.txt",
+                 "--algorithm", "vem", "--k-max", 5, "--restarts", 4, "--seed", 22]],
+        "cluster": [["--points", tmp_path / "points.csv", "--method", "kmeans",
+                     "--s", 1],
+                    ["--traj-files", tmp_path / "points.csv", tmp_path / "points.csv",
+                     "--method", "spectral", "--s", 2, "--sigma", 1.0]],
+        "bound": [["--model", sim / "model.json", "--t-len", 6]],
+        "misa": [["--f-r", 0.1, "--t-end", 5, "--n-traj", 2, "--burn-in", 5,
+                  "--seed", 46]],
+        "experiment": [["--name", "fig3", "--trials", 1, "--restarts", 2,
+                        "--t-values", 5, 10, "--n-values", 20, "--seed", 48,
+                        "--format", "json"]],
+    }
+
+
+@pytest.mark.parametrize("command", list(cli._HANDLERS))
+def test_every_flag_is_read(tmp_path, command):
+    """A flag that a subcommand accepts but its handler never reads fails here."""
+    parser = cli.build_parser()
+    reads = set()
+    for i, argv in enumerate(_smoke_invocations(tmp_path)[command]):
+        argv = [command, *map(str, argv), "--out", str(tmp_path / f"{command}{i}")]
+        args = parser.parse_args(argv, namespace=_Recording(_reads=set()))
+        args._reads.clear()  # drop what the parser itself looked up
+        assert cli._HANDLERS[command](args) == 0
+        reads |= args._reads
+    dests = {action.dest for action in _subparser(command)._actions} - {"help"}
+    assert sorted(dests - reads) == []
+
+
+# The required flags of each subcommand, with placeholder values.
+_REQUIRED = {"simulate": ["--n-traj", "2", "--t-len", "2"], "fit": ["--input", "t.txt"],
+             "cluster": ["--s", "2"], "bound": ["--model", "m.json", "--t-len", "3"],
+             "misa": ["--f-r", "0.1", "--t-end", "5"], "experiment": ["--name", "fig2"]}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", ["--format", "json"]), ("simulate", ["--tol-scale", "1e-9"]),
+    ("fit", ["--format", "json"]), ("cluster", ["--tol-scale", "1e-9"]),
+    ("bound", ["--seed", "1"]), ("bound", ["--one-based"]),
+    ("misa", ["--one-based"]), ("experiment", ["--tol-scale", "1e-9"]),
+])
+def test_flag_a_subcommand_does_not_read_is_rejected(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args([command, *_REQUIRED[command], *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_preset_names_come_from_the_recipe_table():
+    name = next(action for action in _subparser("experiment")._actions
+                if action.dest == "name")
+    assert tuple(name.choices) == (*experiments.RECIPES, "custom")

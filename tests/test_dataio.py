@@ -303,6 +303,17 @@ class TestParamsJson:
         with pytest.raises(ValidationError, match="nu"):
             dataio.read_params(path)
 
+    @pytest.mark.parametrize("field, value", [("P", "x"), ("mu", [1.0, None]),
+                                              ("nu", [[1.0], [0.5, 0.5]])])
+    def test_non_numeric_field_is_a_validation_error(self, tmp_path, field, value):
+        payload = {"k": 1, "s": 1, "mu": [1.0], "nu": [[1.0]], "P": [[[1.0]]]}
+        payload[field] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=f"model file {path}: field '{field}' "
+                                                  "must be an array of numbers"):
+            dataio.read_params(path)
+
     @pytest.mark.parametrize("content, text", [('{"k": 1,', "is not valid JSON"),
                                                ('"model"', "must hold a JSON object")])
     def test_unusable_json_is_a_validation_error(self, tmp_path, content, text):
@@ -346,6 +357,14 @@ class TestPosteriorJson:
         with pytest.raises(ValidationError, match="posterior parameters must be finite"):
             dataio.read_posterior(path)
 
+    def test_non_numeric_field(self, tmp_path):
+        path = tmp_path / "posterior.json"
+        path.write_text(json.dumps({"N_hat": "a", "N_i_hat": [[1.0]],
+                                    "N_ialpha_hat": [[[1.0]]],
+                                    "responsibilities": [[1.0]], "elbo_trace": [0.0]}))
+        with pytest.raises(ValidationError, match="field 'N_hat' must be an array of numbers"):
+            dataio.read_posterior(path)
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "posterior.json"
         path.write_text(json.dumps({"N_i_hat": [[1.0]], "N_ialpha_hat": [[[1.0]]],
@@ -374,10 +393,14 @@ class TestSpectralModelJson:
 
     @pytest.mark.parametrize("changes, text", [
         ({"kernel": {"name": "gaussian"}}, "unknown kernel spec"),
+        ({"kernel": "gaussian"}, "unknown kernel spec 'gaussian'"),
+        ({"kernel": {"name": "gaussian", "sigma": "wide"}}, "unknown kernel spec"),
+        ({"alpha": "q"}, "field 'alpha' must be an array of numbers"),
         ({"alpha": [[1.0, 0.0], [0.0, 1.0]]}, r"alpha must be \(r, 3\) for 3 training points, not \(2, 2\)"),
         ({"alpha": [[1.0, 0.0, 0.0]]}, r"centers must be \(s >= 1, 1\) for r = 1, not \(2, 2\)"),
         ({"centers": [[0.0, 0.0, 0.0]]}, r"centers must be \(s >= 1, 2\) for r = 2, not \(1, 3\)"),
-    ], ids=["kernel-without-sigma", "alpha-columns", "alpha-rows", "centers-columns"])
+    ], ids=["kernel-without-sigma", "kernel-not-an-object", "sigma-not-a-number",
+            "alpha-not-numeric", "alpha-columns", "alpha-rows", "centers-columns"])
     def test_malformed_model_rejected(self, tmp_path, changes, text):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(self._payload(**changes)))

@@ -1,0 +1,44 @@
+import pytest
+
+from chainmix import experiments
+from chainmix.errors import NumericalError
+
+
+# Each sweep at a small size with three cells: its keyword arguments, the
+# name in `experiments` whose call a cell's seed reaches, that seed's offset
+# from the row seed, and the result columns of a row.
+SWEEPS = {
+    "fig2": (dict(instances=3, n_traj=20, t_len=8, restarts=2, seed=3),
+             "multistart_fit", 2, ("surviving_components", "accuracy", "final_objective")),
+    "fig3": (dict(t_values=(5,), n_values=(20,), trials=3, restarts=2, seed=4),
+             "multistart_fit", 2, ("accuracy", "final_objective", "surviving_components")),
+    "fig8": (dict(fr2_values=(0.25,), t_values=(5,), reps=3, n_per_group=4,
+                  restarts=2, seed=6),
+             "misa_mixture_experiment", 0, ("accuracy", "surviving_components")),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_failing_cell_leaves_the_rest_of_the_sweep(monkeypatch, name):
+    kwargs, target, offset, result_columns = SWEEPS[name]
+    recipe = experiments.RECIPES[name]
+    rows, failures = recipe(**kwargs)
+    assert len(rows) == 3 and failures == []
+    assert all(row["status"] == "ok" for row in rows)
+
+    bad = rows[1]
+    real = getattr(experiments, target)
+
+    def failing(*args, **kw):
+        if kw["seed"] == bad["seed"] + offset:
+            raise NumericalError("injected failure")
+        return real(*args, **kw)
+
+    monkeypatch.setattr(experiments, target, failing)
+    patched, failures = recipe(**kwargs)
+    keys = {key: value for key, value in bad.items()
+            if key not in (*result_columns, "status")}
+    assert patched[1] == {**keys, **dict.fromkeys(result_columns, ""), "status": "failed"}
+    assert list(patched[1]) == list(bad)
+    assert patched[0] == rows[0] and patched[2] == rows[2]
+    assert failures == [{**keys, "error": "injected failure"}]
