@@ -3,7 +3,8 @@
 All outputs are plot-ready CSV/JSON; no figures are rendered.  Every
 subcommand that draws random numbers takes --seed for end-to-end
 reproducibility, each takes only the flags it acts on, and a JSON config
-file can supply defaults for any flag (command-line values win).  The exit
+file is one more way to type flags: its values are parsed and checked like
+typed ones, and flags typed on the command line win.  The exit
 code is 0 only if every requested run succeeded; failures produce a
 machine-readable JSON summary on stderr.  A successful `fit` prints one JSON
 line on stderr too: restarts, converged, failed and tied restart counts, and
@@ -33,8 +34,8 @@ from .theory import kl_report
 from .vem import VemConfig
 
 
-# The MISA rates that --params-json and the rate flags may override; f_r has
-# its own required flag.
+# The MISA rates that the rate flags (typed or from --config) may override;
+# f_r has its own required flag.
 _MISA_RATES = ("g00", "g01", "g10", "g11", "d", "h_a", "f_a", "h_r")
 
 
@@ -111,19 +112,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_misa.add_argument("--sample-interval", type=float, default=1.0)
     p_misa.add_argument("--burn-in", type=float, default=100.0)
     p_misa.add_argument("--n-traj", type=int, default=1)
-    p_misa.add_argument("--params-json", type=Path,
-                        help=f"JSON with rate overrides ({', '.join(_MISA_RATES)})")
     for rate in _MISA_RATES:
         p_misa.add_argument(f"--{rate.replace('_', '-')}", type=float, default=None,
                             help=f"override the {rate} rate")
     _add_shared(p_misa, "seed")
 
     p_exp = sub.add_parser("experiment", help="run a named experiment recipe")
-    p_exp.add_argument("--name", choices=(*experiments.RECIPES, "custom"),
-                       required=True)
+    p_exp.add_argument("--name", choices=tuple(experiments.RECIPES), required=True)
     p_exp.add_argument("--spec", type=Path,
-                       help="JSON overrides (required for --name custom: "
-                            "{'name': ..., <recipe keyword overrides>})")
+                       help="JSON object of the recipe's keyword overrides")
     p_exp.add_argument("--trials", type=int, help="trials per cell (fig3)")
     p_exp.add_argument("--instances", type=int, help="instance count (fig2)")
     p_exp.add_argument("--restarts", type=int, help="restarts per fit")
@@ -211,10 +208,12 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     if args.points is None and not args.traj_files:
         raise ValidationError("provide --points or --traj-files")
+    if args.traj_files and args.method != "spectral":
+        raise ValidationError("trajectory discretization requires --method spectral")
+    out = args.out
+    out.mkdir(parents=True, exist_ok=True)
     if args.points is not None:
         points = dataio.read_points_csv(args.points)
         continuous = None
@@ -234,8 +233,6 @@ def _cmd_cluster(args) -> int:
     dataio.write_assignments_csv(out / "assignments.csv", assignments)
 
     if continuous is not None:
-        if model is None:
-            raise ValidationError("trajectory discretization requires --method spectral")
         dataset = discretize_trajectories(model, continuous)
         dataio.write_trajectories(out / "trajectories.txt", dataset,
                                   one_based=args.one_based)
@@ -261,22 +258,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_misa(args) -> int:
-    overrides = {}
-    if args.params_json is not None:
-        overrides = dataio.read_json_object(args.params_json, "params file")
-        if "f_r" in overrides:
-            raise ValidationError(
-                f"params file {args.params_json} sets 'f_r'; give it with --f-r"
-            )
-        unknown = sorted(set(overrides) - set(_MISA_RATES))
-        if unknown:
-            raise ValidationError(
-                f"params file {args.params_json} has keys that name no rate: {unknown}"
-            )
-    for rate in _MISA_RATES:
-        value = getattr(args, rate)
-        if value is not None:
-            overrides[rate] = value
+    overrides = {rate: getattr(args, rate) for rate in _MISA_RATES
+                 if getattr(args, rate) is not None}
     params = MisaParams(f_r=args.f_r, **overrides)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -295,7 +278,6 @@ def _experiment_kwargs(args):
     overrides = {}
     if args.spec is not None:
         overrides = dataio.read_json_object(args.spec, "spec file")
-    name = overrides.pop("name", args.name)
     flag_map = {
         "trials": args.trials,
         "instances": args.instances,
@@ -310,23 +292,19 @@ def _experiment_kwargs(args):
         if value is not None:
             overrides[key] = value
     overrides.setdefault("seed", args.seed)
-    return name, overrides
+    return overrides
 
 
 def _cmd_experiment(args) -> int:
-    name, overrides = _experiment_kwargs(args)
-    if name == "custom":
-        raise ValidationError(
-            "custom experiments must name a base recipe in the spec file, "
-            f"one of {tuple(experiments.RECIPES)}"
-        )
-    if name not in experiments.RECIPES:
-        raise ValidationError(f"unknown experiment {name!r}")
+    name = args.name
+    overrides = _experiment_kwargs(args)
     recipe = experiments.RECIPES[name]
     unknown = set(overrides) - set(inspect.signature(recipe).parameters)
     if unknown:
         raise ValidationError(f"unsupported overrides for {name}: {sorted(unknown)}")
     rows, failures = recipe(**overrides)
+    if not rows:
+        raise ValidationError(f"{name}: the sweep has no cells, so no table is written")
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -357,37 +335,56 @@ _HANDLERS = {
 }
 
 
-def _apply_config(parser, argv) -> None:
-    """Make the values of a --config file the defaults of every subcommand.
+def _with_config(parser, argv) -> list:
+    """`argv` with the values of a --config file typed in as flags.
 
-    Explicit flags override them.  A key may belong to any subcommand, not
-    only the one invoked; a key that names no option of any subcommand
-    raises ValidationError.
+    Each key that is an option of the invoked subcommand becomes flag tokens
+    right after the subcommand name, so argparse checks them as it checks
+    typed flags, and a flag typed later wins.  A scalar becomes
+    `--flag=value`, a list `--flag v1 v2 ...`; `true` on a switch becomes the
+    bare switch, and `false` on a switch or `null` gives no token.  A key
+    may belong to any subcommand; a key that names no option of any
+    subcommand raises ValidationError.
     """
-    probe = argparse.ArgumentParser(add_help=False)
+    probe = argparse.ArgumentParser(prog=parser.prog, add_help=False)
     probe.add_argument("--config", type=Path, default=None)
+    probe.add_argument("rest", nargs=argparse.REMAINDER)
     known, _ = probe.parse_known_args(argv)
     if known.config is None:
-        return
-    defaults = dataio.read_json_object(known.config, "config file")
-    subs = [sub for action in parser._subparsers._group_actions
-            for sub in action.choices.values()]
-    options = {action.dest for sub in subs for action in sub._actions} - {"help"}
-    unknown = sorted(set(defaults) - options)
+        return argv
+    config = dataio.read_json_object(known.config, "config file")
+    subs = parser._subparsers._group_actions[0].choices
+    options = {action.dest for sub in subs.values() for action in sub._actions} - {"help"}
+    unknown = sorted(set(config) - options)
     if unknown:
         raise ValidationError(
             f"config file {known.config} has keys that name no option: {unknown}"
         )
-    for sub in subs:
-        sub.set_defaults(**defaults)
+    if not known.rest or known.rest[0] not in subs:
+        return argv  # the parser reports the missing or unknown subcommand
+    actions = {action.dest: action for action in subs[known.rest[0]]._actions}
+    tokens = []
+    for key, value in config.items():
+        action = actions.get(key)
+        if action is None or value is None:
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0 and isinstance(value, bool):  # a switch
+            if value:
+                tokens.append(flag)
+        elif isinstance(value, list):
+            tokens += [flag, *map(str, value)]
+        else:
+            tokens.append(f"{flag}={value}")
+    cut = len(argv) - len(known.rest) + 1
+    return [*argv[:cut], *tokens, *argv[cut:]]
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(parser, argv))
         return _HANDLERS[args.command](args)
     except (ValidationError, NumericalError, OSError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),

@@ -36,24 +36,6 @@ _TOKEN_BYTES = bytes(b not in _SEPARATORS for b in range(256))
 _DIGIT_VALUES = bytes((b - ord("0")) % 256 for b in range(256))
 
 
-def _tokens_per_line(first, breaks, trailing: bool):
-    """Number of token starts on each line, from the marks `first` of token
-    starts and the mask `breaks` of line-break bytes.
-
-    Breaks are marked in `first` too (in place; no break byte is a token), so
-    one compress lists the marks in file order with True at each break, and
-    a line's count is the number of marks between its break and the one
-    before.  `trailing` says that a last line runs to the end of the file
-    without a break.  No per-byte integer array is made.
-    """
-    first |= breaks
-    marks = np.compress(first, breaks)
-    ends = np.flatnonzero(marks)
-    if trailing:
-        ends = np.append(ends, marks.size)
-    return np.diff(ends, prepend=-1) - 1
-
-
 def read_trajectories(path, one_based: bool = False) -> TrajectoryDataset:
     """Parse a trajectory file; infers s from the data unless a header declares it.
 
@@ -65,10 +47,11 @@ def read_trajectories(path, one_based: bool = False) -> TrajectoryDataset:
     visited one at a time.  Errors name the file and the 1-based line.
 
     Memory: besides the file's bytes (read into one bytearray, in which
-    comment lines are blanked) and the returned states, the parse holds
-    three file-sized masks (line breaks, token bytes, token starts) and the
-    token bytes as digit values, which one `bytes.translate` extracts;
-    '\\r' and '#' are searched for only when the file contains them.
+    comment lines are blanked) and the returned states, the parse holds a
+    file-sized mask of line breaks, freed once the lines are found, then two
+    (token bytes, token starts) and the token bytes as digit values, which
+    one `bytes.translate` extracts; '\\r' and '#' are searched for only
+    when the file contains them.
     """
     # a bytearray, filled in place, so no second copy of the file is made
     with open(path, "rb") as handle:
@@ -82,11 +65,11 @@ def read_trajectories(path, one_based: bool = False) -> TrajectoryDataset:
         # a \r at the end of the file is compared with itself
         breaks[cr[buf[np.minimum(cr + 1, buf.size - 1)] != ord("\n")]] = True
     at = np.flatnonzero(breaks)
+    del breaks
     line_starts = np.concatenate(([0], at + 1))
     line_ends = np.append(at, buf.size)
     del at
-    trailing = line_starts[-1] < buf.size
-    if not trailing:  # nothing follows the last line break
+    if line_starts[-1] == buf.size:  # nothing follows the last line break
         line_starts, line_ends = line_starts[:-1], line_ends[:-1]
     if not line_starts.size:
         raise ValidationError(f"{path}: no trajectories found")
@@ -117,8 +100,9 @@ def read_trajectories(path, one_based: bool = False) -> TrajectoryDataset:
     first = np.empty_like(token)
     first[:1] = token[:1]
     np.greater(token[1:], token[:-1], out=first[1:])  # a token byte after a separator
-    counts = _tokens_per_line(first, breaks, trailing)
-    del breaks
+    # token starts per line: each line runs up to the next line's start
+    counts = np.diff(np.searchsorted(np.flatnonzero(first),
+                                     np.append(line_starts, buf.size)))
 
     for li in np.flatnonzero(counts == 0).tolist():
         if header_error is not None and li > header_error[0]:

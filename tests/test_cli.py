@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ def test_console_script_entry_point(tmp_path):
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     import chainmix
     # the child process imports the same chainmix as this one, installed or not
@@ -149,6 +149,15 @@ class TestFit:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ValidationError"
 
+    def test_config_input_satisfies_required_flag(self, simulated, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": str(simulated / "trajectories.txt"),
+                                      "one_based": False}))
+        rc = run_cli("--config", config, "fit", "--algorithm", "em", "--k-max", 2,
+                     "--restarts", 1, "--out", tmp_path / "fit")
+        assert rc == 0
+        assert (tmp_path / "fit" / "fit.json").exists()
+
     def test_threads_flag_is_gone(self, simulated, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("fit", "--input", simulated / "trajectories.txt",
@@ -247,6 +256,21 @@ class TestCluster:
         assert ds.n == 2
         assert list(ds.lengths) == [5, 4]
 
+    @pytest.mark.parametrize("inputs, text", [
+        (["--traj-files", "t1.csv", "--method", "kmeans"], "requires --method spectral"),
+        ([], "provide --points or --traj-files"),
+    ], ids=["traj-files-with-kmeans", "no-input"])
+    def test_unusable_inputs_fail_before_output(self, tmp_path, monkeypatch, capsys,
+                                                inputs, text):
+        monkeypatch.chdir(tmp_path)
+        dataio.write_points_csv("t1.csv", np.zeros((3, 2)))
+        rc = run_cli("cluster", *inputs, "--s", 2, "--out", tmp_path / "clust")
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert text in err["error"]["message"]
+        assert not (tmp_path / "clust").exists()
+
 
 class TestBound:
     @pytest.mark.parametrize("command", ["bound", "simulate"])
@@ -309,31 +333,47 @@ class TestMisa:
         assert 2.0 <= mean_a <= 6.0
         assert all(r["gene_a"] == "00" for r in rows)
 
-    def test_params_json_not_an_object_fails(self, tmp_path, capsys):
+    def test_params_json_flag_is_gone(self, tmp_path):
         params = tmp_path / "rates.json"
-        params.write_text("[1, 2]")
-        rc = run_cli("misa", "--f-r", 0.1, "--t-end", 5, "--params-json", params,
-                     "--out", tmp_path / "misa")
-        assert rc == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "ValidationError"
-        assert str(params) in err["error"]["message"]
-        assert "JSON object" in err["error"]["message"]
+        params.write_text('{"g00": 4.0}')
+        with pytest.raises(SystemExit) as exc:
+            run_cli("misa", "--f-r", 0.1, "--t-end", 5, "--params-json", params,
+                    "--out", tmp_path / "misa")
+        assert exc.value.code == 2
 
-    @pytest.mark.parametrize("content, text", [
-        ('{"foo": 1, "g00": 4.0}', "name no rate: ['foo']"),
-        ('{"f_r": 0.5}', "sets 'f_r'"),
-        ('{"g00": "fast"}', "rate g00 must be a number"),
-    ])
-    def test_unusable_params_json_fails(self, tmp_path, capsys, content, text):
-        params = tmp_path / "rates.json"
-        params.write_text(content)
-        rc = run_cli("misa", "--f-r", 0.1, "--t-end", 5, "--params-json", params,
+    def test_rate_config_matches_rate_flags(self, tmp_path):
+        rates = {"f_r": 1e-9, "h_a": 1e-9, "h_r": 1e-9, "f_a": 1e-9, "g00": 4.0}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(rates))
+        common = ("--t-end", 20, "--burn-in", 5, "--seed", 45)
+        assert run_cli("--config", config, "misa", *common,
+                       "--out", tmp_path / "cfg") == 0
+        flags = [a for key, value in rates.items()
+                 for a in (f"--{key.replace('_', '-')}", value)]
+        assert run_cli("misa", *flags, *common, "--out", tmp_path / "flags") == 0
+        assert (tmp_path / "cfg" / "traj_000.csv").read_bytes() == \
+            (tmp_path / "flags" / "traj_000.csv").read_bytes()
+
+    def test_unknown_rate_config_key_fails(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"foo": 1, "g00": 4.0}')
+        rc = run_cli("--config", config, "misa", "--f-r", 0.1, "--t-end", 5,
                      "--out", tmp_path / "misa")
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ValidationError"
-        assert text in err["error"]["message"]
+        assert "name no option: ['foo']" in err["error"]["message"]
+        assert not (tmp_path / "misa").exists()
+
+    def test_non_numeric_rate_config_fails(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"g00": "fast"}')
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--config", config, "misa", "--f-r", 0.1, "--t-end", 5,
+                    "--out", tmp_path / "misa")
+        assert exc.value.code == 2
+        assert "argument --g00: invalid float value: 'fast'" in capsys.readouterr().err
+        assert not (tmp_path / "misa").exists()
 
     def test_trajectory_csv(self, tmp_path):
         rc = run_cli("misa", "--f-r", 0.1, "--t-end", 5, "--n-traj", 2,
@@ -431,7 +471,7 @@ class TestExperiment:
     def test_spec_not_an_object_fails(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text("[1, 2]")
-        rc = run_cli("experiment", "--name", "custom", "--spec", spec,
+        rc = run_cli("experiment", "--name", "fig2", "--spec", spec,
                      "--out", tmp_path / "exp")
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
@@ -449,28 +489,69 @@ class TestExperiment:
 
     def test_threads_spec_key_unsupported(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"name": "fig2", "instances": 1, "threads": 2}))
-        rc = run_cli("experiment", "--name", "custom", "--spec", spec,
+        spec.write_text(json.dumps({"instances": 1, "threads": 2}))
+        rc = run_cli("experiment", "--name", "fig2", "--spec", spec,
                      "--out", tmp_path)
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["message"] == "unsupported overrides for fig2: ['threads']"
 
-    def test_custom_without_recipe_fails(self, tmp_path, capsys):
-        rc = run_cli("experiment", "--name", "custom", "--out", tmp_path)
+    def test_custom_name_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("experiment", "--name", "custom", "--out", tmp_path / "exp")
+        assert exc.value.code == 2
+        assert not (tmp_path / "exp").exists()
+
+    def test_spec_name_key_unsupported(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"name": "fig3", "instances": 1}))
+        rc = run_cli("experiment", "--name", "fig2", "--spec", spec,
+                     "--out", tmp_path / "exp")
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "ValidationError"
+        assert err["error"]["message"] == "unsupported overrides for fig2: ['name']"
+        assert not (tmp_path / "exp").exists()
 
     def test_custom_spec_file(self, tmp_path):
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"name": "fig2", "instances": 1,
-                                    "restarts": 2, "k_true": 2, "s": 2,
-                                    "n_traj": 20, "t_len": 10}))
-        rc = run_cli("experiment", "--name", "custom", "--spec", spec,
+        spec.write_text(json.dumps({"instances": 1, "restarts": 2, "k_true": 2,
+                                    "s": 2, "n_traj": 20, "t_len": 10}))
+        rc = run_cli("experiment", "--name", "fig2", "--spec", spec,
                      "--seed", 51, "--out", tmp_path)
         assert rc == 0
         assert (tmp_path / "fig2_results.csv").exists()
+
+    @pytest.mark.parametrize("name, flags, spec", [
+        ("fig2", ["--instances", 0], None),
+        ("fig3", ["--trials", 0], None),
+        ("fig8", ["--reps", 0], None),
+        ("fig3", [], {"t_values": []}),
+    ], ids=["instances-0", "trials-0", "reps-0", "empty-spec-grid"])
+    def test_sweep_without_cells_fails(self, tmp_path, capsys, name, flags, spec):
+        if spec is not None:
+            (tmp_path / "spec.json").write_text(json.dumps(spec))
+            flags = [*flags, "--spec", tmp_path / "spec.json"]
+        rc = run_cli("experiment", "--name", name, *flags, "--out", tmp_path / "exp")
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert err["error"]["message"].startswith(f"{name}: the sweep has no cells")
+        assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("content, text", [
+        ({"format": "xml"}, "argument --format: invalid choice: 'xml'"),
+        ({"seed": 1.5}, "argument --seed: invalid int value: '1.5'"),
+        ({"instances": "two"}, "argument --instances: invalid int value: 'two'"),
+    ], ids=["format", "seed", "instances"])
+    def test_config_value_checked_like_a_flag(self, tmp_path, capsys, content, text):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(content))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--config", config, "experiment", "--name", "fig2",
+                    "--instances", 1, "--restarts", 2, "--out", tmp_path / "cfg")
+        assert exc.value.code == 2
+        assert text in capsys.readouterr().err
+        assert not (tmp_path / "cfg").exists()
 
 
 def _subparser(command):
@@ -551,4 +632,75 @@ def test_flag_a_subcommand_does_not_read_is_rejected(capsys, command, flag):
 def test_preset_names_come_from_the_recipe_table():
     name = next(action for action in _subparser("experiment")._actions
                 if action.dest == "name")
-    assert tuple(name.choices) == (*experiments.RECIPES, "custom")
+    assert tuple(name.choices) == tuple(experiments.RECIPES)
+
+
+@pytest.fixture()
+def received(monkeypatch):
+    """Every handler replaced by one that keeps the namespace it is given."""
+    seen = []
+    for command in cli._HANDLERS:
+        monkeypatch.setitem(cli._HANDLERS, command, lambda args: seen.append(args) or 0)
+    return seen
+
+
+def _as_config(argv):
+    """The flags of `argv` as a --config object: a flag with no value is
+    `true`, one value a scalar, several a list; paths become strings."""
+    config = {}
+    for token in argv:
+        if isinstance(token, str) and token.startswith("--"):
+            values = config[token[2:].replace("-", "_")] = []
+        else:
+            values.append(str(token) if isinstance(token, Path) else token)
+    return {key: True if not values else values[0] if len(values) == 1 else values
+            for key, values in config.items()}
+
+
+@pytest.mark.parametrize("command", list(cli._HANDLERS))
+def test_config_matches_flags(tmp_path, received, command):
+    """Every flag of the smoke invocations, moved into a --config file, gives
+    the handler the namespace that typing it gives."""
+    for i, argv in enumerate(_smoke_invocations(tmp_path)[command]):
+        argv = [*argv, "--out", tmp_path / f"{command}{i}"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_as_config(argv)))
+        received.clear()
+        assert run_cli(command, *argv) == 0
+        assert run_cli("--config", config, command) == 0
+        typed, from_config = received
+        assert vars(typed) == {**vars(from_config), "config": None}
+
+
+def test_explicit_flag_beats_config(tmp_path, received):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, "t_values": [5, 10], "one_based": False}))
+    assert run_cli("--config", config, "experiment", "--name", "fig3",
+                   "--seed", 2, "--t-values", 30) == 0
+    assert run_cli("--config", config, "simulate", "--n-traj", 2, "--t-len", 2,
+                   "--one-based") == 0
+    experiment, simulate = received
+    assert experiment.seed == 2 and experiment.t_values == [30]
+    assert simulate.seed == 1 and simulate.one_based is True
+
+
+def test_config_switch_takes_only_true_or_false(tmp_path, received, capsys):
+    config = tmp_path / "config.json"
+    for value, one_based in ((True, True), (False, False), (None, False)):
+        config.write_text(json.dumps({"one_based": value}))
+        assert run_cli("--config", config, "simulate",
+                       "--n-traj", 2, "--t-len", 2) == 0
+        assert received.pop().one_based is one_based
+    config.write_text(json.dumps({"one_based": "yes"}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--config", config, "simulate", "--n-traj", 2, "--t-len", 2)
+    assert exc.value.code == 2
+    assert "argument --one-based: ignored explicit argument 'yes'" in capsys.readouterr().err
+
+
+def test_spec_seed_beats_seed_default(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"seed": 7, "instances": 1}))
+    args = cli.build_parser().parse_args(
+        ["experiment", "--name", "fig2", "--spec", str(spec), "--instances", "3"])
+    assert cli._experiment_kwargs(args) == {"seed": 7, "instances": 3}
