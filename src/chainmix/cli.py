@@ -18,6 +18,7 @@ import inspect
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .vem import VemConfig
 
 # The MISA rates that the rate flags (typed or from --config) may override;
 # f_r has its own required flag.
-_MISA_RATES = ("g00", "g01", "g10", "g11", "d", "h_a", "f_a", "h_r")
+_MISA_RATES = tuple(rate.name for rate in fields(MisaParams) if rate.name != "f_r")
 
 
 # The flags that several subcommands share, by dest.  Each subcommand takes
@@ -192,9 +193,8 @@ def _cmd_fit(args) -> int:
     dataio.write_json(out / "fit.json", summary, indent=2)
     dataio.write_params(out / "params.json", best.params)
     dataio.write_restart_csv(out / "restarts.csv", report)
-    if report.best_posterior is not None:
-        dataio.write_posterior(out / "posterior.json", report.best_posterior,
-                               best.objective_trace)
+    if best.posterior is not None:
+        dataio.write_posterior(out / "posterior.json", best)
     print(f"best of {args.restarts} restarts: objective {best.objective:.6f}, "
           f"{best.surviving_components} surviving components")
     print(json.dumps({
@@ -210,6 +210,8 @@ def _cmd_fit(args) -> int:
 def _cmd_cluster(args) -> int:
     if args.points is None and not args.traj_files:
         raise ValidationError("provide --points or --traj-files")
+    if args.points is not None and args.traj_files:
+        raise ValidationError("--points and --traj-files exclude each other")
     if args.traj_files and args.method != "spectral":
         raise ValidationError("trajectory discretization requires --method spectral")
     out = args.out

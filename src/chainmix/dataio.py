@@ -19,7 +19,7 @@ import numpy as np
 
 from .clustering import SpectralModel
 from .errors import ValidationError
-from .model_core import MixtureParams, Responsibilities, TrajectoryDataset
+from .model_core import FitResult, MixtureParams, Responsibilities, TrajectoryDataset
 from .theory import KlReport
 from .vem import DirichletPosterior
 
@@ -248,27 +248,29 @@ def write_params(path, params: MixtureParams):
     }, indent=2)
 
 
-def write_posterior(path, posterior: DirichletPosterior, elbo_trace):
+def write_posterior(path, fit: FitResult):
+    """Writes a variational fit's Dirichlet posterior, responsibilities and
+    bound trace."""
     write_json(path, {
-        "N_hat": posterior.n_hat.tolist(),
-        "N_i_hat": posterior.n_i_hat.tolist(),
-        "N_ialpha_hat": posterior.n_ialpha_hat.tolist(),
-        "responsibilities": posterior.responsibilities.gamma.tolist(),
-        "elbo_trace": np.asarray(elbo_trace).tolist(),
+        "N_hat": fit.posterior.n_hat.tolist(),
+        "N_i_hat": fit.posterior.n_i_hat.tolist(),
+        "N_ialpha_hat": fit.posterior.n_ialpha_hat.tolist(),
+        "responsibilities": fit.responsibilities.gamma.tolist(),
+        "elbo_trace": fit.objective_trace.tolist(),
     })
 
 
 def read_posterior(path):
-    """Returns (DirichletPosterior, elbo_trace array)."""
+    """Returns (DirichletPosterior, Responsibilities, elbo_trace array)."""
     payload = _read_fields(path, "posterior file", (), (
         "N_hat", "N_i_hat", "N_ialpha_hat", "responsibilities", "elbo_trace"))
+    responsibilities = Responsibilities(payload["responsibilities"])
     posterior = DirichletPosterior(
         n_hat=payload["N_hat"],
         n_i_hat=payload["N_i_hat"],
         n_ialpha_hat=payload["N_ialpha_hat"],
-        responsibilities=Responsibilities(payload["responsibilities"]),
     )
-    return posterior, payload["elbo_trace"]
+    return posterior, responsibilities, payload["elbo_trace"]
 
 
 def write_restart_csv(path, report):

@@ -54,15 +54,14 @@ def normalize_rows(counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def em_fit(stats: SufficientStats, init: Responsibilities,
-           max_iters: int = 1000, tol_scale: float = 1e-12) -> FitResult:
+def em_fit(stats: SufficientStats, init: Responsibilities, config: EmConfig) -> FitResult:
     """Run EM from the given initial responsibilities.
 
     Each iteration updates point parameters from responsibility-weighted
     counts, recomputes responsibilities in log space, and records the
     log-likelihood L = sum_n log C_n evaluated at the freshly updated
-    parameters.  Terminates when |delta L| <= tol_scale * N * T_mean or at
-    `max_iters`.
+    parameters.  Terminates when |delta L| <= config.tol_scale * N * T_mean
+    or at config.max_iters.  The returned fit has no posterior.
 
     Zero-probability parameter estimates are kept exact: log 0 = -inf, and a
     component assigning probability zero to a trajectory receives
@@ -72,7 +71,9 @@ def em_fit(stats: SufficientStats, init: Responsibilities,
     zero probability under every component or the objective becomes NaN or
     +/-inf.
     """
-    k, s = init.k, stats.s
+    if init.k != config.k:
+        raise ValidationError("init must have k columns")
+    k, s = config.k, stats.s
 
     def step(gamma, it):
         weights = gamma.sum(axis=0)
@@ -92,7 +93,7 @@ def em_fit(stats: SufficientStats, init: Responsibilities,
         return gamma, float(log_c.sum()), (mu, theta)
 
     gamma, (mu, theta), trace, converged, iterations = coordinate_ascent(
-        stats, init, step, max_iters, tol_scale
+        stats, init, step, config.max_iters, config.tol_scale
     )
     labels = labels_from_responsibilities(gamma)
     surviving = int(np.unique(labels).size)

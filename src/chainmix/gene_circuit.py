@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,8 +53,8 @@ class MisaParams:
     h_r: float = 1e-3
 
     def __post_init__(self):
-        for name in ("f_r", "g00", "g01", "g10", "g11", "d", "h_a", "f_a", "h_r"):
-            value = getattr(self, name)
+        for rate in fields(self):
+            name, value = rate.name, getattr(self, rate.name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValidationError(f"rate {name} must be a number, not {value!r}")
             if not value > 0:

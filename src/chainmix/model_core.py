@@ -316,7 +316,8 @@ class FitResult:
     labels[n] = argmax_i gamma[n, i], ties broken by lowest index.
     surviving_components counts components considered alive at convergence
     (for EM: components holding at least one label; variational fits add a
-    posterior-mass threshold, see chainmix.vem).
+    posterior-mass threshold, see chainmix.vem).  posterior is the
+    variational fit's Dirichlet posterior, None for EM.
     """
 
     params: MixtureParams
@@ -326,6 +327,7 @@ class FitResult:
     converged: bool
     iterations: int
     surviving_components: int
+    posterior: "DirichletPosterior | None" = None
 
     @property
     def objective(self) -> float:

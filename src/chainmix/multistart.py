@@ -20,7 +20,7 @@ from .em import EmConfig, em_fit
 from .errors import NumericalError, ValidationError
 from .metrics import accuracy
 from .model_core import FitResult, Responsibilities, SufficientStats, as_rng, uniform_simplex
-from .vem import DirichletPosterior, VemConfig, vem_fit
+from .vem import VemConfig, vem_fit
 
 # Relative tolerance under which a restart's objective ties with the best.
 TIE_RTOL = 1e-9
@@ -55,11 +55,12 @@ def _master_entropy(seed) -> int:
 class MultistartReport:
     """Outcome of a batch of restarts.
 
-    best/best_posterior hold restart `best_index`: the lowest restart index
-    whose final objective lies within TIE_RTOL * max(1, |L_max|) of the best
-    finite objective L_max.  The tolerance makes the choice insensitive to
-    last-ulp rounding among restarts that reached the same optimum.  Failed
-    restarts record NaN objectives and are never chosen.
+    best holds the fit of restart `best_index` (with its posterior for VEM):
+    the lowest restart index whose final objective lies within
+    TIE_RTOL * max(1, |L_max|) of the best finite objective L_max.  The
+    tolerance makes the choice insensitive to last-ulp rounding among
+    restarts that reached the same optimum.  Failed restarts record NaN
+    objectives and are never chosen.
 
     all_converged[r] tells whether restart r met the stopping rule before
     max_iters, and all_final_deltas[r] is its last |delta L|, the step the
@@ -74,7 +75,6 @@ class MultistartReport:
     """
 
     best: FitResult
-    best_posterior: DirichletPosterior | None
     best_index: int
     all_objectives: np.ndarray
     all_iterations: np.ndarray
@@ -90,18 +90,14 @@ class MultistartReport:
 
 def _run_restart(index, master_entropy, stats, algorithm, config, true_labels):
     seq = restart_seed_sequence(master_entropy, index)
-    k = config.k if algorithm == "em" else config.k_max
-    init = sample_simplex_rows(stats.n, k, seq)
     if algorithm == "em":
-        fit = em_fit(stats, init, max_iters=config.max_iters,
-                     tol_scale=config.tol_scale)
-        posterior = None
+        fit = em_fit(stats, sample_simplex_rows(stats.n, config.k, seq), config)
     else:
-        fit, posterior = vem_fit(stats, init, config)
+        fit = vem_fit(stats, sample_simplex_rows(stats.n, config.k_max, seq), config)
     acc = None
     if true_labels is not None:
         acc, _ = accuracy(true_labels, fit.labels)
-    return fit, posterior, acc
+    return fit, acc
 
 
 def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
@@ -138,13 +134,13 @@ def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
     for r in range(restarts):
         begin = time.perf_counter()
         try:
-            fit, posterior, acc = _run_restart(r, master_entropy, stats, algorithm,
-                                               config, true_labels)
+            fit, acc = _run_restart(r, master_entropy, stats, algorithm, config,
+                                    true_labels)
         except NumericalError as exc:
             failures.append((r, str(exc)))
             continue
         wall_s[r] = time.perf_counter() - begin
-        results[r] = (fit, posterior)
+        results[r] = fit
         objectives[r] = fit.objective
         iterations[r] = fit.iterations
         converged[r] = fit.converged
@@ -160,15 +156,13 @@ def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
     best_value = np.nanmax(objectives)
     tied = objectives >= best_value - TIE_RTOL * max(1.0, abs(best_value))
     best_index = int(np.argmax(tied))
-    best_fit, best_posterior = results[best_index]
 
     seeds = tuple(
         int(restart_seed_sequence(master_entropy, r).generate_state(1)[0])
         for r in range(restarts)
     )
     return MultistartReport(
-        best=best_fit,
-        best_posterior=best_posterior,
+        best=results[best_index],
         best_index=best_index,
         all_objectives=objectives,
         all_iterations=iterations,

@@ -91,7 +91,6 @@ class DirichletPosterior:
     n_hat: np.ndarray
     n_i_hat: np.ndarray
     n_ialpha_hat: np.ndarray
-    responsibilities: Responsibilities
 
     def __post_init__(self):
         n_hat = np.asarray(self.n_hat, dtype=np.float64)
@@ -194,12 +193,12 @@ def elbo(stats: SufficientStats, posterior: DirichletPosterior,
 
 
 def vem_fit(stats: SufficientStats, init: Responsibilities,
-            config: VemConfig):
+            config: VemConfig) -> FitResult:
     """Run variational EM from the given initial responsibilities.
 
-    Returns (FitResult, DirichletPosterior).  FitResult.params holds the
-    posterior-mean point estimates; the objective trace is the variational
-    lower bound per iteration.  Terminates when |delta L| <=
+    The returned fit carries the DirichletPosterior in `posterior`, and its
+    params hold the posterior-mean point estimates; the objective trace is
+    the variational lower bound per iteration.  Terminates when |delta L| <=
     tol_scale * N * T_mean or at max_iters.
 
     Each iteration takes one matrix product for the posterior counts, one
@@ -233,25 +232,17 @@ def vem_fit(stats: SufficientStats, init: Responsibilities,
         stats, init, step, config.max_iters, config.tol_scale
     )
     rows = rows.reshape(k, s + 1, s)
-    n_i_hat, n_ialpha_hat = rows[:, 0], rows[:, 1:]
-
-    responsibilities = Responsibilities(gamma)
-    posterior = DirichletPosterior(
-        n_hat=n_hat,
-        n_i_hat=n_i_hat,
-        n_ialpha_hat=n_ialpha_hat,
-        responsibilities=responsibilities,
-    )
+    posterior = DirichletPosterior(n_hat=n_hat, n_i_hat=rows[:, 0], n_ialpha_hat=rows[:, 1:])
     labels = labels_from_responsibilities(gamma)
     label_counts = np.bincount(labels, minlength=config.k_max)
     surviving = int(np.sum((n_hat >= config.prune_threshold) & (label_counts > 0)))
-    result = FitResult(
+    return FitResult(
         params=posterior.mean_params(),
-        responsibilities=responsibilities,
+        responsibilities=Responsibilities(gamma),
         labels=labels,
         objective_trace=trace,
         converged=converged,
         iterations=iterations,
         surviving_components=surviving,
+        posterior=posterior,
     )
-    return result, posterior

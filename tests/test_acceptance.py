@@ -65,7 +65,7 @@ def _evidence_audit(row, k_true, s, n_traj, t_len, k_max, restarts):
                           true_labels=labels).best
     assert best.objective == row["final_objective"]
     assert best.surviving_components == row["surviving_components"]
-    seeded, _ = vem_fit(stats, Responsibilities(np.eye(k_max)[labels]), config)
+    seeded = vem_fit(stats, Responsibilities(np.eye(k_max)[labels]), config)
     blocks = np.unique(best.labels).size
     ev_fit = partition_log_evidence(stats, best.labels, k_max)
     ev_true = partition_log_evidence(stats, labels, k_max)
@@ -199,12 +199,13 @@ def test_criterion_5_objective_monotonicity():
         if trial % 2 == 0:
             k = int(rng.integers(1, 6))
             fit = em_fit(stats, sample_simplex_rows(n, k,
-                                                    seed=int(rng.integers(2**31))))
+                                                    seed=int(rng.integers(2**31))),
+                         EmConfig(k=k))
         else:
             k = int(rng.integers(1, 8))
-            fit, _ = vem_fit(stats, sample_simplex_rows(n, k,
-                                                        seed=int(rng.integers(2**31))),
-                             VemConfig(k_max=k))
+            fit = vem_fit(stats, sample_simplex_rows(n, k,
+                                                     seed=int(rng.integers(2**31))),
+                          VemConfig(k_max=k))
         trace = fit.objective_trace
         deltas = np.diff(trace)
         floor = -1e-9 * np.abs(trace[:-1])
@@ -303,8 +304,9 @@ def test_criterion_9_property_substitutes():
         np.array_equal(z1, z2)
 
     stats = sufficient_stats(d1)
-    fit, post = vem_fit(stats, sample_simplex_rows(20, 8, seed=93),
-                        VemConfig(k_max=8, max_iters=5000))
+    fit = vem_fit(stats, sample_simplex_rows(20, 8, seed=93),
+                  VemConfig(k_max=8, max_iters=5000))
+    post = fit.posterior
     floor_ok = bool(np.all(post.n_hat >= 1 / 8 - 1e-12))
     labeled = set(fit.labels.tolist())
     pruned = [i for i in range(8) if i not in labeled]

@@ -94,8 +94,9 @@ class TestFit:
         assert len(summary["labels"]) == 40
         assert "accuracy" in summary
         dataio.read_params(out / "params.json")
-        post, trace = dataio.read_posterior(out / "posterior.json")
+        _, gamma, trace = dataio.read_posterior(out / "posterior.json")
         assert trace.size == summary["iterations"]
+        assert gamma.gamma.argmax(axis=1).tolist() == summary["labels"]
         with open(out / "restarts.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
@@ -259,7 +260,8 @@ class TestCluster:
     @pytest.mark.parametrize("inputs, text", [
         (["--traj-files", "t1.csv", "--method", "kmeans"], "requires --method spectral"),
         ([], "provide --points or --traj-files"),
-    ], ids=["traj-files-with-kmeans", "no-input"])
+        (["--points", "t1.csv", "--traj-files", "t1.csv"], "exclude each other"),
+    ], ids=["traj-files-with-kmeans", "no-input", "points-with-traj-files"])
     def test_unusable_inputs_fail_before_output(self, tmp_path, monkeypatch, capsys,
                                                 inputs, text):
         monkeypatch.chdir(tmp_path)

@@ -126,6 +126,28 @@ class TestSpectral:
         if abs(d2[0] - d2[1]) < 1e-12:
             assert spectral_assign(model, midpoint)[0] == 0
 
+    def test_solve_fallback_when_cholesky_fails(self, monkeypatch):
+        # a kernel matrix that Cholesky rejects takes the general solve; the
+        # partition, which does not depend on the solve, stays the same
+        import chainmix.clustering as clustering
+        points, _ = two_arm_spiral(m=200, seed=1)
+        model = spectral_fit(PointSet(points), GaussianKernel(sigma=1.0), s=2, seed=2)
+        attempts = []
+
+        def not_positive_definite(a):
+            attempts.append(a.shape)
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(clustering, "cho_factor", not_positive_definite)
+        fallback = spectral_fit(PointSet(points), GaussianKernel(sigma=1.0), s=2, seed=2)
+        assert attempts == [(200, 200)]
+        assert np.array_equal(fallback.assignments, model.assignments)
+        assert np.array_equal(fallback.centers, model.centers)
+        scale = np.max(np.abs(model.alpha))
+        assert np.max(np.abs(fallback.alpha - model.alpha)) < 1e-5 * scale
+        residual = np.max(np.abs(spectral_embed(fallback, points) - fallback.embedding))
+        assert residual < 1e-8
+
     def test_spiral_spectral_beats_kmeans(self):
         points, arms = two_arm_spiral(m=100, seed=17)
         model = spectral_fit(PointSet(points), GaussianKernel(sigma=1.0), s=2,

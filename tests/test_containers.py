@@ -40,7 +40,7 @@ def containers():
         "SufficientStats": stats,
         "Responsibilities": Responsibilities(np.full((2, 2), 0.5)),
         "FitResult": report.best,
-        "DirichletPosterior": report.best_posterior,
+        "DirichletPosterior": report.best.posterior,
         "MultistartReport": report,
         "ConfusionMatrix": confusion(labels, labels, [0, 1]),
         "PointSet": PointSet(points),

@@ -332,13 +332,13 @@ class TestPosteriorJson:
         data, _ = sample_mixture(params, 10, 8, seed=4)
         stats = sufficient_stats(data)
         from chainmix import sample_simplex_rows
-        fit, post = vem_fit(stats, sample_simplex_rows(10, 3, seed=5),
-                            VemConfig(k_max=3))
+        fit = vem_fit(stats, sample_simplex_rows(10, 3, seed=5), VemConfig(k_max=3))
         path = tmp_path / "posterior.json"
-        dataio.write_posterior(path, post, fit.objective_trace)
-        loaded, trace = dataio.read_posterior(path)
-        assert np.allclose(loaded.n_hat, post.n_hat)
-        assert np.allclose(loaded.n_ialpha_hat, post.n_ialpha_hat)
+        dataio.write_posterior(path, fit)
+        loaded, gamma, trace = dataio.read_posterior(path)
+        assert np.allclose(loaded.n_hat, fit.posterior.n_hat)
+        assert np.allclose(loaded.n_ialpha_hat, fit.posterior.n_ialpha_hat)
+        assert np.allclose(gamma.gamma, fit.responsibilities.gamma)
         assert np.allclose(trace, fit.objective_trace)
         payload = json.loads(path.read_text())
         assert set(payload) == {"N_hat", "N_i_hat", "N_ialpha_hat",

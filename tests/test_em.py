@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from chainmix import (
+    EmConfig,
     MixtureParams,
     NumericalError,
     Responsibilities,
     TrajectoryDataset,
+    ValidationError,
     accuracy,
     bayes_classify,
     em_fit,
@@ -24,7 +26,8 @@ from helpers import count_calls
 def test_single_component_collapses_to_count_normalization():
     ds = TrajectoryDataset(([0, 1, 1, 0], [1, 1, 0, 0]), s=2)
     stats = sufficient_stats(ds)
-    fit = em_fit(stats, Responsibilities(np.ones((2, 1))))
+    fit = em_fit(stats, Responsibilities(np.ones((2, 1))), EmConfig(k=1))
+    assert fit.posterior is None
     assert np.allclose(fit.responsibilities.gamma, 1.0)
     assert np.allclose(fit.params.mu, [1.0])
     total_U = stats.U.sum(axis=0)
@@ -63,7 +66,7 @@ def test_two_trajectory_separation_matches_grid_search():
     ds = TrajectoryDataset(([0, 0, 0, 0], [1, 1, 1, 1]), s=2)
     stats = sufficient_stats(ds)
     init = Responsibilities(np.array([[0.6, 0.4], [0.4, 0.6]]))
-    fit = em_fit(stats, init)
+    fit = em_fit(stats, init, EmConfig(k=2))
     # the fit attains the global maximum of the two-trajectory likelihood
     assert fit.objective == pytest.approx(best, abs=1e-9)
     # the two trajectories separate into distinct components whose transition
@@ -92,7 +95,7 @@ def test_well_separated_mixture_classified_perfectly():
     bayes_acc, _ = accuracy(labels, bayes_labels)
     assert bayes_acc == 1.0
 
-    from chainmix import EmConfig, multistart_fit
+    from chainmix import multistart_fit
     report = multistart_fit(sufficient_stats(data), "em", restarts=5,
                             config=EmConfig(k=2), seed=22)
     acc, _ = accuracy(labels, report.best.labels)
@@ -111,7 +114,7 @@ def test_monotone_log_likelihood_and_normalized_rows():
         stats = sufficient_stats(data)
         from chainmix import sample_simplex_rows
         init = sample_simplex_rows(stats.n, k, seed=int(rng.integers(2**31)))
-        fit = em_fit(stats, init)
+        fit = em_fit(stats, init, EmConfig(k=k))
         trace = fit.objective_trace
         assert np.all(np.isfinite(trace))
         deltas = np.diff(trace)
@@ -125,8 +128,8 @@ def test_refit_from_own_output_is_fixed_point():
     data, _ = sample_mixture(params, 30, 20, seed=42)
     stats = sufficient_stats(data)
     from chainmix import sample_simplex_rows
-    fit = em_fit(stats, sample_simplex_rows(30, 2, seed=43))
-    refit = em_fit(stats, fit.responsibilities)
+    fit = em_fit(stats, sample_simplex_rows(30, 2, seed=43), EmConfig(k=2))
+    refit = em_fit(stats, fit.responsibilities, EmConfig(k=2))
     tol = 1e-12 * stats.n * stats.mean_transitions
     assert abs(refit.objective - fit.objective) < max(tol, 1e-9)
 
@@ -138,7 +141,8 @@ def test_one_e_step_call_per_iteration(monkeypatch):
     params = random_mixture_params(3, 3, seed=44)
     data, _ = sample_mixture(params, 30, 10, seed=45)
     calls = count_calls(monkeypatch, em, "log_mixture_weights", "log_normalize_rows")
-    fit = em_fit(sufficient_stats(data), sample_simplex_rows(30, 3, seed=46))
+    fit = em_fit(sufficient_stats(data), sample_simplex_rows(30, 3, seed=46),
+                 EmConfig(k=3))
     assert fit.iterations > 1
     assert calls == dict.fromkeys(calls, fit.iterations)
 
@@ -149,7 +153,7 @@ def test_zero_probability_components_get_zero_responsibility():
     ds = TrajectoryDataset(([0, 0, 0, 0, 0], [0, 1, 0, 1, 1]), s=2)
     stats = sufficient_stats(ds)
     init = Responsibilities(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    fit = em_fit(stats, init)
+    fit = em_fit(stats, init, EmConfig(k=2))
     assert np.allclose(fit.responsibilities.gamma, np.eye(2), atol=1e-12)
 
 
@@ -161,5 +165,11 @@ def test_numerical_failure_carries_iteration_index():
     object.__setattr__(stats, "V", V)
     object.__setattr__(stats, "X", np.hstack([U, V.reshape(1, 4)]))
     with pytest.raises(NumericalError) as err:
-        em_fit(stats, Responsibilities(np.ones((1, 1))))
+        em_fit(stats, Responsibilities(np.ones((1, 1))), EmConfig(k=1))
     assert err.value.iteration == 1
+
+
+def test_init_width_must_match_k():
+    stats = sufficient_stats(TrajectoryDataset(([0, 1],), s=2))
+    with pytest.raises(ValidationError, match="init must have k columns"):
+        em_fit(stats, Responsibilities(np.array([[0.5, 0.5]])), EmConfig(k=3))

@@ -50,16 +50,17 @@ class TestMultistart:
         report = multistart_fit(stats, "em", restarts=1, config=EmConfig(k=2),
                                 seed=77)
         init = sample_simplex_rows(stats.n, 2, restart_seed_sequence(77, 0))
-        direct = em_fit(stats, init)
+        direct = em_fit(stats, init, EmConfig(k=2))
         assert report.best.objective == direct.objective
         assert np.array_equal(report.best.labels, direct.labels)
+        assert report.best.posterior is None
 
         vreport = multistart_fit(stats, "vem", restarts=1,
                                  config=VemConfig(k_max=3), seed=78)
         vinit = sample_simplex_rows(stats.n, 3, restart_seed_sequence(78, 0))
-        vdirect, vpost = vem_fit(stats, vinit, VemConfig(k_max=3))
+        vdirect = vem_fit(stats, vinit, VemConfig(k_max=3))
         assert vreport.best.objective == vdirect.objective
-        assert np.allclose(vreport.best_posterior.n_hat, vpost.n_hat)
+        assert np.allclose(vreport.best.posterior.n_hat, vdirect.posterior.n_hat)
 
     def test_same_master_seed_bit_identical(self, small_problem):
         stats, labels = small_problem
@@ -126,7 +127,7 @@ class TestMultistart:
         # replaced: EM within the summation-order change of the design-block
         # matrix products, VEM within the scipy digamma tolerance
         stats, _ = small_problem
-        fit = em_fit(stats, sample_simplex_rows(stats.n, 2, seed=7))
+        fit = em_fit(stats, sample_simplex_rows(stats.n, 2, seed=7), EmConfig(k=2))
         assert fit.converged and fit.iterations == 26
         assert fit.objective_trace.tolist() == pytest.approx([
             -395.22116503496613, -392.617812238889, -388.9794717441032,
@@ -139,8 +140,8 @@ class TestMultistart:
             -380.09781017034584, -380.09781014001663, -380.0978101332778,
             -380.09781013178053, -380.0978101314479,
         ], rel=1e-14)
-        vfit, _ = vem_fit(stats, sample_simplex_rows(stats.n, 4, seed=8),
-                          VemConfig(k_max=4))
+        vfit = vem_fit(stats, sample_simplex_rows(stats.n, 4, seed=8),
+                       VemConfig(k_max=4))
         assert vfit.objective == pytest.approx(-411.1272485863159, rel=1e-12)
         assert vfit.surviving_components == 3
 
@@ -150,7 +151,7 @@ class TestMultistart:
         report = multistart_fit(stats, "em", restarts=4, config=config, seed=79)
         for r in range(4):
             init = sample_simplex_rows(stats.n, 2, restart_seed_sequence(79, r))
-            fit = em_fit(stats, init, max_iters=config.max_iters, tol_scale=config.tol_scale)
+            fit = em_fit(stats, init, config)
             trace = fit.objective_trace
             assert report.all_converged[r] == fit.converged
             assert report.all_final_deltas[r] == abs(trace[-1] - trace[-2])

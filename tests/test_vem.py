@@ -96,8 +96,8 @@ class TestVemFit:
     def test_degenerate_single_component(self):
         ds = TrajectoryDataset(([0, 1, 0], [1, 1, 1]), s=2)
         stats = sufficient_stats(ds)
-        fit, post = vem_fit(stats, Responsibilities(np.ones((2, 1))),
-                            VemConfig(k_max=1))
+        fit = vem_fit(stats, Responsibilities(np.ones((2, 1))), VemConfig(k_max=1))
+        post = fit.posterior
         assert np.allclose(fit.responsibilities.gamma, 1.0)
         assert post.n_hat[0] == pytest.approx(1 + 2, abs=1e-12)
         assert np.allclose(post.n_ialpha_hat[0], 1.0 + stats.V.sum(axis=0))
@@ -106,8 +106,8 @@ class TestVemFit:
     def test_symmetric_initialization_is_fixed_point(self):
         ds = TrajectoryDataset(([0, 1],), s=2)
         stats = sufficient_stats(ds)
-        fit, post = vem_fit(stats, Responsibilities(np.array([[0.5, 0.5]])),
-                            VemConfig(k_max=2))
+        fit = vem_fit(stats, Responsibilities(np.array([[0.5, 0.5]])), VemConfig(k_max=2))
+        post = fit.posterior
         assert np.allclose(fit.responsibilities.gamma, [[0.5, 0.5]], atol=1e-12)
         assert np.allclose(post.n_hat, post.n_hat[::-1])
         assert np.allclose(post.n_i_hat[0], post.n_i_hat[1])
@@ -133,9 +133,9 @@ class TestVemFit:
                                      seed=int(rng.integers(2**31)))
             stats = sufficient_stats(data)
             k_max = int(rng.integers(1, 8))
-            fit, _ = vem_fit(stats, sample_simplex_rows(stats.n, k_max,
-                                                        seed=int(rng.integers(2**31))),
-                             VemConfig(k_max=k_max))
+            fit = vem_fit(stats, sample_simplex_rows(stats.n, k_max,
+                                                     seed=int(rng.integers(2**31))),
+                          VemConfig(k_max=k_max))
             trace = fit.objective_trace
             assert np.all(np.isfinite(trace))
             assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
@@ -149,7 +149,7 @@ class TestVemFit:
         report = multistart_fit(stats, "vem", restarts=20,
                                 config=VemConfig(k_max=8, max_iters=5000),
                                 seed=63)
-        post = report.best_posterior
+        post = report.best.posterior
         k = post.k
         labeled = np.unique(report.best.labels)
         pruned = [i for i in range(k) if i not in labeled]
@@ -160,8 +160,8 @@ class TestVemFit:
         params = random_mixture_params(3, 3, seed=71)
         data, _ = sample_mixture(params, 35, 15, seed=72)
         stats = sufficient_stats(data)
-        fit, post = vem_fit(stats, sample_simplex_rows(35, 6, seed=73),
-                            VemConfig(k_max=6))
+        post = vem_fit(stats, sample_simplex_rows(35, 6, seed=73),
+                       VemConfig(k_max=6)).posterior
         assert np.all(post.n_hat >= 1 / 6 - 1e-12)
         assert np.all(post.n_i_hat >= 1.0 - 1e-12)
         assert np.all(post.n_ialpha_hat >= 1.0 - 1e-12)
@@ -171,8 +171,8 @@ class TestVemFit:
         params = random_mixture_params(2, 2, seed=81)
         data, _ = sample_mixture(params, 20, 10, seed=82)
         stats = sufficient_stats(data)
-        _, post = vem_fit(stats, sample_simplex_rows(20, 4, seed=83),
-                          VemConfig(k_max=4))
+        post = vem_fit(stats, sample_simplex_rows(20, 4, seed=83),
+                       VemConfig(k_max=4)).posterior
         mu_tilde = np.exp(digamma(post.n_hat) - digamma(post.n_hat.sum()))
         assert np.all(mu_tilde < dirichlet_mean(post.n_hat))
 
@@ -181,12 +181,13 @@ class TestVemFit:
         data, _ = sample_mixture(params, 15, 12, seed=92)
         stats = sufficient_stats(data)
         init = sample_simplex_rows(15, 4, seed=93)
-        fit_a, post_a = vem_fit(stats, init, VemConfig(k_max=4))
+        fit_a = vem_fit(stats, init, VemConfig(k_max=4))
 
         perm = np.random.default_rng(94).permutation(15)
         data_p = TrajectoryDataset(tuple(data.trajectories[i] for i in perm), s=3)
         init_p = Responsibilities(init.gamma[perm])
-        fit_b, post_b = vem_fit(sufficient_stats(data_p), init_p, VemConfig(k_max=4))
+        fit_b = vem_fit(sufficient_stats(data_p), init_p, VemConfig(k_max=4))
+        post_a, post_b = fit_a.posterior, fit_b.posterior
 
         assert np.allclose(post_a.n_hat, post_b.n_hat, atol=1e-9)
         assert np.allclose(post_a.n_i_hat, post_b.n_i_hat, atol=1e-9)
@@ -202,8 +203,8 @@ class TestVemFit:
         data, _ = sample_mixture(params, 30, 10, seed=62)
         calls = count_calls(monkeypatch, vem, "digamma", "log_mixture_weights",
                             "log_normalize_rows")
-        fit, _ = vem_fit(sufficient_stats(data), sample_simplex_rows(30, 5, seed=63),
-                         VemConfig(k_max=5))
+        fit = vem_fit(sufficient_stats(data), sample_simplex_rows(30, 5, seed=63),
+                      VemConfig(k_max=5))
         assert fit.iterations > 1
         assert calls == dict.fromkeys(calls, fit.iterations)
 
@@ -215,8 +216,7 @@ class TestVemFit:
                   "n_ialpha_hat": np.ones((2, 2, 2))}
         arrays[field].flat[0] = value
         with pytest.raises(ValidationError, match="posterior parameters must be finite"):
-            DirichletPosterior(**arrays,
-                               responsibilities=Responsibilities(np.full((1, 2), 0.5)))
+            DirichletPosterior(**arrays)
 
     def test_init_width_must_match_k_max(self):
         ds = TrajectoryDataset(([0, 1],), s=2)
@@ -245,8 +245,7 @@ class TestElbo:
         log_mu = digamma(n_hat) - digamma(n_hat.sum())
         log_nu = digamma(n_i) - digamma(n_i.sum(axis=1))[:, None]
         log_p = digamma(n_ia) - digamma(n_ia.sum(axis=2))[:, :, None]
-        post = DirichletPosterior(n_hat, n_i, n_ia,
-                                  Responsibilities(np.full((1, k), 1.0 / k)))
+        post = DirichletPosterior(n_hat, n_i, n_ia)
         stats = sufficient_stats(TrajectoryDataset(([0],), s=s))
         value = elbo(stats, post, log_mu, log_nu, log_p, np.zeros(0))
         assert value == pytest.approx(0.0, abs=1e-12)
@@ -256,8 +255,7 @@ class TestElbo:
         # log marginal likelihood log(1/4) of the conjugate model
         ds = TrajectoryDataset(([0, 1],), s=2)
         stats = sufficient_stats(ds)
-        fit, post = vem_fit(stats, Responsibilities(np.ones((1, 1))),
-                            VemConfig(k_max=1))
+        fit = vem_fit(stats, Responsibilities(np.ones((1, 1))), VemConfig(k_max=1))
         assert fit.objective == pytest.approx(np.log(0.25), abs=1e-12)
 
     def test_bound_below_exact_marginal_by_quadrature(self):
@@ -279,8 +277,7 @@ class TestElbo:
             + np.log(marginal_1d(V[0, 0], V[0, 1]))
             + np.log(marginal_1d(V[1, 0], V[1, 1]))
         )
-        fit, _ = vem_fit(stats, Responsibilities(np.ones((2, 1))),
-                         VemConfig(k_max=1))
+        fit = vem_fit(stats, Responsibilities(np.ones((2, 1))), VemConfig(k_max=1))
         assert fit.objective <= log_marginal + 1e-9
         # conjugate k=1 case: the bound is tight
         assert fit.objective == pytest.approx(log_marginal, abs=1e-7)
@@ -302,7 +299,7 @@ class TestElbo:
         log_p = digamma(n_ia) - digamma(n_ia.sum(axis=2))[:, :, None]
         logw = log_mixture_weights(log_mu, parameter_block(log_nu, log_p), stats)
         log_c = logw[np.arange(stats.n), labels]
-        post = DirichletPosterior(n_hat, n_i, n_ia, Responsibilities(gamma))
+        post = DirichletPosterior(n_hat, n_i, n_ia)
         value = elbo(stats, post, log_mu, log_nu, log_p, log_c)
         evidence = partition_log_evidence(stats, labels, k)
         assert value == pytest.approx(evidence, rel=1e-12)
@@ -316,6 +313,5 @@ class TestElbo:
         # richer model has smaller evidence; just assert monotone trace end
         ds = TrajectoryDataset(([0, 1, 0], [1, 0, 0]), s=2)
         stats = sufficient_stats(ds)
-        fit, _ = vem_fit(stats, Responsibilities(np.full((2, 2), 0.5)),
-                         VemConfig(k_max=2))
+        fit = vem_fit(stats, Responsibilities(np.full((2, 2), 0.5)), VemConfig(k_max=2))
         assert np.all(np.isfinite(fit.objective_trace))
