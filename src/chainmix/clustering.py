@@ -13,7 +13,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .errors import NumericalError, ValidationError
 from .model_core import TrajectoryDataset, as_rng
@@ -69,13 +69,15 @@ class GaussianKernel:
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
-        sq = (
-            (a * a).sum(axis=1)[:, None]
-            + (b * b).sum(axis=1)[None, :]
-            - 2.0 * a @ b.T
-        )
+        # exp(-max(|a|^2 + |b|^2 - 2 a b^T, 0) / (2 sigma^2)), evaluated in
+        # that order with every step after the matmul written into `sq`.
+        sq = 2.0 * a @ b.T
+        np.subtract((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :],
+                    sq, out=sq)
         np.maximum(sq, 0.0, out=sq)
-        return np.exp(-sq / (2.0 * self.sigma**2))
+        np.negative(sq, out=sq)
+        sq /= 2.0 * self.sigma**2
+        return np.exp(sq, out=sq)
 
     def to_spec(self) -> dict:
         return {"name": "gaussian", "sigma": self.sigma}
@@ -232,6 +234,20 @@ def _canonical_signs(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return out
 
 
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """Replace a square array by 0.5 * (a + a^T), in place."""
+    np.add(a, a.T, out=a)
+    a *= 0.5
+    return a
+
+
+def _ridged(K: np.ndarray, ridge: float) -> np.ndarray:
+    """A copy of K with `ridge` added to its diagonal: K + ridge * I."""
+    regularized = K.copy()
+    regularized.flat[::K.shape[0] + 1] += ridge
+    return regularized
+
+
 def spectral_fit(points, kernel, s: int, r: int = None, seed=None) -> SpectralModel:
     """Fit a spectral clustering model.
 
@@ -239,6 +255,15 @@ def spectral_fit(points, kernel, s: int, r: int = None, seed=None) -> SpectralMo
     eigenvectors of D^(-1/2) K D^(-1/2), rescales them by D^(-1/2), solves
     (K + eps I) alpha^T = V for the out-of-sample embedding, and clusters the
     embedded training rows with k-means.  `r` defaults to `s`.
+
+    The m x m arrays are built in place, and at most two of them plus the
+    eigensolver's workspace are live at once:
+      - kernel: K and the squared-norm sum it is subtracted from;
+      - normalized matrix: K and sym = D^(-1/2) K D^(-1/2);
+      - eigensolve: K, sym and the 2 m^2 workspace of LAPACK's divide and
+        conquer solver (`dsyevd`), which overwrites sym with the eigenvectors;
+        sym is dropped once the top r are copied out;
+      - solve: K and its ridged copy, which the Cholesky factor overwrites.
     """
     x = _as_points(points)
     m = x.shape[0]
@@ -248,8 +273,7 @@ def spectral_fit(points, kernel, s: int, r: int = None, seed=None) -> SpectralMo
     if r < 1 or r > m:
         raise ValidationError("embedding dimension must satisfy 1 <= r <= M")
 
-    K = kernel(x, x)
-    K = 0.5 * (K + K.T)
+    K = _symmetrize(kernel(x, x))
     row_sums = K.sum(axis=1)
     if np.any(row_sums <= 0):
         bad = int(np.flatnonzero(row_sums <= 0)[0])
@@ -257,25 +281,29 @@ def spectral_fit(points, kernel, s: int, r: int = None, seed=None) -> SpectralMo
             f"point {bad} is isolated under the kernel (zero row sum)"
         )
     inv_sqrt = 1.0 / np.sqrt(row_sums)
-    sym = inv_sqrt[:, None] * K * inv_sqrt[None, :]
-    sym = 0.5 * (sym + sym.T)
+    sym = inv_sqrt[:, None] * K
+    sym *= inv_sqrt[None, :]
+    _symmetrize(sym)
     try:
-        _, vecs = np.linalg.eigh(sym)
+        # sym is exactly symmetric, so sym.T is the same matrix in Fortran
+        # order and the solver writes the eigenvectors into its buffer.
+        _, vecs = eigh(sym.T, driver="evd", overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    top = vecs[:, ::-1][:, :r]
-    top = _canonical_signs(top)
+    top = _canonical_signs(vecs[:, ::-1][:, :r])
+    del sym, vecs
     embedding = inv_sqrt[:, None] * top
 
     # Ridge-regularized solve plus two refinement sweeps against the
     # unregularized system; the sweeps reuse one factorization and push the
     # training-embedding residual toward solver precision.
     ridge = _RIDGE_SCALE * np.trace(K) / m
-    regularized = K + ridge * np.eye(m)
     try:
-        factor = cho_factor(regularized)
+        factor = cho_factor(_ridged(K, ridge).T, overwrite_a=True)
         solve = lambda rhs: cho_solve(factor, rhs)
     except np.linalg.LinAlgError:
+        # the failed factorization left a partial factor in its buffer
+        regularized = _ridged(K, ridge)
         solve = lambda rhs: np.linalg.solve(regularized, rhs)
     alpha_t = solve(embedding)
     for _ in range(2):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .em import EmConfig
-from .gene_circuit import misa_mixture_experiment
+from .gene_circuit import _STAGES, misa_mixture_experiment
 from .model_core import random_mixture_params, sample_mixture, sufficient_stats
 from .multistart import multistart_fit
 from .vem import VemConfig
@@ -145,19 +145,26 @@ def run_fig8(fr1: float = 0.01, fr2_values=(0.01, 0.05, 0.25, 1.0),
              t_values=(5, 10, 25, 50), reps: int = 5, n_per_group: int = 15,
              restarts: int = 20, k_max: int = 10, sigma: float = 50.0,
              n_states: int = 4, seed: int = 0):
-    """Gene-circuit discrimination accuracy over (rate ratio, T) cells."""
+    """Gene-circuit discrimination accuracy over (rate ratio, T) cells.
+
+    Each row also holds the wall time in seconds of each stage of its cell,
+    `simulate_s`, `cluster_s`, `discretize_s`, `fit_s` and `score_s`; they
+    are the only columns that differ between two runs of the same sweep.
+    """
     def run(keys):
         result = misa_mixture_experiment(
             fr1, keys["f_r_2"], n_per_group=n_per_group, t_len=keys["t"],
             seed=keys["seed"], k_max=k_max, restarts=restarts,
             sigma=sigma, n_states=n_states,
         )
-        return result.accuracy, result.report.best.surviving_components
+        return (result.accuracy, result.report.best.surviving_components,
+                *(result.stage_s[stage] for stage in _STAGES))
 
     cells = ({"f_r_1": fr1, "f_r_2": fr2, "ratio": fr2 / fr1, "t": t_len, "rep": rep,
               "seed": _cell_seed(seed, int(round(fr2 * 10**6)), t_len, rep)}
              for fr2 in fr2_values for t_len in t_values for rep in range(reps))
-    return _sweep(cells, run, ("accuracy", "surviving_components"))
+    return _sweep(cells, run, ("accuracy", "surviving_components",
+                               *(f"{stage}_s" for stage in _STAGES)))
 
 
 # The presets by name; the keyword parameters of each are the overrides it

@@ -417,3 +417,51 @@ def reference_read_trajectories(path, one_based=False):
         states -= 1
     s = declared_s if declared_s is not None else int(states.max()) + 1
     return TrajectoryDataset.from_flat(states, sizes, s=s)
+
+
+def reference_gaussian_kernel(a, b, sigma):
+    """The out-of-place Gaussian kernel block that `GaussianKernel.__call__`
+    replaced."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    sq = (
+        (a * a).sum(axis=1)[:, None]
+        + (b * b).sum(axis=1)[None, :]
+        - 2.0 * a @ b.T
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-sq / (2.0 * sigma**2))
+
+
+def reference_spectral_fit(points, kernel, s, r=None, seed=None):
+    """The out-of-place `spectral_fit` the in-place one replaced: the kernel
+    above, `np.linalg.eigh`, and `K + ridge * I` built from `np.eye`."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    from chainmix.clustering import (
+        _RIDGE_SCALE, SpectralModel, _as_points, _canonical_signs, _nearest, kmeans,
+    )
+
+    x = _as_points(points)
+    m = x.shape[0]
+    r = s if r is None else r
+    K = reference_gaussian_kernel(x, x, kernel.sigma)
+    K = 0.5 * (K + K.T)
+    inv_sqrt = 1.0 / np.sqrt(K.sum(axis=1))
+    sym = inv_sqrt[:, None] * K * inv_sqrt[None, :]
+    sym = 0.5 * (sym + sym.T)
+    _, vecs = np.linalg.eigh(sym)
+    top = _canonical_signs(vecs[:, ::-1][:, :r])
+    embedding = inv_sqrt[:, None] * top
+
+    ridge = _RIDGE_SCALE * np.trace(K) / m
+    factor = cho_factor(K + ridge * np.eye(m))
+    alpha_t = cho_solve(factor, embedding)
+    for _ in range(2):
+        alpha_t = alpha_t + cho_solve(factor, embedding - K @ alpha_t)
+
+    order = np.lexsort(embedding.T[::-1])
+    centers, _ = kmeans(embedding[order], s, seed=seed)
+    return SpectralModel(kernel=kernel, points=x.copy(), alpha=alpha_t.T,
+                         centers=centers, embedding=embedding,
+                         assignments=_nearest(embedding, centers))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,9 @@ from chainmix import (
     spectral_fit,
 )
 from chainmix.clustering import SpectralModel, kmeans_objective
+from chainmix.gene_circuit import _MAX_FIT_POINTS, MisaParams, misa_simulate
 
-from helpers import two_arm_spiral
+from helpers import reference_gaussian_kernel, reference_spectral_fit, two_arm_spiral
 
 
 def two_blobs(n_per=20, gap=10.0, seed=0):
@@ -134,8 +137,12 @@ class TestSpectral:
         model = spectral_fit(PointSet(points), GaussianKernel(sigma=1.0), s=2, seed=2)
         attempts = []
 
-        def not_positive_definite(a):
+        def not_positive_definite(a, overwrite_a=False, check_finite=True):
+            # a failed in-place factorization leaves its buffer overwritten;
+            # NaN there fails the test if the fallback solve reads it
             attempts.append(a.shape)
+            if overwrite_a:
+                a[...] = np.nan
             raise np.linalg.LinAlgError("not positive definite")
 
         monkeypatch.setattr(clustering, "cho_factor", not_positive_definite)
@@ -147,6 +154,51 @@ class TestSpectral:
         assert np.max(np.abs(fallback.alpha - model.alpha)) < 1e-5 * scale
         residual = np.max(np.abs(spectral_embed(fallback, points) - fallback.embedding))
         assert residual < 1e-8
+
+    def test_matches_out_of_place_reference_on_spiral(self):
+        points, _ = two_arm_spiral(m=200, seed=1)
+        kernel = GaussianKernel(sigma=1.0)
+        model = spectral_fit(PointSet(points), kernel, s=2, seed=2)
+        reference = reference_spectral_fit(PointSet(points), kernel, s=2, seed=2)
+        for name in ("alpha", "embedding", "centers", "assignments"):
+            assert np.array_equal(getattr(model, name), getattr(reference, name)), name
+
+    def test_matches_out_of_place_reference_on_misa_sample(self):
+        # the pooled protein counts of a misa-cell job: 2 x 15 trajectories
+        # of T=50, subsampled to the fit size, clustered into 4 states
+        seeds = np.random.SeedSequence(31).spawn(30)
+        pooled = np.vstack([
+            misa_simulate(MisaParams(f_r=0.01 if i < 15 else 0.25), t_end=50.0,
+                          seed=seq).ab
+            for i, seq in enumerate(seeds)
+        ])
+        pick = np.random.default_rng(32).choice(pooled.shape[0], _MAX_FIT_POINTS,
+                                                replace=False)
+        points = PointSet(pooled[np.sort(pick)])
+        kernel = GaussianKernel(sigma=50.0)
+        model = spectral_fit(points, kernel, s=4, seed=33)
+        reference = reference_spectral_fit(points, kernel, s=4, seed=33)
+        for name in ("alpha", "embedding", "centers", "assignments"):
+            assert np.array_equal(getattr(model, name), getattr(reference, name)), name
+        # the rectangular blocks that discretize_trajectories embeds
+        for block in (pooled[:1], pooled[:87], pooled[1000:1530]):
+            assert np.array_equal(kernel(points.points, block),
+                                  reference_gaussian_kernel(points.points, block, 50.0))
+
+    def test_traced_peak_memory_bounded(self):
+        # the kernel matrix, the normalized matrix and the eigensolver's
+        # 2 m^2 workspace are the most that is live at once: about 4.0 m^2
+        # float64 values (the out-of-place code reached 5.1)
+        points, _ = two_arm_spiral(m=600, seed=3)
+        kernel = GaussianKernel(sigma=1.0)
+        spectral_fit(PointSet(points[::20]), kernel, s=2, seed=4)  # warm-up
+        tracemalloc.start()
+        try:
+            spectral_fit(PointSet(points), kernel, s=2, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.25 * 600**2 * 8
 
     def test_spiral_spectral_beats_kmeans(self):
         points, arms = two_arm_spiral(m=100, seed=17)
