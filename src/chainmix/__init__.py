@@ -26,7 +26,6 @@ from .gene_circuit import (
     MisaTrajectory,
     misa_mixture_experiment,
     misa_simulate,
-    misa_step_ssa,
 )
 from .metrics import ConfusionMatrix, accuracy, confusion
 from .model_core import (
@@ -35,15 +34,13 @@ from .model_core import (
     Responsibilities,
     SufficientStats,
     TrajectoryDataset,
-    dirichlet_mean,
-    dirichlet_variance,
     random_mixture_params,
     sample_mixture,
     sufficient_stats,
 )
 from .multistart import MultistartReport, multistart_fit, sample_simplex_rows
 from .theory import KlReport, bayes_classify, kl_rate, kl_report, kl_trajectory, misclassification_bound
-from .vem import DirichletPosterior, VemConfig, digamma, elbo, log_beta, vem_fit
+from .vem import DirichletPosterior, VemConfig, digamma, vem_fit
 
 __version__ = "0.1.0"
 
@@ -72,19 +69,14 @@ __all__ = [
     "bayes_classify",
     "confusion",
     "digamma",
-    "dirichlet_mean",
-    "dirichlet_variance",
     "discretize_trajectories",
-    "elbo",
     "em_fit",
     "kl_rate",
     "kl_report",
     "kl_trajectory",
     "kmeans",
-    "log_beta",
     "misa_mixture_experiment",
     "misa_simulate",
-    "misa_step_ssa",
     "multistart_fit",
     "random_mixture_params",
     "sample_mixture",

@@ -263,6 +263,8 @@ def _cmd_misa(args) -> int:
     overrides = {rate: getattr(args, rate) for rate in _MISA_RATES
                  if getattr(args, rate) is not None}
     params = MisaParams(f_r=args.f_r, **overrides)
+    if args.n_traj < 1:
+        raise ValidationError("--n-traj must be >= 1")
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     master = np.random.SeedSequence(args.seed)

@@ -160,13 +160,6 @@ def kmeans(points, s: int, seed=None, max_iters: int = 300,
     return centers, labels
 
 
-def kmeans_objective(points, centers, assignments) -> float:
-    """Sum of squared distances from each point to its assigned center."""
-    x = _as_points(points)
-    diff = x - np.asarray(centers)[np.asarray(assignments)]
-    return float((diff * diff).sum())
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralModel:
     """Fitted spectral embedding and cluster centers.

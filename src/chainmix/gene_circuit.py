@@ -57,11 +57,8 @@ class MisaParams:
             name, value = rate.name, getattr(self, rate.name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValidationError(f"rate {name} must be a number, not {value!r}")
-            if not value > 0:
-                raise ValidationError(f"rate {name} must be positive")
-
-    def production(self, activator: int, repressor: int) -> float:
-        return ((self.g00, self.g01), (self.g10, self.g11))[activator][repressor]
+            if not 0 < value < math.inf:
+                raise ValidationError(f"rate {name} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -83,15 +80,13 @@ class MisaState:
         object.__setattr__(self, "gene_b", tuple(self.gene_b))
 
 
-def _ssa_events(params: MisaParams, rng, state: tuple, sample_times: list,
-                chunk: int, n_chunks=None):
+def _ssa_events(params: MisaParams, rng, state: tuple, sample_times: list):
     """Run the exact SSA from `state` = (ia, ja, ib, jb, a, b) at time 0.
 
-    Records the state holding immediately before each time of the increasing
-    list `sample_times`, and stops once all are recorded or, when `n_chunks`
-    is given, once that many draw chunks are used up.  Each chunk holds
-    `chunk` exponential waits, then `chunk` uniforms, one pair per event.
-    Returns (samples, final state, final time); a sample is the tuple
+    Records the state holding immediately before each time of the increasing,
+    nonempty list `sample_times`, and stops once all are recorded.  Draws
+    come in chunks of `_RNG_CHUNK` exponential waits, then `_RNG_CHUNK`
+    uniforms, one pair per event.  Returns the samples, each the tuple
     (a, b, ia, ja, ib, jb).
 
     The twelve reactions, in propensity order: production of A and of B
@@ -110,8 +105,7 @@ def _ssa_events(params: MisaParams, rng, state: tuple, sample_times: list,
     samples = []
     next_sample = times[0]
     exps = unis = None
-    cursor = chunk
-    used = 0
+    cursor = _RNG_CHUNK
     t = 0.0
     while True:
         c0 = g[ia][ja]
@@ -126,15 +120,12 @@ def _ssa_events(params: MisaParams, rng, state: tuple, sample_times: list,
         c9 = c8 + (f_r if ja == 1 else 0.0)
         c10 = c9 + (h_r * a * (a - 1) * 0.5 if jb == 0 else 0.0)
         total = c10 + (f_r if jb == 1 else 0.0)
-        if cursor == chunk:
-            if used == n_chunks:
-                break
+        if cursor == _RNG_CHUNK:
             # a memoryview yields Python floats about as fast as a list,
             # without holding a float object per draw
-            exps = memoryview(rng.standard_exponential(chunk))
-            unis = memoryview(rng.random(chunk))
+            exps = memoryview(rng.standard_exponential(_RNG_CHUNK))
+            unis = memoryview(rng.random(_RNG_CHUNK))
             cursor = 0
-            used += 1
         t_next = t + exps[cursor] / total
         u = unis[cursor] * total
         cursor += 1
@@ -174,19 +165,7 @@ def _ssa_events(params: MisaParams, rng, state: tuple, sample_times: list,
         else:
             jb, a = 0, a + 2
         t = t_next
-    return samples, (ia, ja, ib, jb, a, b), t
-
-
-def misa_step_ssa(state: MisaState, params: MisaParams, rng):
-    """One Gillespie event: returns (next_state, waiting_time).
-
-    Draws one exponential, then one uniform from `rng`.
-    """
-    _, (ia, ja, ib, jb, a, b), wait = _ssa_events(
-        params, rng, (*state.gene_a, *state.gene_b, state.a, state.b), [],
-        chunk=1, n_chunks=1,
-    )
-    return MisaState(gene_a=(ia, ja), gene_b=(ib, jb), a=a, b=b), wait
+    return samples
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,10 +194,12 @@ def misa_simulate(params: MisaParams, t_end: float, sample_interval: float = 1.0
     sample time t = 0, sample_interval, 2*sample_interval, ..., t_end.
     Deterministic given `seed`.
     """
-    if not t_end > 0:
-        raise ValidationError("t_end must be positive")
-    if not sample_interval > 0:
-        raise ValidationError("sample_interval must be positive")
+    if not 0 < t_end < math.inf:
+        raise ValidationError("t_end must be finite and positive")
+    if not 0 < sample_interval < math.inf:
+        raise ValidationError("sample_interval must be finite and positive")
+    if not 0 <= burn_in < math.inf:
+        raise ValidationError("burn_in must be finite and nonnegative")
     rng = as_rng(seed)
 
     if initial_state is None:
@@ -234,8 +215,7 @@ def misa_simulate(params: MisaParams, t_end: float, sample_interval: float = 1.0
     # trajectory depends on that draw, so it stays.
     rng.standard_exponential(_RNG_CHUNK)
     rng.random(_RNG_CHUNK)
-    samples, _, _ = _ssa_events(params, rng, state, sample_times.tolist(),
-                                chunk=_RNG_CHUNK)
+    samples = _ssa_events(params, rng, state, sample_times.tolist())
     columns = np.array(samples, dtype=np.int64)
 
     return MisaTrajectory(

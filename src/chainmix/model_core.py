@@ -426,31 +426,6 @@ def sufficient_stats(data: TrajectoryDataset) -> SufficientStats:
     return SufficientStats(U, counts.reshape(n, s, s))
 
 
-def _check_counts(counts) -> np.ndarray:
-    c = np.asarray(counts, dtype=np.float64)
-    if c.ndim != 1 or c.size < 1:
-        raise ValidationError("counts must be a nonempty 1-D vector")
-    if np.any(c < 0):
-        raise ValidationError("counts must be nonnegative")
-    if c.sum() == 0:
-        raise ValidationError("counts must not sum to zero")
-    return c
-
-
-def dirichlet_mean(counts) -> np.ndarray:
-    """Mean of a Dirichlet distribution with the given parameter vector."""
-    c = _check_counts(counts)
-    return c / c.sum()
-
-
-def dirichlet_variance(counts, i: int) -> float:
-    """Variance of coordinate i under a Dirichlet with the given parameters."""
-    c = _check_counts(counts)
-    total = c.sum()
-    rest = total - c[i]
-    return float(c[i] * rest / (total * total * (total + 1.0)))
-
-
 def random_mixture_params(k: int, s: int, seed=None) -> MixtureParams:
     """Draw mu, each nu_i, and each row of each P_i uniformly from the simplex."""
     if k < 1 or s < 1:

@@ -27,7 +27,6 @@ from .model_core import (
     labels_from_responsibilities,
     log_mixture_weights,
     log_normalize_rows,
-    parameter_block,
 )
 
 
@@ -44,16 +43,6 @@ def digamma(x):
         raise ValueError("digamma requires x > 0")
     out = _scipy_digamma(arr)
     return float(out) if arr.ndim == 0 else out
-
-
-def log_beta(counts) -> float:
-    """log of the multivariate beta function B(c) = prod Gamma(c_i) / Gamma(sum c_i)."""
-    c = np.asarray(counts, dtype=np.float64)
-    if c.ndim != 1 or c.size < 1:
-        raise ValueError("log_beta expects a nonempty 1-D vector")
-    if np.any(~np.isfinite(c)) or np.any(c <= 0):
-        raise ValueError("log_beta requires strictly positive entries")
-    return float(gammaln(c).sum() - gammaln(c.sum()))
 
 
 @dataclass(frozen=True)
@@ -153,11 +142,6 @@ def _block(k: int, s: int) -> _Block:
     )
 
 
-def _stack(n_hat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The stacked parameters and totals laid out as `_Block` describes."""
-    return np.concatenate([n_hat, rows.ravel(), [n_hat.sum()], rows.sum(axis=1)])
-
-
 def _elbo_value(block: _Block, stack: np.ndarray, log_theta: np.ndarray,
                 log_c: np.ndarray) -> float:
     """Variational lower bound: data term minus Dirichlet divergence terms.
@@ -172,24 +156,6 @@ def _elbo_value(block: _Block, stack: np.ndarray, log_theta: np.ndarray,
     lg = gammaln(stack)
     return float(log_c.sum() + lg[:entries].sum() - lg[entries:].sum()
                  - block.log_b_prior - (stack[:entries] - block.prior) @ log_theta)
-
-
-def elbo(stats: SufficientStats, posterior: DirichletPosterior,
-         log_mu_tilde, log_nu_tilde, log_p_tilde, log_c) -> float:
-    """Evaluate the variational lower bound for a posterior state.
-
-    `log_mu_tilde`, `log_nu_tilde`, `log_p_tilde` are the digamma-derived
-    geometric-mean log parameters consistent with the posterior, and `log_c`
-    holds the per-trajectory responsibility normalizers computed from them.
-    With no trajectories the bound is 0 at the prior.
-    """
-    del stats
-    k, s = posterior.k, posterior.s
-    rows = parameter_block(posterior.n_i_hat, posterior.n_ialpha_hat).reshape(-1, s)
-    log_theta = np.concatenate([np.asarray(log_mu_tilde, dtype=np.float64),
-                                parameter_block(log_nu_tilde, log_p_tilde).ravel()])
-    return _elbo_value(_block(k, s), _stack(posterior.n_hat, rows), log_theta,
-                       np.asarray(log_c, dtype=np.float64))
 
 
 def vem_fit(stats: SufficientStats, init: Responsibilities,
@@ -213,7 +179,7 @@ def vem_fit(stats: SufficientStats, init: Responsibilities,
     stack_size = entries + 1 + k * (s + 1)
 
     def step(gamma, it):
-        # the stack of `_stack`, filled in place: parameters, then totals
+        # the stack `_Block` lays out, filled in place: parameters, then totals
         stack = np.empty(stack_size)
         n_hat, rows, totals = stack[:k], stack[k:entries], stack[entries:]
         np.add(block.prior[:k], gamma.sum(axis=0), out=n_hat)

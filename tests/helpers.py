@@ -62,8 +62,6 @@ def partition_log_evidence(stats, labels, k_max):
     the weight term, so the value depends only on the partition of the
     trajectories, not on which labels name its blocks.
     """
-    from chainmix.vem import log_beta
-
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (stats.n,) or labels.min() < 0 or labels.max() >= k_max:
         raise ValueError("labels must be N integers in [0, k_max)")
@@ -76,6 +74,24 @@ def partition_log_evidence(stats, labels, k_max):
         for row in stats.V[members].sum(axis=0):
             total += log_beta(flat + row) - log_beta(flat)
     return total
+
+
+def log_beta(counts) -> float:
+    """log of the multivariate beta function B(c) = prod Gamma(c_i) / Gamma(sum c_i)."""
+    from scipy.special import gammaln
+
+    c = np.asarray(counts, dtype=np.float64)
+    if c.ndim != 1 or c.size < 1:
+        raise ValueError("log_beta expects a nonempty 1-D vector")
+    if np.any(~np.isfinite(c)) or np.any(c <= 0):
+        raise ValueError("log_beta requires strictly positive entries")
+    return float(gammaln(c).sum() - gammaln(c.sum()))
+
+
+def kmeans_objective(points, centers, assignments) -> float:
+    """Sum of squared distances from each point to its assigned center."""
+    diff = np.asarray(points, dtype=np.float64) - np.asarray(centers)[np.asarray(assignments)]
+    return float((diff * diff).sum())
 
 
 def strictly_positive_params(k, s, seed, floor=0.05):
@@ -183,9 +199,10 @@ def reference_kl_report(params, horizon):
 
 def reference_propensities(ia, ja, ib, jb, a, b, p):
     """The twelve MISA reaction propensities as a tuple, in reaction order."""
+    g = ((p.g00, p.g01), (p.g10, p.g11))
     return (
-        p.production(ia, ja),
-        p.production(ib, jb),
+        g[ia][ja],
+        g[ib][jb],
         p.d * a,
         p.d * b,
         p.h_a * a * (a - 1) * 0.5 if ia == 0 else 0.0,
@@ -233,18 +250,6 @@ def _reference_event(props, u, ia, ja, ib, jb, a, b):
     elif reaction == 11:
         jb, a = 0, a + 2
     return ia, ja, ib, jb, a, b
-
-
-def reference_misa_step(state, params, rng):
-    """One Gillespie event by a sequential scan of the propensity table."""
-    ia, ja = state.gene_a
-    ib, jb = state.gene_b
-    props = reference_propensities(ia, ja, ib, jb, state.a, state.b, params)
-    total = sum(props)
-    wait = rng.standard_exponential() / total
-    u = rng.random() * total
-    ia, ja, ib, jb, a, b = _reference_event(props, u, ia, ja, ib, jb, state.a, state.b)
-    return type(state)(gene_a=(ia, ja), gene_b=(ib, jb), a=a, b=b), wait
 
 
 def reference_misa_simulate(params, t_end, sample_interval=1.0, seed=None,

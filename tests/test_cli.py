@@ -388,6 +388,32 @@ class TestMisa:
         assert rows[0]["gene_a"] in {"00", "01", "10", "11"}
         assert (tmp_path / "traj_001.csv").exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--t-end", "inf", "t_end must be finite and positive"),
+        ("--sample-interval", "inf", "sample_interval must be finite and positive"),
+        ("--burn-in", "nan", "burn_in must be finite and nonnegative"),
+        ("--burn-in", "-10", "burn_in must be finite and nonnegative"),
+        ("--f-r", "inf", "rate f_r must be finite and positive"),
+    ])
+    def test_unusable_time_or_rate_fails(self, tmp_path, capsys, flag, value, message):
+        args = {"--f-r": "0.1", "--t-end": "5", flag: value}
+        rc = run_cli("misa", *(a for item in args.items() for a in item),
+                     "--out", tmp_path / "misa")
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"type": "ValidationError", "message": message}
+        assert not list((tmp_path / "misa").glob("*.csv"))
+
+    @pytest.mark.parametrize("n_traj", [0, -1])
+    def test_n_traj_must_be_positive(self, tmp_path, capsys, n_traj):
+        rc = run_cli("misa", "--f-r", 0.1, "--t-end", 5, "--n-traj", n_traj,
+                     "--out", tmp_path / "misa")
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"type": "ValidationError",
+                                "message": "--n-traj must be >= 1"}
+        assert not (tmp_path / "misa").exists()
+
 
 class TestExperiment:
     def test_fig2_smoke(self, tmp_path):

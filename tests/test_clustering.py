@@ -14,10 +14,15 @@ from chainmix import (
     spectral_embed,
     spectral_fit,
 )
-from chainmix.clustering import SpectralModel, kmeans_objective
+from chainmix.clustering import SpectralModel
 from chainmix.gene_circuit import _MAX_FIT_POINTS, MisaParams, misa_simulate
 
-from helpers import reference_gaussian_kernel, reference_spectral_fit, two_arm_spiral
+from helpers import (
+    kmeans_objective,
+    reference_gaussian_kernel,
+    reference_spectral_fit,
+    two_arm_spiral,
+)
 
 
 def two_blobs(n_per=20, gap=10.0, seed=0):

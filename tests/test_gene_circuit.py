@@ -7,10 +7,9 @@ from chainmix import (
     ValidationError,
     misa_mixture_experiment,
     misa_simulate,
-    misa_step_ssa,
 )
 
-from helpers import reference_misa_simulate, reference_misa_step, reference_propensities
+from helpers import reference_misa_simulate, reference_propensities
 
 
 class TestPropensities:
@@ -46,6 +45,8 @@ class TestPropensities:
             MisaParams(f_r=0.0)
         with pytest.raises(ValidationError):
             MisaParams(f_r=1.0, d=-1.0)
+        with pytest.raises(ValidationError, match="rate g10 must be finite and positive"):
+            MisaParams(f_r=1.0, g10=np.inf)
 
     @pytest.mark.parametrize("value", ["1.0", None, True, [1.0]])
     def test_rates_must_be_numbers(self, value):
@@ -55,15 +56,11 @@ class TestPropensities:
 
 class TestStepSsa:
     def test_step_preserves_invariants(self):
-        rng = np.random.default_rng(0)
-        p = MisaParams(f_r=0.5)
-        state = MisaState(gene_a=(0, 0), gene_b=(0, 0), a=0, b=0)
-        for _ in range(5000):
-            state, wait = misa_step_ssa(state, p, rng)
-            assert wait > 0
-            assert state.a >= 0 and state.b >= 0
-            assert state.gene_a in ((0, 0), (0, 1), (1, 0), (1, 1))
-            assert state.gene_b in ((0, 0), (0, 1), (1, 0), (1, 1))
+        traj = misa_simulate(MisaParams(f_r=0.5), t_end=50.0, sample_interval=0.01,
+                             seed=0, burn_in=0.0)
+        assert traj.times.size == 5001 and np.all(np.diff(traj.times) > 0)
+        assert np.all(traj.a >= 0) and np.all(traj.b >= 0)
+        assert set(_conditions(traj.gene_a)) | set(_conditions(traj.gene_b)) <= {0, 1, 10, 11}
 
     def test_invalid_state_rejected(self):
         with pytest.raises(ValidationError):
@@ -131,6 +128,22 @@ class TestSimulate:
         with pytest.raises(ValidationError):
             misa_simulate(MisaParams(f_r=1.0), t_end=0.0, seed=1)
 
+    @pytest.mark.parametrize("name,value,message", [
+        ("t_end", np.inf, "t_end must be finite and positive"),
+        ("t_end", np.nan, "t_end must be finite and positive"),
+        ("sample_interval", 0.0, "sample_interval must be finite and positive"),
+        ("sample_interval", np.inf, "sample_interval must be finite and positive"),
+        ("sample_interval", np.nan, "sample_interval must be finite and positive"),
+        ("burn_in", -10.0, "burn_in must be finite and nonnegative"),
+        ("burn_in", np.inf, "burn_in must be finite and nonnegative"),
+        ("burn_in", np.nan, "burn_in must be finite and nonnegative"),
+    ])
+    def test_time_arguments_must_be_finite(self, name, value, message):
+        kwargs = dict(t_end=5.0, sample_interval=1.0, burn_in=10.0, seed=1)
+        kwargs[name] = value
+        with pytest.raises(ValidationError, match=message):
+            misa_simulate(MisaParams(f_r=1.0), **kwargs)
+
 
 def _conditions(genes):
     """Gene conditions as two-digit codes: (1, 0) -> 10."""
@@ -173,26 +186,6 @@ class TestSeededContract:
         # the generator's next draw shows how many draws the run consumed
         assert rng.random() == float.fromhex("0x1.028ff70f93437p-1")
 
-    def test_step_chain(self):
-        rng = np.random.default_rng(2028)
-        params = MisaParams(f_r=0.25)
-        state = MisaState(gene_a=(0, 0), gene_b=(0, 0), a=0, b=0)
-        checkpoints = {
-            50: (MisaState((1, 0), (0, 0), 32, 7), "0x1.1723937f50037p+0"),
-            100: (MisaState((1, 0), (0, 1), 53, 9), "0x1.6eac79b50c5a3p+0"),
-            150: (MisaState((1, 0), (1, 1), 71, 10), "0x1.c158d21d7ecd6p+0"),
-            200: (MisaState((1, 0), (1, 1), 67, 10), "0x1.02b1e21a9a852p+1"),
-        }
-        elapsed = 0.0
-        for step in range(1, 201):
-            state, wait = misa_step_ssa(state, params, rng)
-            elapsed += wait
-            if step in checkpoints:
-                expected_state, expected_elapsed = checkpoints[step]
-                assert state == expected_state
-                assert elapsed == float.fromhex(expected_elapsed)
-        assert rng.random() == float.fromhex("0x1.21252d1dc0e1ap-1")
-
 
 class TestMatchesReferenceLoop:
     """The event loop against a sequential scan of the propensity table."""
@@ -221,18 +214,28 @@ class TestMatchesReferenceLoop:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_steps_from_every_gene_condition(self):
-        # small counts make zero and tied propensities common
+        # small counts make zero and tied propensities common; the fine grid
+        # records about 3,600 state changes, over half of all events
         rng = np.random.default_rng(12)
         conditions = [(0, 0), (0, 1), (1, 0), (1, 1)]
         params = MisaParams(f_r=0.3, h_a=0.7, h_r=0.2)
+        grid = dict(t_end=0.2, sample_interval=0.01, burn_in=0.0)
+        changes = 0
         for trial in range(400):
             state = MisaState(gene_a=conditions[trial % 4],
                               gene_b=conditions[(trial // 4) % 4],
                               a=int(rng.integers(0, 4)), b=int(rng.integers(0, 4)))
             seed = int(rng.integers(2**32))
-            got = misa_step_ssa(state, params, np.random.default_rng(seed))
-            want = reference_misa_step(state, params, np.random.default_rng(seed))
-            assert got == want, (state, seed)
+            sim_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            traj = misa_simulate(params, seed=sim_rng, initial_state=state, **grid)
+            expected = reference_misa_simulate(params, seed=ref_rng, initial_state=state,
+                                               **grid)
+            for got, want in zip((traj.a, traj.b, traj.gene_a, traj.gene_b), expected):
+                assert np.array_equal(got, want), (state, seed)
+            assert sim_rng.bit_generator.state == ref_rng.bit_generator.state
+            rows = np.column_stack([traj.a, traj.b, traj.gene_a, traj.gene_b])
+            changes += int(np.any(rows[1:] != rows[:-1], axis=1).sum())
+        assert changes > 3000
 
 
 def test_spectral_states_cover_metastable_regions():

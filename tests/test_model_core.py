@@ -2,16 +2,12 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from chainmix import (
     MixtureParams,
     Responsibilities,
     TrajectoryDataset,
     ValidationError,
-    dirichlet_mean,
-    dirichlet_variance,
     random_mixture_params,
     sample_mixture,
     sufficient_stats,
@@ -304,41 +300,6 @@ class TestSufficientStats:
             for arr in (stats.X, stats.U, stats.V):
                 assert not arr.flags.writeable
         assert np.array_equal(given.X, built.X) and given.X.dtype == np.float64
-
-
-class TestDirichletMoments:
-    def test_mean_symmetry(self):
-        assert np.allclose(dirichlet_mean([1, 1]), [0.5, 0.5])
-
-    def test_mean_ratio(self):
-        assert np.allclose(dirichlet_mean([3, 1]), [0.75, 0.25])
-
-    def test_mean_already_normalized(self):
-        assert np.allclose(dirichlet_mean([0.1, 0.1, 0.1, 0.7]),
-                           [0.1, 0.1, 0.1, 0.7])
-
-    def test_zero_sum_rejected(self):
-        with pytest.raises(ValidationError):
-            dirichlet_mean([0.0, 0.0])
-        with pytest.raises(ValidationError):
-            dirichlet_variance([0.0, 0.0], 0)
-
-    def test_variance_beta_case(self):
-        # Dir(1,1) coordinate is Beta(1,1) = Uniform(0,1): variance 1/12
-        assert dirichlet_variance([1, 1], 0) == pytest.approx(1 / 12, abs=1e-15)
-
-    def test_variance_symmetry(self):
-        for c in (0.3, 1.0, 7.5):
-            assert dirichlet_variance([c, c], 0) == dirichlet_variance([c, c], 1)
-
-    def test_variance_decreases_with_concentration(self):
-        values = [dirichlet_variance([c, c], 0) for c in (1, 2, 4, 8, 16, 1000)]
-        assert all(a > b for a, b in zip(values, values[1:]))
-
-    @given(st.lists(st.floats(min_value=0.01, max_value=100), min_size=1, max_size=8))
-    @settings(max_examples=50, deadline=None)
-    def test_mean_sums_to_one(self, counts):
-        assert abs(dirichlet_mean(counts).sum() - 1.0) < 1e-12
 
 
 class TestResponsibilities:
