@@ -266,13 +266,14 @@ def _cmd_misa(args) -> int:
     if args.n_traj < 1:
         raise ValidationError("--n-traj must be >= 1")
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     master = np.random.SeedSequence(args.seed)
     children = master.spawn(args.n_traj)
     for i in range(args.n_traj):
         traj = misa_simulate(params, t_end=args.t_end,
                              sample_interval=args.sample_interval,
                              seed=children[i], burn_in=args.burn_in)
+        # made only once misa_simulate has accepted the time arguments
+        out.mkdir(parents=True, exist_ok=True)
         dataio.write_misa_csv(out / f"traj_{i:03d}.csv", traj)
     print(f"wrote {args.n_traj} circuit trajectories to {out}")
     return 0

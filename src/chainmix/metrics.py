@@ -4,14 +4,24 @@ Mixture component labels are identifiable only up to permutation, so raw
 label agreement is meaningless.  Accuracy is therefore maximized over
 bijective relabelings of the estimated components via an assignment-problem
 solve, padding with empty classes when the label spaces differ in size.
+
+The assignment is solved in pure Python by Crouse's shortest augmenting path
+(Crouse 2016, IEEE TAES 52:1679), the algorithm behind
+`scipy.optimize.linear_sum_assignment`, so no process pays for importing
+`scipy.optimize`.  It scans the columns in scipy's order: the list of
+remaining columns starts in reverse, a tied minimum is replaced by any later
+tied column that is still free, and a chosen column is removed by swapping
+in the last one.  It therefore returns scipy's permutation, ties included.
+The counts are integers, so the dual arithmetic is exact.  A padded size n
+costs O(n³) in the worst case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
 
@@ -52,11 +62,69 @@ def accuracy(true_labels, est_labels):
     size = int(max(true.max(), est.max())) + 1
     contingency = np.zeros((size, size), dtype=np.int64)
     np.add.at(contingency, (true, est), 1)
-    rows, cols = linear_sum_assignment(-contingency)
-    permutation = np.empty(size, dtype=np.int64)
-    permutation[cols] = rows
-    value = contingency[rows, cols].sum() / true.size
+    row4col = _max_weight_matching(contingency.tolist())
+    permutation = np.array(row4col, dtype=np.int64)
+    value = contingency[permutation, np.arange(size)].sum() / true.size
     return float(value), permutation
+
+
+def _max_weight_matching(weight):
+    """Row matched to each column by a maximum-weight perfect matching of the
+    square integer matrix `weight` (a list of rows).
+
+    Minimizes the cost -weight one row at a time: each row is joined by the
+    shortest augmenting path over the reduced costs, and the duals u, v are
+    updated from the path lengths.
+    """
+    n = len(weight)
+    u = [0] * n
+    v = [0] * n
+    path = [-1] * n
+    col4row = [-1] * n
+    row4col = [-1] * n
+    for cur in range(n):
+        shortest = [math.inf] * n
+        visited_rows, scanned_cols = [], []
+        remaining = list(range(n - 1, -1, -1))
+        min_val = 0
+        i = cur
+        sink = -1
+        while sink < 0:
+            visited_rows.append(i)
+            row, offset = weight[i], min_val - u[i]
+            lowest, index = math.inf, -1
+            for it, j in enumerate(remaining):
+                dist = shortest[j]
+                reduced = offset - row[j] - v[j]
+                if reduced < dist:
+                    path[j] = i
+                    shortest[j] = dist = reduced
+                if dist < lowest or (dist == lowest and row4col[j] < 0):
+                    lowest, index = dist, it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            scanned_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+
+        u[cur] += min_val
+        for i in visited_rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in scanned_cols:
+            v[j] -= min_val - shortest[j]
+
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return row4col
 
 
 def confusion(true_labels, est_labels, permutation) -> ConfusionMatrix:

@@ -291,6 +291,22 @@ def reference_misa_simulate(params, t_end, sample_interval=1.0, seed=None,
     return rows[:, 0], rows[:, 1], rows[:, 2:4], rows[:, 4:6]
 
 
+def reference_accuracy(true_labels, est_labels):
+    """`chainmix.accuracy` as it was built on `scipy.optimize.linear_sum_assignment`:
+    (value, permutation) over the padded contingency table."""
+    from scipy.optimize import linear_sum_assignment
+
+    true = np.asarray(true_labels, dtype=np.int64)
+    est = np.asarray(est_labels, dtype=np.int64)
+    size = int(max(true.max(), est.max())) + 1
+    contingency = np.zeros((size, size), dtype=np.int64)
+    np.add.at(contingency, (true, est), 1)
+    rows, cols = linear_sum_assignment(-contingency)
+    permutation = np.empty(size, dtype=np.int64)
+    permutation[cols] = rows
+    return float(contingency[rows, cols].sum() / true.size), permutation
+
+
 def count_calls(monkeypatch, module, *names):
     """Wrap each named global of `module` to count its calls; returns the
     name -> count dict that the wrappers update."""

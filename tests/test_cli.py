@@ -17,23 +17,35 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
-def test_console_script_entry_point(tmp_path):
+def run_child(*argv):
+    """Run this Python on `argv` in a fresh process that imports the same
+    chainmix as this one, installed or not."""
     import os
     import subprocess
     import sys
 
     import chainmix
-    # the child process imports the same chainmix as this one, installed or not
     src = str(Path(chainmix.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "chainmix.cli", "simulate", "--random-k", "2",
-         "--random-s", "2", "--n-traj", "3", "--t-len", "2",
-         "--out", str(tmp_path)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_console_script_entry_point(tmp_path):
+    proc = run_child("-m", "chainmix.cli", "simulate", "--random-k", "2",
+                     "--random-s", "2", "--n-traj", "3", "--t-len", "2",
+                     "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "trajectories.txt").exists()
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # accuracy solves its assignment in chainmix.metrics, so no command pays
+    # for importing scipy.optimize
+    proc = run_child("-c", "import sys, chainmix.cli; "
+                           "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestSimulate:
@@ -402,7 +414,16 @@ class TestMisa:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == {"type": "ValidationError", "message": message}
-        assert not list((tmp_path / "misa").glob("*.csv"))
+        assert not (tmp_path / "misa").exists()
+
+    def test_overflowing_sample_count_fails(self, tmp_path, capsys):
+        rc = run_cli("misa", "--f-r", 0.1, "--t-end", 1e300, "--sample-interval", 1e-10,
+                     "--out", tmp_path / "misa")
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"type": "ValidationError",
+                                "message": "t_end / sample_interval must be finite"}
+        assert not (tmp_path / "misa").exists()
 
     @pytest.mark.parametrize("n_traj", [0, -1])
     def test_n_traj_must_be_positive(self, tmp_path, capsys, n_traj):

@@ -5,11 +5,14 @@ from chainmix import (
     MisaParams,
     MisaState,
     ValidationError,
+    accuracy,
+    gene_circuit,
     misa_mixture_experiment,
     misa_simulate,
+    multistart,
 )
 
-from helpers import reference_misa_simulate, reference_propensities
+from helpers import count_calls, reference_misa_simulate, reference_propensities
 
 
 class TestPropensities:
@@ -143,6 +146,11 @@ class TestSimulate:
         kwargs[name] = value
         with pytest.raises(ValidationError, match=message):
             misa_simulate(MisaParams(f_r=1.0), **kwargs)
+
+    def test_sample_count_must_be_finite(self):
+        # both times are finite, but their ratio overflows to inf
+        with pytest.raises(ValidationError, match="t_end / sample_interval must be finite"):
+            misa_simulate(MisaParams(f_r=1.0), t_end=1e300, sample_interval=1e-10, seed=1)
 
 
 def _conditions(genes):
@@ -281,3 +289,14 @@ class TestMixtureExperiment:
         assert all(seconds >= 0.0 for seconds in first.stage_s.values())
         assert np.array_equal(first.dataset.states, second.dataset.states)
         assert first.accuracy == second.accuracy
+
+    def test_best_restart_accuracy_is_not_solved_again(self, monkeypatch):
+        # the score is the best restart's accuracy, which multistart_fit
+        # already solved; only the restarts call accuracy
+        restart_calls = count_calls(monkeypatch, multistart, "accuracy")
+        score_calls = count_calls(monkeypatch, gene_circuit, "accuracy")
+        result = misa_mixture_experiment(0.01, 1.0, n_per_group=3, t_len=4, seed=15,
+                                         restarts=3, burn_in=5.0)
+        assert restart_calls == {"accuracy": 3}
+        assert score_calls == {"accuracy": 0}
+        assert result.accuracy == accuracy(result.true_labels, result.report.best.labels)[0]

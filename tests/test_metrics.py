@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from chainmix import ValidationError, accuracy, confusion
 
+from helpers import reference_accuracy
+
 
 class TestAccuracy:
     def test_relabeling_recovers_full_accuracy(self):
@@ -52,6 +54,59 @@ class TestAccuracy:
             perm = rng.permutation(4)
             fixed = np.mean(labels == perm[est])
             assert best >= fixed - 1e-12
+
+    def _assert_matches_reference(self, true, est):
+        value, perm = accuracy(true, est)
+        ref_value, ref_perm = reference_accuracy(true, est)
+        assert value == ref_value
+        assert perm.dtype == ref_perm.dtype
+        assert perm.tolist() == ref_perm.tolist()
+
+    def test_all_equal_labels_match_reference(self):
+        # one label on each side leaves a single nonzero cell, and every
+        # other cell ties at zero
+        for size in (1, 2, 5, 30):
+            self._assert_matches_reference(np.full(10, size - 1), np.full(10, size - 1))
+            self._assert_matches_reference(np.zeros(10, dtype=int), np.full(10, size - 1))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_heavy_labels_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(250):
+            n = int(rng.integers(1, 40))
+            k_true, k_est = rng.integers(1, 6, size=2)
+            true = rng.integers(0, k_true, size=n)
+            est = rng.integers(0, k_est, size=n)
+            if rng.random() < 0.3:  # gaps in the label values pad the table
+                true = true * int(rng.integers(2, 6))
+            if rng.random() < 0.3:
+                est = est + int(rng.integers(1, 20))
+            self._assert_matches_reference(true, est)
+
+    def test_more_estimated_than_true_labels_match_reference(self):
+        rng = np.random.default_rng(5)
+        for n in (4, 17, 60):
+            true = rng.integers(0, 2, size=n)
+            est = rng.integers(0, 10, size=n)
+            self._assert_matches_reference(true, est)
+
+    def test_every_padded_size_matches_reference(self):
+        rng = np.random.default_rng(6)
+        for size in range(1, 31):
+            for _ in range(5):
+                n = int(rng.integers(1, 3 * size + 2))
+                true = rng.integers(0, size, size=n)
+                est = rng.integers(0, size, size=n)
+                true[-1] = size - 1
+                self._assert_matches_reference(true, est)
+
+    @pytest.mark.parametrize("size", [100, 137, 200])
+    def test_large_padded_tables_match_reference(self, size):
+        rng = np.random.default_rng(size)
+        true = rng.integers(0, size, size=400)
+        est = np.where(rng.random(400) < 0.5, true, rng.integers(0, size, size=400))
+        self._assert_matches_reference(true, est)
+        self._assert_matches_reference(rng.integers(0, 4, size=50), np.full(50, size - 1))
 
 
 class TestConfusion:
