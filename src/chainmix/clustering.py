@@ -13,7 +13,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .errors import NumericalError, ValidationError
 from .model_core import TrajectoryDataset, as_rng
@@ -249,15 +248,20 @@ def spectral_fit(points, kernel, s: int, r: int = None, seed=None) -> SpectralMo
     (K + eps I) alpha^T = V for the out-of-sample embedding, and clusters the
     embedded training rows with k-means.  `r` defaults to `s`.
 
-    The m x m arrays are built in place, and at most two of them plus the
-    eigensolver's workspace are live at once:
+    The m x m arrays are built in place, and at most three of them are live
+    at once:
       - kernel: K and the squared-norm sum it is subtracted from;
-      - normalized matrix: K and sym = D^(-1/2) K D^(-1/2);
-      - eigensolve: K, sym and the 2 m^2 workspace of LAPACK's divide and
-        conquer solver (`dsyevd`), which overwrites sym with the eigenvectors;
-        sym is dropped once the top r are copied out;
+      - eigensolve: sym = D^(-1/2) K D^(-1/2), built in K's own buffer once
+        trace(K) and the row sums are taken, and the 2 m^2 workspace of
+        LAPACK's divide and conquer solver (`dsyevd`), which overwrites sym
+        with the eigenvectors; sym is dropped once the top r are copied out;
       - solve: K and its ridged copy, which the Cholesky factor overwrites.
+    K is built a second time for the solve rather than kept through the
+    eigensolve, which would make four arrays live; the kernel is
+    deterministic, so the rebuilt K is the same matrix.
     """
+    from scipy.linalg import cho_factor, cho_solve, eigh
+
     x = _as_points(points)
     m = x.shape[0]
     if s < 1 or s > m:
@@ -266,15 +270,16 @@ def spectral_fit(points, kernel, s: int, r: int = None, seed=None) -> SpectralMo
     if r < 1 or r > m:
         raise ValidationError("embedding dimension must satisfy 1 <= r <= M")
 
-    K = _symmetrize(kernel(x, x))
-    row_sums = K.sum(axis=1)
+    sym = _symmetrize(kernel(x, x))  # K, until it is normalized below
+    row_sums = sym.sum(axis=1)
     if np.any(row_sums <= 0):
         bad = int(np.flatnonzero(row_sums <= 0)[0])
         raise ValidationError(
             f"point {bad} is isolated under the kernel (zero row sum)"
         )
+    ridge = _RIDGE_SCALE * np.trace(sym) / m
     inv_sqrt = 1.0 / np.sqrt(row_sums)
-    sym = inv_sqrt[:, None] * K
+    sym *= inv_sqrt[:, None]
     sym *= inv_sqrt[None, :]
     _symmetrize(sym)
     try:
@@ -290,7 +295,7 @@ def spectral_fit(points, kernel, s: int, r: int = None, seed=None) -> SpectralMo
     # Ridge-regularized solve plus two refinement sweeps against the
     # unregularized system; the sweeps reuse one factorization and push the
     # training-embedding residual toward solver precision.
-    ridge = _RIDGE_SCALE * np.trace(K) / m
+    K = _symmetrize(kernel(x, x))
     try:
         factor = cho_factor(_ridged(K, ridge).T, overwrite_a=True)
         solve = lambda rhs: cho_solve(factor, rhs)

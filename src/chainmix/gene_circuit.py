@@ -12,12 +12,22 @@ Bimolecular "+2x" propensities use the combinatorial mass-action form
 h * x * (x-1) / 2 (number of distinct identical-species pairs), the
 convention of standard Gillespie simulators.  Note this halves effective
 binding rates versus the ordered-pair x*(x-1) convention.
+
+Many trajectories are simulated in a process pool.  Each trajectory draws
+only from its own seed (a `SeedSequence` child), so where it is simulated
+does not change it: the pool returns the trajectories a serial loop would,
+in the same order.  The pool forks one worker per available core, up to one
+per trajectory, and is shut down before the call returns.  With one worker,
+or where the fork start method is not available, the trajectories are
+simulated in the calling process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass, field, fields
 
@@ -230,6 +240,34 @@ def misa_simulate(params: MisaParams, t_end: float, sample_interval: float = 1.0
     )
 
 
+def _simulate_task(task, **times) -> MisaTrajectory:
+    params, seed = task
+    return misa_simulate(params, seed=seed, **times)
+
+
+def _simulate_all(tasks: list, t_end: float, sample_interval: float, burn_in: float):
+    """Yield `misa_simulate(params, t_end, sample_interval, seed, burn_in)`
+    for each (params, seed) of `tasks`, in task order.
+
+    The tasks run in a fork process pool with one worker per available core,
+    up to one per task; with one worker, or without the fork start method,
+    they run here.  A worker's exception is raised here, a worker that dies
+    raises `BrokenProcessPool`, and the pool is joined before this returns.
+    """
+    import multiprocessing
+
+    run = functools.partial(_simulate_task, t_end=t_end,
+                            sample_interval=sample_interval, burn_in=burn_in)
+    workers = min(len(tasks), len(os.sched_getaffinity(0)))
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        yield from map(run, tasks)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield from pool.map(run, tasks)
+
+
 @dataclass(frozen=True, eq=False)
 class MisaMixtureResult:
     """Outcome of the two-population discrimination experiment.
@@ -258,21 +296,26 @@ def misa_mixture_experiment(f_r_1: float, f_r_2: float, n_per_group: int = 15,
     variational EM, and returns the permutation-matched accuracy against the
     true group labels.
     """
+    if n_per_group < 1:
+        raise ValidationError("n_per_group must be >= 1")
     if t_len < 1:
         raise ValidationError("t_len must be >= 1")
+    if n_states < 1:
+        raise ValidationError("n_states must be >= 1")
+    if restarts < 1:
+        raise ValidationError("restarts must be >= 1")
+    # built before the simulation, so a bad argument fails before it runs
+    kernel = GaussianKernel(sigma=sigma)
+    config = VemConfig(k_max=k_max)
+    params = [MisaParams(f_r=f_r_1)] * n_per_group + [MisaParams(f_r=f_r_2)] * n_per_group
     master = np.random.SeedSequence(seed)
     sim_seqs = master.spawn(2 * n_per_group)
     cluster_seq, fit_seq, sub_seq = master.spawn(3)
     marks = [time.perf_counter()]  # each stage ends at the next mark
 
-    trajectories = []
-    for g, f_r in enumerate((f_r_1, f_r_2)):
-        params = MisaParams(f_r=f_r)
-        for i in range(n_per_group):
-            traj = misa_simulate(params, t_end=float(t_len), sample_interval=1.0,
-                                 seed=sim_seqs[g * n_per_group + i],
-                                 burn_in=burn_in)
-            trajectories.append(traj.ab)
+    trajectories = [traj.ab for traj in _simulate_all(
+        list(zip(params, sim_seqs)), t_end=float(t_len), sample_interval=1.0,
+        burn_in=burn_in)]
     true_labels = np.repeat(np.arange(2), n_per_group)
 
     pooled = np.vstack(trajectories)
@@ -284,8 +327,7 @@ def misa_mixture_experiment(f_r_1: float, f_r_2: float, n_per_group: int = 15,
         fit_points = pooled[np.sort(pick)]
     else:
         fit_points = pooled
-    model = spectral_fit(PointSet(fit_points), GaussianKernel(sigma=sigma),
-                         s=n_states, seed=cluster_seq)
+    model = spectral_fit(PointSet(fit_points), kernel, s=n_states, seed=cluster_seq)
     marks.append(time.perf_counter())
     dataset = discretize_trajectories(model, trajectories)
     marks.append(time.perf_counter())
@@ -293,7 +335,7 @@ def misa_mixture_experiment(f_r_1: float, f_r_2: float, n_per_group: int = 15,
     stats = sufficient_stats(dataset)
     report = multistart_fit(
         stats, "vem", restarts=restarts,
-        config=VemConfig(k_max=k_max),
+        config=config,
         seed=fit_seq, true_labels=true_labels,
     )
     marks.append(time.perf_counter())
