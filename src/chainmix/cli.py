@@ -27,7 +27,7 @@ from . import dataio, experiments
 from .clustering import GaussianKernel, PointSet, discretize_trajectories, kmeans, spectral_fit
 from .em import EmConfig
 from .errors import NumericalError, ValidationError
-from .gene_circuit import MisaParams, _simulate_all
+from .gene_circuit import MisaParams, misa_simulate
 from .metrics import accuracy, confusion
 from .model_core import random_mixture_params, sample_mixture, sufficient_stats
 from .multistart import multistart_fit
@@ -266,11 +266,12 @@ def _cmd_misa(args) -> int:
     if args.n_traj < 1:
         raise ValidationError("--n-traj must be >= 1")
     out = args.out
-    children = np.random.SeedSequence(args.seed).spawn(args.n_traj)
-    trajectories = _simulate_all([(params, child) for child in children],
-                                 t_end=args.t_end, sample_interval=args.sample_interval,
-                                 burn_in=args.burn_in)
-    for i, traj in enumerate(trajectories):
+    master = np.random.SeedSequence(args.seed)
+    children = master.spawn(args.n_traj)
+    for i in range(args.n_traj):
+        traj = misa_simulate(params, t_end=args.t_end,
+                             sample_interval=args.sample_interval,
+                             seed=children[i], burn_in=args.burn_in)
         # made only once misa_simulate has accepted the time arguments
         out.mkdir(parents=True, exist_ok=True)
         dataio.write_misa_csv(out / f"traj_{i:03d}.csv", traj)

@@ -12,22 +12,12 @@ Bimolecular "+2x" propensities use the combinatorial mass-action form
 h * x * (x-1) / 2 (number of distinct identical-species pairs), the
 convention of standard Gillespie simulators.  Note this halves effective
 binding rates versus the ordered-pair x*(x-1) convention.
-
-Many trajectories are simulated in a process pool.  Each trajectory draws
-only from its own seed (a `SeedSequence` child), so where it is simulated
-does not change it: the pool returns the trajectories a serial loop would,
-in the same order.  The pool forks one worker per available core, up to one
-per trajectory, and is shut down before the call returns.  With one worker,
-or where the fork start method is not available, the trajectories are
-simulated in the calling process.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
-import os
 import time
 from dataclasses import dataclass, field, fields
 
@@ -240,34 +230,6 @@ def misa_simulate(params: MisaParams, t_end: float, sample_interval: float = 1.0
     )
 
 
-def _simulate_task(task, **times) -> MisaTrajectory:
-    params, seed = task
-    return misa_simulate(params, seed=seed, **times)
-
-
-def _simulate_all(tasks: list, t_end: float, sample_interval: float, burn_in: float):
-    """Yield `misa_simulate(params, t_end, sample_interval, seed, burn_in)`
-    for each (params, seed) of `tasks`, in task order.
-
-    The tasks run in a fork process pool with one worker per available core,
-    up to one per task; with one worker, or without the fork start method,
-    they run here.  A worker's exception is raised here, a worker that dies
-    raises `BrokenProcessPool`, and the pool is joined before this returns.
-    """
-    import multiprocessing
-
-    run = functools.partial(_simulate_task, t_end=t_end,
-                            sample_interval=sample_interval, burn_in=burn_in)
-    workers = min(len(tasks), len(os.sched_getaffinity(0)))
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        yield from map(run, tasks)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        yield from pool.map(run, tasks)
-
-
 @dataclass(frozen=True, eq=False)
 class MisaMixtureResult:
     """Outcome of the two-population discrimination experiment.
@@ -313,9 +275,11 @@ def misa_mixture_experiment(f_r_1: float, f_r_2: float, n_per_group: int = 15,
     cluster_seq, fit_seq, sub_seq = master.spawn(3)
     marks = [time.perf_counter()]  # each stage ends at the next mark
 
-    trajectories = [traj.ab for traj in _simulate_all(
-        list(zip(params, sim_seqs)), t_end=float(t_len), sample_interval=1.0,
-        burn_in=burn_in)]
+    trajectories = [
+        misa_simulate(p, t_end=float(t_len), sample_interval=1.0, seed=sim_seq,
+                      burn_in=burn_in).ab
+        for p, sim_seq in zip(params, sim_seqs)
+    ]
     true_labels = np.repeat(np.arange(2), n_per_group)
 
     pooled = np.vstack(trajectories)

@@ -291,42 +291,6 @@ def reference_misa_simulate(params, t_end, sample_interval=1.0, seed=None,
     return rows[:, 0], rows[:, 1], rows[:, 2:4], rows[:, 4:6]
 
 
-def reference_misa_mixture_experiment(f_r_1, f_r_2, n_per_group, t_len, seed,
-                                      restarts, k_max=10, sigma=50.0, n_states=4,
-                                      burn_in=100.0):
-    """`misa_mixture_experiment` with its trajectories simulated one after
-    another in this process, by `misa_simulate` over the same `SeedSequence`
-    children.  Returns the discretized states, every restart's objective and
-    the best restart's accuracy."""
-    from chainmix import (
-        GaussianKernel, MisaParams, PointSet, VemConfig, discretize_trajectories,
-        misa_simulate, multistart_fit, spectral_fit, sufficient_stats,
-    )
-    from chainmix.gene_circuit import _MAX_FIT_POINTS
-
-    master = np.random.SeedSequence(seed)
-    sim_seqs = master.spawn(2 * n_per_group)
-    cluster_seq, fit_seq, sub_seq = master.spawn(3)
-    rates = [f_r_1] * n_per_group + [f_r_2] * n_per_group
-    trajectories = [
-        misa_simulate(MisaParams(f_r=f_r), t_end=float(t_len), sample_interval=1.0,
-                      seed=sim_seq, burn_in=burn_in).ab
-        for f_r, sim_seq in zip(rates, sim_seqs)
-    ]
-    points = np.vstack(trajectories)
-    if points.shape[0] > _MAX_FIT_POINTS:
-        pick = np.random.default_rng(sub_seq).choice(
-            points.shape[0], size=_MAX_FIT_POINTS, replace=False)
-        points = points[np.sort(pick)]
-    model = spectral_fit(PointSet(points), GaussianKernel(sigma=sigma), s=n_states,
-                         seed=cluster_seq)
-    dataset = discretize_trajectories(model, trajectories)
-    report = multistart_fit(sufficient_stats(dataset), "vem", restarts=restarts,
-                            config=VemConfig(k_max=k_max), seed=fit_seq,
-                            true_labels=np.repeat(np.arange(2), n_per_group))
-    return dataset.states, report.all_objectives, float(report.all_accuracies[report.best_index])
-
-
 def reference_accuracy(true_labels, est_labels):
     """`chainmix.accuracy` as it was built on `scipy.optimize.linear_sum_assignment`:
     (value, permutation) over the padded contingency table."""

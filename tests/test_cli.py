@@ -1,14 +1,12 @@
 import argparse
 import csv
 import json
-import multiprocessing
-import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chainmix import MisaParams, cli, dataio, experiments, misa_simulate
+from chainmix import cli, dataio, experiments
 from chainmix.cli import main
 from chainmix.multistart import TIE_RTOL
 
@@ -402,24 +400,6 @@ class TestMisa:
         assert set(rows[0]) == {"t", "a", "b", "gene_a", "gene_b"}
         assert rows[0]["gene_a"] in {"00", "01", "10", "11"}
         assert (tmp_path / "traj_001.csv").exists()
-
-    def test_pool_writes_the_serial_csvs(self, tmp_path, monkeypatch):
-        # two workers simulate the trajectories; each CSV equals the one a
-        # serial misa_simulate over the same seed children writes
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        rc = run_cli("misa", "--f-r", 0.1, "--t-end", 20, "--n-traj", 5,
-                     "--burn-in", 5, "--seed", 47, "--out", tmp_path / "pool")
-        assert rc == 0
-        assert multiprocessing.active_children() == []
-        serial = tmp_path / "serial"
-        serial.mkdir()
-        for i, child in enumerate(np.random.SeedSequence(47).spawn(5)):
-            traj = misa_simulate(MisaParams(f_r=0.1), t_end=20.0, seed=child, burn_in=5.0)
-            dataio.write_misa_csv(serial / f"traj_{i:03d}.csv", traj)
-        names = sorted(path.name for path in (tmp_path / "pool").iterdir())
-        assert names == [f"traj_{i:03d}.csv" for i in range(5)]
-        for name in names:
-            assert (tmp_path / "pool" / name).read_bytes() == (serial / name).read_bytes()
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--t-end", "inf", "t_end must be finite and positive"),

@@ -1,7 +1,3 @@
-import multiprocessing
-import os
-from concurrent.futures.process import BrokenProcessPool
-
 import numpy as np
 import pytest
 
@@ -16,12 +12,7 @@ from chainmix import (
     multistart,
 )
 
-from helpers import (
-    count_calls,
-    reference_misa_mixture_experiment,
-    reference_misa_simulate,
-    reference_propensities,
-)
+from helpers import count_calls, reference_misa_simulate, reference_propensities
 
 
 class TestPropensities:
@@ -310,46 +301,6 @@ class TestMixtureExperiment:
         assert score_calls == {"accuracy": 0}
         assert result.accuracy == accuracy(result.true_labels, result.report.best.labels)[0]
 
-
-def _cores(monkeypatch, n):
-    """Make the simulation pool see `n` available cores."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-class TestSimulationPool:
-    """misa_mixture_experiment's trajectories, simulated in worker processes."""
-
-    kwargs = dict(n_per_group=4, t_len=10, seed=16, restarts=3, burn_in=5.0)
-
-    @pytest.mark.parametrize("cores", [1, 2])
-    def test_matches_serial_reference(self, monkeypatch, cores):
-        _cores(monkeypatch, cores)
-        calls = count_calls(monkeypatch, gene_circuit, "misa_simulate")
-        result = misa_mixture_experiment(0.01, 0.25, **self.kwargs)
-        states, objectives, acc = reference_misa_mixture_experiment(0.01, 0.25, **self.kwargs)
-        assert np.array_equal(result.dataset.states, states)
-        assert np.array_equal(result.report.all_objectives, objectives)
-        assert result.accuracy == acc
-        # with two workers, no trajectory is simulated in this process
-        assert calls == {"misa_simulate": 8 if cores == 1 else 0}
-        assert multiprocessing.active_children() == []
-
-    def test_worker_error_is_raised_here(self, monkeypatch):
-        _cores(monkeypatch, 2)
-        with pytest.raises(ValidationError, match="burn_in must be finite and nonnegative"):
-            misa_mixture_experiment(0.01, 0.25, **{**self.kwargs, "burn_in": -1.0})
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="without fork the trajectories are simulated in this process")
-    def test_dead_worker_raises(self, monkeypatch):
-        _cores(monkeypatch, 2)
-        # the forked workers inherit this replacement and exit on their first task
-        monkeypatch.setattr(gene_circuit, "misa_simulate", lambda *args, **kwargs: os._exit(1))
-        with pytest.raises(BrokenProcessPool):
-            misa_mixture_experiment(0.01, 0.25, **self.kwargs)
-        assert multiprocessing.active_children() == []
-
     @pytest.mark.parametrize("argument,message", [
         (dict(n_per_group=0), "n_per_group must be >= 1"),
         (dict(t_len=0), "t_len must be >= 1"),
@@ -360,8 +311,8 @@ class TestSimulationPool:
         (dict(sigma=-1.0), "sigma must be positive"),
     ])
     def test_arguments_checked_before_simulating(self, monkeypatch, argument, message):
-        _cores(monkeypatch, 1)
         calls = count_calls(monkeypatch, gene_circuit, "misa_simulate")
+        kwargs = dict(n_per_group=4, t_len=10, seed=16, restarts=3, burn_in=5.0)
         with pytest.raises(ValidationError, match=message):
-            misa_mixture_experiment(0.01, 0.25, **{**self.kwargs, **argument})
+            misa_mixture_experiment(0.01, 0.25, **{**kwargs, **argument})
         assert calls == {"misa_simulate": 0}
