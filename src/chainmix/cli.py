@@ -29,7 +29,7 @@ from .em import EmConfig
 from .errors import NumericalError, ValidationError
 from .gene_circuit import MisaParams, misa_simulate
 from .metrics import accuracy, confusion
-from .model_core import random_mixture_params, sample_mixture, sufficient_stats
+from .model_core import check_seed, random_mixture_params, sample_mixture, sufficient_stats
 from .multistart import multistart_fit
 from .theory import kl_report
 from .vem import VemConfig
@@ -390,6 +390,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_with_config(parser, argv))
+        # checked before any handler: `simulate --model` passes only seed + 1
+        # on, so a seed of -1 would reach the library as 0
+        check_seed(getattr(args, "seed", None))
         return _HANDLERS[args.command](args)
     except (ValidationError, NumericalError, OSError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),

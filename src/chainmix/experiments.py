@@ -23,13 +23,13 @@ import numpy as np
 
 from .em import EmConfig
 from .gene_circuit import _STAGES, misa_mixture_experiment
-from .model_core import random_mixture_params, sample_mixture, sufficient_stats
+from .model_core import check_seed, random_mixture_params, sample_mixture, sufficient_stats
 from .multistart import multistart_fit
 from .vem import VemConfig
 
 
 def _cell_seed(master: int, *key) -> int:
-    seq = np.random.SeedSequence(master, spawn_key=tuple(int(v) for v in key))
+    seq = np.random.SeedSequence(check_seed(master), spawn_key=tuple(int(v) for v in key))
     return int(seq.generate_state(1, np.uint64)[0])
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .clustering import GaussianKernel, PointSet, discretize_trajectories, spectral_fit
 from .errors import ValidationError
 from .metrics import accuracy  # noqa: F401  (perfbench/spans.py wraps this name)
-from .model_core import TrajectoryDataset, as_rng, sufficient_stats
+from .model_core import TrajectoryDataset, as_rng, check_seed, sufficient_stats
 from .multistart import MultistartReport, multistart_fit
 from .vem import VemConfig
 
@@ -270,7 +270,7 @@ def misa_mixture_experiment(f_r_1: float, f_r_2: float, n_per_group: int = 15,
     kernel = GaussianKernel(sigma=sigma)
     config = VemConfig(k_max=k_max)
     params = [MisaParams(f_r=f_r_1)] * n_per_group + [MisaParams(f_r=f_r_2)] * n_per_group
-    master = np.random.SeedSequence(seed)
+    master = np.random.SeedSequence(check_seed(seed))
     sim_seqs = master.spawn(2 * n_per_group)
     cluster_seq, fit_seq, sub_seq = master.spawn(3)
     marks = [time.perf_counter()]  # each stage ends at the next mark

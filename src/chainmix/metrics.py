@@ -48,6 +48,12 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
 
+def _contingency(true: np.ndarray, est: np.ndarray, size: int) -> np.ndarray:
+    """(size, size) int64 table whose entry [i, j] counts the n with true[n] = i
+    and est[n] = j, from one bincount of the flat cell index."""
+    return np.bincount(true * size + est, minlength=size * size).reshape(size, size)
+
+
 def accuracy(true_labels, est_labels):
     """Fraction of matching labels, maximized over relabelings of the estimate.
 
@@ -60,8 +66,7 @@ def accuracy(true_labels, est_labels):
     if true.size != est.size:
         raise ValidationError("label arrays must have equal length")
     size = int(max(true.max(), est.max())) + 1
-    contingency = np.zeros((size, size), dtype=np.int64)
-    np.add.at(contingency, (true, est), 1)
+    contingency = _contingency(true, est, size)
     row4col = _max_weight_matching(contingency.tolist())
     permutation = np.array(row4col, dtype=np.int64)
     value = contingency[permutation, np.arange(size)].sum() / true.size
@@ -144,7 +149,6 @@ def confusion(true_labels, est_labels, permutation) -> ConfusionMatrix:
         raise ValidationError("permutation must be a bijection on label indices")
     mapped = perm[est]
     size = int(max(true.max(), mapped.max())) + 1
-    counts = np.zeros((size, size), dtype=np.int64)
-    np.add.at(counts, (true, mapped), 1)
+    counts = _contingency(true, mapped, size)
     labels = tuple(range(size))
     return ConfusionMatrix(counts=counts, row_labels=labels, col_labels=labels)

@@ -27,8 +27,25 @@ from .errors import NumericalError, ValidationError
 _SUM_TOL = 1e-9
 
 
+def check_seed(seed, *kinds):
+    """`seed` itself if it is None, a non-negative integer or an instance of
+    one of `kinds`; ValidationError otherwise.
+
+    Every seeded entry point passes its seed through here, so a negative,
+    fractional, boolean or string seed fails with one message instead of
+    being truncated, parsed or rejected deep inside numpy.
+    """
+    if seed is None or isinstance(seed, kinds):
+        return seed
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0:
+        return seed
+    raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def as_rng(seed) -> np.random.Generator:
-    """Coerce an int seed, SeedSequence, Generator, or None into a Generator."""
+    """Coerce a non-negative int seed, SeedSequence, Generator, or None into a
+    Generator; any other seed raises ValidationError."""
+    check_seed(seed, np.random.SeedSequence, np.random.Generator)
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
@@ -461,7 +478,8 @@ def log_mixture_weights(log_mu, log_theta, stats: SufficientStats) -> np.ndarray
     """
     # (L X^T)^T rather than X L^T: in the second form OpenBLAS packs all of X
     # into its work buffer, which then stays resident (4.9 MB at N=20000, s=5)
-    if log_theta.min() > -np.inf:  # False for a NaN too, which the mask leaves as it is
+    # False for a NaN too, which the mask leaves as it is
+    if np.minimum.reduce(log_theta, axis=None) > -np.inf:
         w = (log_theta @ stats.X.T).T
         w += log_mu
         return w
@@ -484,11 +502,11 @@ def log_normalize_rows(logw: np.ndarray):
     returned gamma is `logw` itself, and log_norms is the buffer that held
     the row sums.
     """
-    m = logw.max(axis=1)
-    if math.isfinite(m.sum()):  # every row max is finite: no row needs a mask
+    m = np.maximum.reduce(logw, axis=1)
+    if math.isfinite(np.add.reduce(m)):  # every row max is finite: no row needs a mask
         logw -= m[:, None]
         gamma = np.exp(logw, out=logw)
-        sums = gamma.sum(axis=1)
+        sums = np.add.reduce(gamma, axis=1)
         gamma /= sums[:, None]
         log_norms = np.log(sums, out=sums)
         log_norms += m

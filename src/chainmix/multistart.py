@@ -19,7 +19,8 @@ import numpy as np
 from .em import EmConfig, em_fit
 from .errors import NumericalError, ValidationError
 from .metrics import accuracy
-from .model_core import FitResult, Responsibilities, SufficientStats, as_rng, uniform_simplex
+from .model_core import (FitResult, Responsibilities, SufficientStats, as_rng, check_seed,
+                         uniform_simplex)
 from .vem import VemConfig, vem_fit
 
 # Relative tolerance under which a restart's objective ties with the best.
@@ -43,7 +44,9 @@ def restart_seed_sequence(master_entropy, index: int) -> np.random.SeedSequence:
 
 
 def _master_entropy(seed) -> int:
-    """Reduce any accepted seed form to a master entropy integer."""
+    """Reduce any accepted seed form (None, a non-negative int or a
+    SeedSequence) to a master entropy integer."""
+    check_seed(seed, np.random.SeedSequence)
     if seed is None:
         return np.random.SeedSequence().entropy
     if isinstance(seed, np.random.SeedSequence):
@@ -88,8 +91,7 @@ class MultistartReport:
     all_wall_s: np.ndarray
 
 
-def _run_restart(index, master_entropy, stats, algorithm, config, true_labels):
-    seq = restart_seed_sequence(master_entropy, index)
+def _run_restart(seq, stats, algorithm, config, true_labels):
     if algorithm == "em":
         fit = em_fit(stats, sample_simplex_rows(stats.n, config.k, seq), config)
     else:
@@ -123,6 +125,7 @@ def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
         raise ValidationError(f"unknown algorithm {algorithm!r}")
 
     master_entropy = _master_entropy(seed)
+    sequences = [restart_seed_sequence(master_entropy, r) for r in range(restarts)]
     objectives = np.full(restarts, np.nan)
     iterations = np.zeros(restarts, dtype=np.int64)
     converged = np.zeros(restarts, dtype=bool)
@@ -134,8 +137,7 @@ def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
     for r in range(restarts):
         begin = time.perf_counter()
         try:
-            fit, acc = _run_restart(r, master_entropy, stats, algorithm, config,
-                                    true_labels)
+            fit, acc = _run_restart(sequences[r], stats, algorithm, config, true_labels)
         except NumericalError as exc:
             failures.append((r, str(exc)))
             continue
@@ -157,10 +159,7 @@ def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
     tied = objectives >= best_value - TIE_RTOL * max(1.0, abs(best_value))
     best_index = int(np.argmax(tied))
 
-    seeds = tuple(
-        int(restart_seed_sequence(master_entropy, r).generate_state(1)[0])
-        for r in range(restarts)
-    )
+    seeds = tuple(int(seq.generate_state(1)[0]) for seq in sequences)
     return MultistartReport(
         best=results[best_index],
         best_index=best_index,

@@ -51,16 +51,19 @@ def _kl_rows(p, q) -> np.ndarray:
 def _occupation(nu: np.ndarray, P: np.ndarray, horizon: int) -> np.ndarray:
     """sum_{t < horizon} nu P^t: expected visits to each state before the horizon.
 
-    nu is (..., s) and P is (..., s, s), one chain per leading index.
+    nu is (..., s) and P is (..., s, s), one chain per leading index.  The
+    sum and the marginal are row vectors written into preallocated buffers.
     """
     if horizon < 0:
         raise ValidationError("horizon must be >= 0")
-    occupation = np.zeros_like(nu)
-    marginal = nu
+    marginal = nu[..., None, :].copy()
+    occupation = np.zeros_like(marginal)
+    following = np.empty_like(marginal)
     for _ in range(horizon):
-        occupation = occupation + marginal
-        marginal = (marginal[..., None, :] @ P)[..., 0, :]
-    return occupation
+        occupation += marginal
+        np.matmul(marginal, P, out=following)
+        marginal, following = following, marginal
+    return occupation[..., 0, :]
 
 
 def _average(weights: np.ndarray, row_kl: np.ndarray) -> np.ndarray:
@@ -81,6 +84,47 @@ def kl_trajectory(params: MixtureParams, i: int, j: int, horizon: int) -> float:
                  + _average(occupation, _kl_rows(params.P[i], params.P[j])))
 
 
+def _stationary_measures(P: np.ndarray, tol: float = 1e-12, max_iters: int = 10**6,
+                         components=None) -> np.ndarray:
+    """Stationary measures of the chains of the (m, s, s) stack P, by one
+    power iteration over all of them; see `stationary_distribution`.
+
+    Every chain walks the same schedule of steps and leaves the batch at the
+    first step where its own residual meets `tol`.  Raises NumericalError if
+    some chain never does; with `components`, the component index of each
+    chain, the message names the lowest such component.
+    """
+    P = np.asarray(P, dtype=np.float64)
+    m, s = P.shape[:2]
+    measures = np.empty((m, s))
+    live = np.arange(m)  # the chains still in the batch, in increasing order
+    pi = np.full((m, 1, s), 1.0 / s)
+    last = max_iters - 1
+    t, jump = 0, P  # pi = pi_t and jump = P^(t+1), while t = 2^j - 1
+    while t <= last:
+        nxt = pi @ P
+        nxt /= np.add.reduce(nxt, axis=2, keepdims=True)
+        done = np.add.reduce(np.abs(nxt - pi), axis=2)[:, 0] < tol
+        if done.any():
+            measures[live[done]] = nxt[done, 0]
+            if done.all():
+                return measures
+            stay = ~done
+            live, pi, P, jump = live[stay], pi[stay], P[stay], jump[stay]
+        if t == last:
+            break
+        if 2 * t + 1 <= last:
+            pi, t, jump = pi @ jump, 2 * t + 1, jump @ jump
+        else:
+            pi, t = pi @ np.linalg.matrix_power(P, last - t), last
+        pi /= np.add.reduce(pi, axis=2, keepdims=True)
+    message = f"power iteration did not converge to tolerance {tol}"
+    if components is not None:
+        message = (f"stationary measure of component {components[live[0]]} "
+                   f"did not converge: {message}")
+    raise NumericalError(message)
+
+
 def stationary_distribution(transition: np.ndarray, tol: float = 1e-12,
                             max_iters: int = 10**6) -> np.ndarray:
     """Stationary measure by power iteration from the uniform vector.
@@ -98,36 +142,7 @@ def stationary_distribution(transition: np.ndarray, tol: float = 1e-12,
     (periodic or otherwise non-convergent chains are reported, not
     regularized).
     """
-    p = np.asarray(transition, dtype=np.float64)
-    s = p.shape[0]
-    pi = np.full(s, 1.0 / s)
-    last = max_iters - 1
-    t, jump = 0, p  # pi = pi_t and jump = P^(t+1), while t = 2^j - 1
-    while t <= last:
-        nxt = pi @ p
-        nxt /= nxt.sum()
-        if np.abs(nxt - pi).sum() < tol:
-            return nxt
-        if t == last:
-            break
-        if 2 * t + 1 <= last:
-            pi, t, jump = pi @ jump, 2 * t + 1, jump @ jump
-        else:
-            pi, t = pi @ np.linalg.matrix_power(p, last - t), last
-        pi /= pi.sum()
-    raise NumericalError(
-        f"power iteration did not converge to tolerance {tol}"
-    )
-
-
-def _stationary_of(params: MixtureParams, i: int) -> np.ndarray:
-    """Stationary measure of chain i; a NumericalError names the component."""
-    try:
-        return stationary_distribution(params.P[i])
-    except NumericalError as exc:
-        raise NumericalError(
-            f"stationary measure of component {i} did not converge: {exc}"
-        ) from exc
+    return _stationary_measures(np.asarray(transition)[None], tol, max_iters)[0]
 
 
 def kl_rate(params: MixtureParams, i: int, j: int) -> float:
@@ -137,7 +152,8 @@ def kl_rate(params: MixtureParams, i: int, j: int) -> float:
     stationary measure.  Raises NumericalError naming the component when the
     stationary computation does not converge.
     """
-    return float(_average(_stationary_of(params, i), _kl_rows(params.P[i], params.P[j])))
+    stationary = _stationary_measures(params.P[i:i + 1], components=(i,))[0]
+    return float(_average(stationary, _kl_rows(params.P[i], params.P[j])))
 
 
 def _row_kl_tensor(params: MixtureParams) -> np.ndarray:
@@ -200,13 +216,14 @@ def kl_report(params: MixtureParams, horizon: int) -> KlReport:
 
     The row-KL tensor is built once and weighted by each chain's expected
     visits for the divergences and by its stationary measure for the rates.
+    All k stationary measures come from one batched power iteration.
     """
     k = params.k
     row_kl = _row_kl_tensor(params)
     pairwise = _divergence_matrix(params, row_kl, horizon)
     rates = np.zeros((k, k))
     if k > 1:  # a single chain has no rates, so no stationary measure is needed
-        stationary = np.stack([_stationary_of(params, i) for i in range(k)])
+        stationary = _stationary_measures(params.P, components=range(k))
         rates = _average(stationary[:, None, :], row_kl)
     return KlReport(
         pairwise=pairwise,

@@ -12,6 +12,7 @@ to its floor, pruning them without any model comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +40,8 @@ def digamma(x):
     """
     arr = np.asarray(x, dtype=np.float64)
     # a NaN fails the first comparison, because min and max propagate it
-    if arr.size and not (arr.min() > 0 and arr.max() < np.inf):
+    if arr.size and not (np.minimum.reduce(arr, axis=None) > 0
+                         and np.maximum.reduce(arr, axis=None) < np.inf):
         raise ValueError("digamma requires x > 0")
     out = _scipy_digamma(arr)
     return float(out) if arr.ndim == 0 else out
@@ -132,30 +134,36 @@ class _Block(NamedTuple):
     log_b_prior: float
 
 
+@lru_cache(maxsize=64)
 def _block(k: int, s: int) -> _Block:
+    """The layout for (k, s), built once and shared by every fit, so read-only."""
     groups = k * (s + 1)
+    prior = np.concatenate([np.full(k, 1.0 / k), np.ones(groups * s)])
+    owner = np.concatenate([np.zeros(k, dtype=np.intp), np.repeat(np.arange(1, groups + 1), s)])
+    prior.flags.writeable = owner.flags.writeable = False
     return _Block(
-        prior=np.concatenate([np.full(k, 1.0 / k), np.ones(groups * s)]),
-        owner=np.concatenate([np.zeros(k, dtype=np.intp),
-                              np.repeat(np.arange(1, groups + 1), s)]),
+        prior=prior,
+        owner=owner,
         log_b_prior=float(k * gammaln(1.0 / k) - gammaln(1.0) - groups * gammaln(float(s))),
     )
 
 
 def _elbo_value(block: _Block, stack: np.ndarray, log_theta: np.ndarray,
-                log_c: np.ndarray) -> float:
+                log_c: np.ndarray, work: np.ndarray) -> float:
     """Variational lower bound: data term minus Dirichlet divergence terms.
 
     `log_theta` holds the geometric-mean (digamma) log parameters of the
     stack's entries.  Each correction term is the negative KL divergence
     between a posterior Dirichlet and its prior, expressed through log-beta
     differences and the geometric-mean log parameters; summed over all
-    Dirichlets they are one signed sum of gammaln over the stack.
+    Dirichlets they are one signed sum of gammaln over the stack.  `work`
+    is a scratch buffer shaped like the stack.
     """
     entries = block.prior.size
-    lg = gammaln(stack)
-    return float(log_c.sum() + lg[:entries].sum() - lg[entries:].sum()
-                 - block.log_b_prior - (stack[:entries] - block.prior) @ log_theta)
+    lg = gammaln(stack, out=work)
+    data = np.add.reduce(log_c) + np.add.reduce(lg[:entries]) - np.add.reduce(lg[entries:])
+    excess = np.subtract(stack[:entries], block.prior, out=work[:entries])
+    return float(data - block.log_b_prior - excess @ log_theta)
 
 
 def vem_fit(stats: SufficientStats, init: Responsibilities,
@@ -169,30 +177,36 @@ def vem_fit(stats: SufficientStats, init: Responsibilities,
 
     Each iteration takes one matrix product for the posterior counts, one
     digamma and one gammaln over the stacked Dirichlet parameters, and one
-    matrix product for the E-step.
+    matrix product for the E-step.  The stack, its gathered totals and the
+    log parameters live in buffers that this call allocates once and every
+    iteration overwrites; the returned posterior views the stack of the
+    last one.
     """
     if init.k != config.k_max:
         raise ValidationError("init must have k_max columns")
     k, s = config.k_max, stats.s
     block = _block(k, s)
     entries = block.prior.size
-    stack_size = entries + 1 + k * (s + 1)
+    # the stack `_Block` lays out: parameters, then totals
+    stack = np.empty(entries + 1 + k * (s + 1))
+    n_hat, totals = stack[:k], stack[entries:]
+    counts = stack[k:entries].reshape(k, -1)  # laid out like the columns of X
+    rows = counts.reshape(-1, s)
+    gathered, log_theta, work = np.empty(entries), np.empty(entries), np.empty_like(stack)
+    log_mu, log_params = log_theta[:k], log_theta[k:].reshape(k, -1)
 
     def step(gamma, it):
-        # the stack `_Block` lays out, filled in place: parameters, then totals
-        stack = np.empty(stack_size)
-        n_hat, rows, totals = stack[:k], stack[k:entries], stack[entries:]
-        np.add(block.prior[:k], gamma.sum(axis=0), out=n_hat)
-        np.matmul(gamma.T, stats.X, out=rows.reshape(k, -1))
-        rows += 1.0
-        rows = rows.reshape(-1, s)
-        totals[0] = n_hat.sum()
-        rows.sum(axis=1, out=totals[1:])
+        np.add(block.prior[:k], np.add.reduce(gamma, axis=0), out=n_hat)
+        np.matmul(gamma.T, stats.X, out=counts)
+        np.add(counts, 1.0, out=counts)
+        totals[0] = np.add.reduce(n_hat)
+        np.add.reduce(rows, axis=1, out=totals[1:])
         psi = digamma(stack)
-        log_theta = psi[:entries] - psi[entries:][block.owner]
-        logw = log_mixture_weights(log_theta[:k], log_theta[k:].reshape(k, -1), stats)
+        psi[entries:].take(block.owner, out=gathered, mode="clip")
+        np.subtract(psi[:entries], gathered, out=log_theta)
+        logw = log_mixture_weights(log_mu, log_params, stats)
         gamma, log_c = log_normalize_rows(logw)
-        return gamma, _elbo_value(block, stack, log_theta, log_c), (n_hat, rows)
+        return gamma, _elbo_value(block, stack, log_theta, log_c, work), (n_hat, rows)
 
     gamma, (n_hat, rows), trace, converged, iterations = coordinate_ascent(
         stats, init, step, config.max_iters, config.tol_scale

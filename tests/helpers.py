@@ -156,6 +156,38 @@ def reference_stationary_distribution(transition, tol=1e-12, max_iters=10**6):
     raise AssertionError(f"no convergence in {max_iters} steps")
 
 
+def reference_stationary_measures(P, tol=1e-12, max_iters=10**6):
+    """The (k, s) stationary measures of the stack P, one chain at a time.
+
+    Each chain takes the log-step walk of `chainmix.theory.stationary_distribution`
+    on its own (t = 0, 1, 3, 7, ..., then a `matrix_power` tail to
+    max_iters - 1), the per-chain loop that the batched iteration replaced.
+    Raises AssertionError naming the first chain that does not converge.
+    """
+    P = np.asarray(P, dtype=np.float64)
+    measures = []
+    for i, p in enumerate(P):
+        pi = np.full(p.shape[0], 1.0 / p.shape[0])
+        last = max_iters - 1
+        t, jump, measure = 0, p, None
+        while t <= last:
+            nxt = pi @ p
+            nxt /= nxt.sum()
+            if np.abs(nxt - pi).sum() < tol:
+                measure = nxt
+                break
+            if t == last:
+                break
+            if 2 * t + 1 <= last:
+                pi, t, jump = pi @ jump, 2 * t + 1, jump @ jump
+            else:
+                pi, t = pi @ np.linalg.matrix_power(p, last - t), last
+            pi /= pi.sum()
+        assert measure is not None, f"chain {i} does not converge"
+        measures.append(measure)
+    return np.array(measures).reshape(P.shape[:2])
+
+
 def reference_kl_rate(params, i, j):
     """Per-pair loop form of `chainmix.kl_rate`."""
     from chainmix.theory import stationary_distribution

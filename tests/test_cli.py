@@ -679,6 +679,16 @@ def test_flag_a_subcommand_does_not_read_is_rejected(capsys, command, flag):
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "fit", "cluster", "misa", "experiment"])
+def test_negative_seed_is_a_json_error(tmp_path, capsys, command):
+    rc = run_cli(command, *_REQUIRED[command], "--seed", -1, "--out", tmp_path / "out")
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == {"type": "ValidationError",
+                            "message": "seed must be a non-negative integer, got -1"}
+    assert not (tmp_path / "out").exists()
+
+
 def test_preset_names_come_from_the_recipe_table():
     name = next(action for action in _subparser("experiment")._actions
                 if action.dest == "name")

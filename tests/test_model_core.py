@@ -8,12 +8,17 @@ from chainmix import (
     Responsibilities,
     TrajectoryDataset,
     ValidationError,
+    VemConfig,
+    misa_mixture_experiment,
+    multistart_fit,
     random_mixture_params,
     sample_mixture,
     sufficient_stats,
 )
+from chainmix.experiments import run_fig2
 from chainmix.model_core import (
     SufficientStats,
+    as_rng,
     log_mixture_weights,
     log_normalize_rows,
     parameter_block,
@@ -407,3 +412,47 @@ class TestEStepMatchesOutOfPlaceFormulas:
         assert np.array_equal(gamma, expected_gamma, equal_nan=True)
         assert np.array_equal(log_norms, expected_norms, equal_nan=True)
         assert np.shares_memory(gamma, logw)  # logw is consumed
+
+
+_BAD_SEEDS = [-1, np.int64(-2), 1.5, np.float64(2.0), "3", True, [1, 2]]
+
+
+class TestSeedChecks:
+    """Every seeded entry point rejects a seed that is negative or not an integer."""
+
+    @pytest.mark.parametrize("seed", _BAD_SEEDS)
+    def test_as_rng(self, seed):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            as_rng(seed)
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            random_mixture_params(2, 2, seed=seed)
+
+    @pytest.mark.parametrize("seed", [*_BAD_SEEDS, np.random.default_rng(0)])
+    def test_multistart_fit(self, seed):
+        data, _ = sample_mixture(random_mixture_params(2, 2, seed=1), 6, 4, seed=2)
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            multistart_fit(sufficient_stats(data), "vem", 2, VemConfig(k_max=2), seed=seed)
+
+    @pytest.mark.parametrize("seed", [*_BAD_SEEDS, np.random.default_rng(0)])
+    def test_experiment_cell_seeds(self, seed):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            run_fig2(instances=1, n_traj=5, t_len=3, restarts=1, seed=seed)
+
+    @pytest.mark.parametrize("seed", [*_BAD_SEEDS, np.random.SeedSequence(0)])
+    def test_misa_mixture_experiment(self, seed):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            misa_mixture_experiment(0.01, 0.25, n_per_group=2, t_len=3, seed=seed)
+
+    def test_integer_seeds_keep_their_streams(self):
+        for seed in (0, 7, np.int64(7), np.uint64(2**63 + 5)):
+            assert as_rng(seed).random() == np.random.default_rng(int(seed)).random()
+        generator = np.random.default_rng(3)
+        assert as_rng(generator) is generator
+        data, _ = sample_mixture(random_mixture_params(2, 2, seed=1), 6, 4, seed=2)
+        stats = sufficient_stats(data)
+        reports = [multistart_fit(stats, "vem", 2, VemConfig(k_max=2), seed=seed)
+                   for seed in (5, np.int32(5), np.random.SeedSequence(5))]
+        assert reports[0].master_seed == reports[1].master_seed == 5
+        assert reports[0].seeds == reports[1].seeds
+        assert reports[2].master_seed == int(
+            np.random.SeedSequence(5).generate_state(1, np.uint64)[0])

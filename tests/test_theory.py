@@ -24,6 +24,7 @@ from helpers import (
     reference_kl_report,
     reference_kl_trajectory,
     reference_stationary_distribution,
+    reference_stationary_measures,
     strictly_positive_params,
 )
 
@@ -277,31 +278,63 @@ class TestKlReportStructure:
         assert 0.0 <= report.bound <= 1.0
         assert report.horizon == 12
 
-    def test_one_stationary_solve_per_chain(self, monkeypatch):
+    def test_one_batched_stationary_solve_per_report(self, monkeypatch):
         from chainmix import theory
         params = strictly_positive_params(4, 3, seed=202)
-        solved = []
-        monkeypatch.setattr(theory, "stationary_distribution",
-                            lambda p: solved.append(p) or stationary_distribution(p))
+        solve = theory._stationary_measures
+        stacks = []
+        monkeypatch.setattr(theory, "_stationary_measures",
+                            lambda P, **kw: stacks.append(P) or solve(P, **kw))
         report = kl_report(params, 9)
-        assert len(solved) == 4
+        monkeypatch.undo()
+        assert len(stacks) == 1
+        assert np.array_equal(stacks[0], params.P)
         for i in range(4):
             for j in range(4):
                 if i != j:
                     assert report.rates[i, j] == kl_rate(params, i, j)
 
-    def test_failed_stationary_measure_names_component(self, monkeypatch):
-        from chainmix import theory
-        params = strictly_positive_params(3, 2, seed=203)
+    def test_failed_stationary_measure_names_component(self):
+        # a bipartite chain {0} <-> {1, 2} never settles from the uniform start;
+        # the lowest such component is named
+        base = strictly_positive_params(3, 3, seed=203)
+        for periodic in ([1], [1, 2]):
+            P = base.P.copy()
+            P[periodic] = [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+            params = MixtureParams(mu=base.mu, nu=base.nu, P=P)
+            with pytest.raises(NumericalError, match=(
+                    r"^stationary measure of component 1 did not converge: "
+                    r"power iteration did not converge to tolerance 1e-12$")):
+                kl_report(params, 5)
 
-        def fail_on_component_1(p):
-            if np.array_equal(p, params.P[1]):
-                raise NumericalError("power iteration did not converge")
-            return stationary_distribution(p)
 
-        monkeypatch.setattr(theory, "stationary_distribution", fail_on_component_1)
-        with pytest.raises(NumericalError, match="component 1"):
-            kl_report(params, 5)
+class TestBatchedStationaryMeasures:
+    """One power iteration over the stack against the per-chain loop it replaced."""
+
+    @staticmethod
+    def assert_byte_equal(P, **kwargs):
+        from chainmix.theory import _stationary_measures
+        batched = _stationary_measures(P, **kwargs)
+        assert batched.tobytes() == reference_stationary_measures(P, **kwargs).tobytes()
+
+    def test_random_models(self):
+        rng = np.random.default_rng(409)
+        for m in range(500):
+            k, s = int(rng.integers(1, 9)), int(rng.integers(2, 10))
+            draw = random_mixture_params if m % 4 else random_sparse_params
+            self.assert_byte_equal(draw(k, s, seed=int(rng.integers(2**31))).P)
+
+    def test_theory_models(self):
+        for params in theory_models():
+            self.assert_byte_equal(params.P)
+
+    @pytest.mark.parametrize("max_iters", [757, 800, 1000])
+    def test_chains_leaving_at_different_steps(self, max_iters):
+        # the slow chain first converges at t = 756, in the matrix_power tail
+        # for 800 and 1000 and at the last step for 757
+        P = np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.99, 0.01], [0.02, 0.98]],
+                      [[0.9, 0.1], [0.5, 0.5]], [[0.0, 1.0], [1.0, 0.0]]])
+        self.assert_byte_equal(P, max_iters=max_iters)
 
 
 def assert_matches_reference(actual, expected):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from chainmix import (
     TrajectoryDataset,
     VemConfig,
     digamma,
+    multistart_fit,
     random_mixture_params,
     sample_mixture,
     sample_simplex_rows,
@@ -232,6 +235,64 @@ class TestVemFit:
         assert VemConfig(k_max=4, prune_threshold=0.25).prune_threshold == 0.25
 
 
+class TestPerFitBuffers:
+    """The step writes into buffers that one fit allocates and reuses."""
+
+    @pytest.mark.parametrize("seed, iterations, trace_sha, posterior_sha", [
+        (0, 1000, "266517104db09c9f00963c0c897f9ff3f4c13cd1cc6a38eae83923796fa9c70d",
+         "cf18b50ca780c3144ce189f594cd6c817164a1380e59d77139777b0312c82d9a"),
+        (1, 50, "180d453bb1d4fea7018e9f6a016d743083ae2f4d3c555acf3dafeb4b16cb3f1b",
+         "bcd35514ae841ba248b8556726479f840d4ac5251f2d726a3c03d0d1eddb71be"),
+        (2, 37, "d1bff259ab07f6f56e0445e740b3527eda8c91a4348638c7bc0e54a1739bb7dc",
+         "081cdbff9840b866ceeb633e253c9265d5fb8a31916988606773050d9dd76cc1"),
+    ])
+    def test_seeded_fig2_fits_pinned(self, seed, iterations, trace_sha, posterior_sha):
+        # digests of the fits made when every step allocated its own arrays
+        params = random_mixture_params(4, 3, seed=seed)
+        data, _ = sample_mixture(params, 100, 30, seed=seed + 1)
+        fit = vem_fit(sufficient_stats(data), sample_simplex_rows(100, 10, seed=seed + 2),
+                      VemConfig(k_max=10))
+        post = fit.posterior
+        posterior = hashlib.sha256()
+        for a in (post.n_hat, post.n_i_hat, post.n_ialpha_hat, fit.responsibilities.gamma):
+            posterior.update(np.ascontiguousarray(a).tobytes())
+        assert fit.iterations == iterations
+        assert hashlib.sha256(fit.objective_trace.tobytes()).hexdigest() == trace_sha
+        assert posterior.hexdigest() == posterior_sha
+
+    def test_restarts_share_no_buffer(self, monkeypatch):
+        from chainmix import multistart
+        params = random_mixture_params(3, 3, seed=71)
+        data, _ = sample_mixture(params, 40, 12, seed=72)
+        stats, config = sufficient_stats(data), VemConfig(k_max=5)
+        fits = []
+        fit_one = multistart.vem_fit
+        monkeypatch.setattr(multistart, "vem_fit",
+                            lambda *args: fits.append(fit_one(*args)) or fits[-1])
+        report = multistart_fit(stats, "vem", 4, config, seed=73)
+
+        def arrays(fit):  # copies, so a later fit cannot change what is compared
+            post = fit.posterior
+            return [np.array(a) for a in (post.n_hat, post.n_i_hat, post.n_ialpha_hat,
+                                          fit.objective_trace, fit.responsibilities.gamma,
+                                          fit.params.P)]
+
+        kept = [arrays(fit) for fit in fits]  # read after every restart has run
+        assert len(kept) == 4
+        for r, restart in enumerate(kept):
+            seq = multistart.restart_seed_sequence(report.master_seed, r)
+            alone = arrays(vem_fit(stats, sample_simplex_rows(stats.n, 5, seq), config))
+            assert all(np.array_equal(a, b) for a, b in zip(restart, alone))
+
+    def test_block_is_shared_and_read_only(self):
+        block = vem._block(4, 3)
+        assert vem._block(4, 3) is block
+        for arr in (block.prior, block.owner):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 def _elbo(n_hat, n_i, n_ia, log_mu, log_nu, log_p, log_c):
     """The bound `vem_fit` evaluates, with the Dirichlet parameters and their
     totals stacked in the layout the `vem._Block` docstring gives."""
@@ -239,7 +300,7 @@ def _elbo(n_hat, n_i, n_ia, log_mu, log_nu, log_p, log_c):
     rows = parameter_block(n_i, n_ia).reshape(-1, s)
     stack = np.concatenate([n_hat, rows.ravel(), [n_hat.sum()], rows.sum(axis=1)])
     log_theta = np.concatenate([log_mu, parameter_block(log_nu, log_p).ravel()])
-    return vem._elbo_value(vem._block(k, s), stack, log_theta, log_c)
+    return vem._elbo_value(vem._block(k, s), stack, log_theta, log_c, np.empty_like(stack))
 
 
 class TestElbo:
