@@ -2,9 +2,9 @@
 
 Spectral clustering embeds the data through the dominant eigenvectors of
 the symmetrically normalized kernel matrix and runs k-means in that
-embedding; a linear solve against the kernel matrix extends the embedding
-to unseen points, so fitted models can discretize fresh trajectories into
-Markov states.
+embedding; the Nystrom extension of those eigenvectors (Bengio et al.,
+NIPS 2003; Fowlkes et al., IEEE TPAMI 26(2), 2004) embeds unseen points, so
+fitted models can discretize fresh trajectories into Markov states.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .model_core import TrajectoryDataset, as_rng
 
-# Ridge scale for the embedding-coefficient solve; the kernel matrix is
-# often numerically singular and this perturbs it negligibly.
-_RIDGE_SCALE = 1e-10
 # Assignment embeds points in row blocks whose kernel block against the
 # training points holds at most this many entries (1 MB of float64): memory
 # stays bounded for long inputs, and the block's temporaries stay in cache.
@@ -163,9 +160,11 @@ def kmeans(points, s: int, seed=None, max_iters: int = 300,
 class SpectralModel:
     """Fitted spectral embedding and cluster centers.
 
-    The embedding of a point x is f(x) = alpha @ k(x_train, x); training
-    points embed (up to the ridge tolerance) onto the rescaled eigenvector
-    rows used to fit the k-means centers.
+    The embedding of x is the Nystrom extension f(x) = alpha @ k(x_train, x)
+    / d(x), with d(x) = sum_i k(x_i, x) and alpha = (e / lambda)^T, the
+    rescaled eigenvectors e = D^(-1/2) u over their eigenvalues.  As
+    D^(-1) K e = lambda e, training points embed (up to rounding) onto the
+    rows of e that fit the k-means centers.
     """
 
     kernel: GaussianKernel
@@ -186,7 +185,7 @@ class SpectralModel:
     def to_dict(self) -> dict:
         return {
             "kernel": self.kernel.to_spec(),
-            "alpha": self.alpha.tolist(),
+            "nystrom_alpha": self.alpha.tolist(),
             "centers": self.centers.tolist(),
             "training_points": self.points.tolist(),
             "r": self.r,
@@ -197,15 +196,15 @@ class SpectralModel:
     def from_dict(cls, payload: dict) -> "SpectralModel":
         kernel = kernel_from_spec(payload["kernel"])
         points = _as_points(payload["training_points"])
-        alpha = np.asarray(payload["alpha"], dtype=np.float64)
+        alpha = np.asarray(payload["nystrom_alpha"], dtype=np.float64)
         centers = np.asarray(payload["centers"], dtype=np.float64)
         m = points.shape[0]
         if alpha.ndim != 2 or alpha.shape[1] != m:
-            raise ValidationError(f"alpha must be (r, {m}) for {m} training points, not {alpha.shape}")
+            raise ValidationError(f"nystrom_alpha must be (r, {m}) for {m} training points, not {alpha.shape}")
         r = alpha.shape[0]
         if centers.ndim != 2 or centers.shape[0] < 1 or centers.shape[1] != r:
             raise ValidationError(f"centers must be (s >= 1, {r}) for r = {r}, not {centers.shape}")
-        embedding = (alpha @ kernel(points, points)).T
+        embedding = _nystrom(kernel, points, alpha, points)
         return cls(
             kernel=kernel,
             points=points,
@@ -214,6 +213,21 @@ class SpectralModel:
             embedding=embedding,
             assignments=_nearest(embedding, centers),
         )
+
+
+def _nystrom(kernel, points: np.ndarray, alpha: np.ndarray, x: np.ndarray,
+             first: int = 0) -> np.ndarray:
+    """The Nystrom extension alpha @ k(points, x) / d(x), d(x) = sum_i k(points_i, x),
+    as a (len(x), r) array.  A row with d(x) = 0 raises ValidationError naming
+    it, counting the rows of x from `first`."""
+    block = kernel(points, x)
+    sums = block.sum(axis=0)
+    if not np.all(sums > 0):
+        bad = first + int(np.flatnonzero(~(sums > 0))[0])
+        raise ValidationError(f"point {bad} is isolated from the training points (zero kernel sum)")
+    embedding = alpha @ block
+    embedding /= sums
+    return embedding.T
 
 
 def _canonical_signs(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -233,34 +247,22 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _ridged(K: np.ndarray, ridge: float) -> np.ndarray:
-    """A copy of K with `ridge` added to its diagonal: K + ridge * I."""
-    regularized = K.copy()
-    regularized.flat[::K.shape[0] + 1] += ridge
-    return regularized
-
-
 def spectral_fit(points, kernel, s: int, r: int = None, seed=None) -> SpectralModel:
     """Fit a spectral clustering model.
 
     Builds the kernel matrix K and its row-sum diagonal D, takes the top-r
-    eigenvectors of D^(-1/2) K D^(-1/2), rescales them by D^(-1/2), solves
-    (K + eps I) alpha^T = V for the out-of-sample embedding, and clusters the
-    embedded training rows with k-means.  `r` defaults to `s`.
+    eigenpairs (lambda, u) of D^(-1/2) K D^(-1/2), rescales the vectors to
+    e = D^(-1/2) u, keeps alpha = (e / lambda)^T for the Nystrom extension
+    (see `SpectralModel`), and clusters the rows of e with k-means.  `r`
+    defaults to `s`.  A top-r eigenvalue that is not positive has no
+    extension and raises NumericalError.
 
-    The m x m arrays are built in place, and at most three of them are live
-    at once:
-      - kernel: K and the squared-norm sum it is subtracted from;
-      - eigensolve: sym = D^(-1/2) K D^(-1/2), built in K's own buffer once
-        trace(K) and the row sums are taken, and the 2 m^2 workspace of
-        LAPACK's divide and conquer solver (`dsyevd`), which overwrites sym
-        with the eigenvectors; sym is dropped once the top r are copied out;
-      - solve: K and its ridged copy, which the Cholesky factor overwrites.
-    K is built a second time for the solve rather than kept through the
-    eigensolve, which would make four arrays live; the kernel is
-    deterministic, so the rebuilt K is the same matrix.
+    The m x m arrays are built in place; at most three are live at once: K
+    and the squared-norm sum it is subtracted from, then sym = D^(-1/2) K
+    D^(-1/2), built in K's buffer once its row sums are taken, and the 2 m^2
+    workspace of LAPACK's `dsyevd`, which overwrites sym with the eigenvectors.
     """
-    from scipy.linalg import cho_factor, cho_solve, eigh
+    from scipy.linalg import eigh
 
     x = _as_points(points)
     m = x.shape[0]
@@ -277,7 +279,6 @@ def spectral_fit(points, kernel, s: int, r: int = None, seed=None) -> SpectralMo
         raise ValidationError(
             f"point {bad} is isolated under the kernel (zero row sum)"
         )
-    ridge = _RIDGE_SCALE * np.trace(sym) / m
     inv_sqrt = 1.0 / np.sqrt(row_sums)
     sym *= inv_sqrt[:, None]
     sym *= inv_sqrt[None, :]
@@ -285,28 +286,17 @@ def spectral_fit(points, kernel, s: int, r: int = None, seed=None) -> SpectralMo
     try:
         # sym is exactly symmetric, so sym.T is the same matrix in Fortran
         # order and the solver writes the eigenvectors into its buffer.
-        _, vecs = eigh(sym.T, driver="evd", overwrite_a=True)
+        vals, vecs = eigh(sym.T, driver="evd", overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    lam = vals[::-1][:r]
+    if not np.all(lam > 0):
+        raise NumericalError(f"the top {r} eigenvalues of the normalized kernel matrix "
+                             f"must be positive for the Nystrom extension, not {lam.min():.3g}")
     top = _canonical_signs(vecs[:, ::-1][:, :r])
     del sym, vecs
     embedding = inv_sqrt[:, None] * top
-
-    # Ridge-regularized solve plus two refinement sweeps against the
-    # unregularized system; the sweeps reuse one factorization and push the
-    # training-embedding residual toward solver precision.
-    K = _symmetrize(kernel(x, x))
-    try:
-        factor = cho_factor(_ridged(K, ridge).T, overwrite_a=True)
-        solve = lambda rhs: cho_solve(factor, rhs)
-    except np.linalg.LinAlgError:
-        # the failed factorization left a partial factor in its buffer
-        regularized = _ridged(K, ridge)
-        solve = lambda rhs: np.linalg.solve(regularized, rhs)
-    alpha_t = solve(embedding)
-    for _ in range(2):
-        alpha_t = alpha_t + solve(embedding - K @ alpha_t)
-    alpha = alpha_t.T
+    alpha = (embedding / lam).T
 
     # Seeding over canonically sorted rows keeps the fitted centers
     # independent of the input point order.
@@ -332,10 +322,11 @@ def _check_dimension(model: SpectralModel, x: np.ndarray):
 
 
 def spectral_embed(model: SpectralModel, points) -> np.ndarray:
-    """Embed points with the fitted out-of-sample extension."""
+    """Embed points with the fitted Nystrom extension; a point with zero kernel
+    sum against the training points has none and raises ValidationError."""
     x = _as_points(points)
     _check_dimension(model, x)
-    return (model.alpha @ model.kernel(model.points, x)).T
+    return _nystrom(model.kernel, model.points, model.alpha, x)
 
 
 def spectral_assign(model: SpectralModel, points) -> np.ndarray:
@@ -351,7 +342,8 @@ def discretize_trajectories(model: SpectralModel, trajectories) -> TrajectoryDat
 
     The points of all trajectories are assigned together, in row blocks
     whose kernel block against the training points has at most
-    `_ASSIGN_BLOCK_ENTRIES` entries.
+    `_ASSIGN_BLOCK_ENTRIES` entries.  An isolated point's ValidationError
+    numbers the points in order across all trajectories.
     """
     parts = [np.asarray(traj, dtype=np.float64) for traj in trajectories]
     for part in parts:
@@ -364,5 +356,7 @@ def discretize_trajectories(model: SpectralModel, trajectories) -> TrajectoryDat
         stacked = np.concatenate(parts)
         rows = max(1, _ASSIGN_BLOCK_ENTRIES // model.points.shape[0])
         for start in range(0, stacked.shape[0], rows):
-            states[start:start + rows] = spectral_assign(model, stacked[start:start + rows])
+            embedding = _nystrom(model.kernel, model.points, model.alpha,
+                                 stacked[start:start + rows], first=start)
+            states[start:start + rows] = _nearest(embedding, model.centers)
     return TrajectoryDataset.from_flat(states, sizes, model.s)

@@ -359,7 +359,7 @@ def write_spectral_model(path, model: SpectralModel):
 
 def read_spectral_model(path) -> SpectralModel:
     return SpectralModel.from_dict(_read_fields(
-        path, "spectral model file", ("kernel",), ("training_points", "alpha", "centers")))
+        path, "spectral model file", ("kernel",), ("training_points", "nystrom_alpha", "centers")))
 
 
 def write_misa_csv(path, trajectory):

@@ -138,11 +138,15 @@ def stationary_distribution(transition: np.ndarray, tol: float = 1e-12,
     O(log max_iters) walk that converges and fails for the same chains,
     up to rounding, as checking every step.
 
-    Raises NumericalError if no step below max_iters reaches the tolerance
+    Raises ValidationError if `transition` is not a nonempty square matrix,
+    and NumericalError if no step below max_iters reaches the tolerance
     (periodic or otherwise non-convergent chains are reported, not
     regularized).
     """
-    return _stationary_measures(np.asarray(transition)[None], tol, max_iters)[0]
+    P = np.asarray(transition, dtype=np.float64)
+    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.size == 0:
+        raise ValidationError(f"transition matrix must be square (s, s), not {P.shape}")
+    return _stationary_measures(P[None], tol, max_iters)[0]
 
 
 def kl_rate(params: MixtureParams, i: int, j: int) -> float:

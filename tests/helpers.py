@@ -488,33 +488,51 @@ def reference_gaussian_kernel(a, b, sigma):
 
 def reference_spectral_fit(points, kernel, s, r=None, seed=None):
     """The out-of-place `spectral_fit` the in-place one replaced: the kernel
-    above, `np.linalg.eigh`, and `K + ridge * I` built from `np.eye`."""
-    from scipy.linalg import cho_factor, cho_solve
-
+    above, `np.linalg.eigh`, and the Nystrom coefficients e / lambda."""
     from chainmix.clustering import (
-        _RIDGE_SCALE, SpectralModel, _as_points, _canonical_signs, _nearest, kmeans,
+        SpectralModel, _as_points, _canonical_signs, _nearest, kmeans,
     )
 
     x = _as_points(points)
-    m = x.shape[0]
     r = s if r is None else r
     K = reference_gaussian_kernel(x, x, kernel.sigma)
     K = 0.5 * (K + K.T)
     inv_sqrt = 1.0 / np.sqrt(K.sum(axis=1))
     sym = inv_sqrt[:, None] * K * inv_sqrt[None, :]
     sym = 0.5 * (sym + sym.T)
-    _, vecs = np.linalg.eigh(sym)
+    vals, vecs = np.linalg.eigh(sym)
     top = _canonical_signs(vecs[:, ::-1][:, :r])
     embedding = inv_sqrt[:, None] * top
-
-    ridge = _RIDGE_SCALE * np.trace(K) / m
-    factor = cho_factor(K + ridge * np.eye(m))
-    alpha_t = cho_solve(factor, embedding)
-    for _ in range(2):
-        alpha_t = alpha_t + cho_solve(factor, embedding - K @ alpha_t)
+    alpha = (embedding / vals[::-1][:r]).T
 
     order = np.lexsort(embedding.T[::-1])
     centers, _ = kmeans(embedding[order], s, seed=seed)
-    return SpectralModel(kernel=kernel, points=x.copy(), alpha=alpha_t.T,
+    return SpectralModel(kernel=kernel, points=x.copy(), alpha=alpha,
                          centers=centers, embedding=embedding,
                          assignments=_nearest(embedding, centers))
+
+
+# Ridge scale of the kernel-interpolant solve that the Nystrom extension replaced.
+RIDGE_SCALE = 1e-10
+
+
+def ridge_spectral_assign(model, points):
+    """`spectral_assign` through the extension the Nystrom one replaced:
+    f(x) = beta @ k(x_train, x), with beta^T solving (K + ridge I) beta^T = e
+    by a Cholesky factor and two refinement sweeps against K, for the
+    training rows e = `model.embedding`, and the nearest of `model.centers`."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    from chainmix.clustering import _nearest
+
+    x = model.points
+    m = x.shape[0]
+    K = reference_gaussian_kernel(x, x, model.kernel.sigma)
+    K = 0.5 * (K + K.T)
+    factor = cho_factor(K + RIDGE_SCALE * np.trace(K) / m * np.eye(m))
+    beta_t = cho_solve(factor, model.embedding)
+    for _ in range(2):
+        beta_t = beta_t + cho_solve(factor, model.embedding - K @ beta_t)
+    block = reference_gaussian_kernel(x, np.asarray(points, dtype=np.float64),
+                                      model.kernel.sigma)
+    return _nearest((beta_t.T @ block).T, model.centers)

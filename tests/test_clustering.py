@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from chainmix import (
     GaussianKernel,
+    NumericalError,
     PointSet,
     ValidationError,
     accuracy,
@@ -21,8 +23,24 @@ from helpers import (
     kmeans_objective,
     reference_gaussian_kernel,
     reference_spectral_fit,
+    ridge_spectral_assign,
     two_arm_spiral,
 )
+
+
+@pytest.fixture(scope="module")
+def misa_sample():
+    """The pooled protein counts of a misa-cell job, 2 x 15 trajectories of
+    T=50, its fit subsample, kernel, and spectral model with 4 states."""
+    seeds = np.random.SeedSequence(31).spawn(30)
+    pooled = np.vstack([
+        misa_simulate(MisaParams(f_r=0.01 if i < 15 else 0.25), t_end=50.0, seed=seq).ab
+        for i, seq in enumerate(seeds)
+    ])
+    pick = np.random.default_rng(32).choice(pooled.shape[0], _MAX_FIT_POINTS, replace=False)
+    points = PointSet(pooled[np.sort(pick)])
+    kernel = GaussianKernel(sigma=50.0)
+    return pooled, points, kernel, spectral_fit(points, kernel, s=4, seed=33)
 
 
 def two_blobs(n_per=20, gap=10.0, seed=0):
@@ -134,33 +152,6 @@ class TestSpectral:
         if abs(d2[0] - d2[1]) < 1e-12:
             assert spectral_assign(model, midpoint)[0] == 0
 
-    def test_solve_fallback_when_cholesky_fails(self, monkeypatch):
-        # a kernel matrix that Cholesky rejects takes the general solve; the
-        # partition, which does not depend on the solve, stays the same;
-        # spectral_fit imports cho_factor from scipy.linalg when it runs
-        import scipy.linalg
-        points, _ = two_arm_spiral(m=200, seed=1)
-        model = spectral_fit(PointSet(points), GaussianKernel(sigma=1.0), s=2, seed=2)
-        attempts = []
-
-        def not_positive_definite(a, overwrite_a=False, check_finite=True):
-            # a failed in-place factorization leaves its buffer overwritten;
-            # NaN there fails the test if the fallback solve reads it
-            attempts.append(a.shape)
-            if overwrite_a:
-                a[...] = np.nan
-            raise np.linalg.LinAlgError("not positive definite")
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", not_positive_definite)
-        fallback = spectral_fit(PointSet(points), GaussianKernel(sigma=1.0), s=2, seed=2)
-        assert attempts == [(200, 200)]
-        assert np.array_equal(fallback.assignments, model.assignments)
-        assert np.array_equal(fallback.centers, model.centers)
-        scale = np.max(np.abs(model.alpha))
-        assert np.max(np.abs(fallback.alpha - model.alpha)) < 1e-5 * scale
-        residual = np.max(np.abs(spectral_embed(fallback, points) - fallback.embedding))
-        assert residual < 1e-8
-
     def test_matches_out_of_place_reference_on_spiral(self):
         points, _ = two_arm_spiral(m=200, seed=1)
         kernel = GaussianKernel(sigma=1.0)
@@ -169,20 +160,8 @@ class TestSpectral:
         for name in ("alpha", "embedding", "centers", "assignments"):
             assert np.array_equal(getattr(model, name), getattr(reference, name)), name
 
-    def test_matches_out_of_place_reference_on_misa_sample(self):
-        # the pooled protein counts of a misa-cell job: 2 x 15 trajectories
-        # of T=50, subsampled to the fit size, clustered into 4 states
-        seeds = np.random.SeedSequence(31).spawn(30)
-        pooled = np.vstack([
-            misa_simulate(MisaParams(f_r=0.01 if i < 15 else 0.25), t_end=50.0,
-                          seed=seq).ab
-            for i, seq in enumerate(seeds)
-        ])
-        pick = np.random.default_rng(32).choice(pooled.shape[0], _MAX_FIT_POINTS,
-                                                replace=False)
-        points = PointSet(pooled[np.sort(pick)])
-        kernel = GaussianKernel(sigma=50.0)
-        model = spectral_fit(points, kernel, s=4, seed=33)
+    def test_matches_out_of_place_reference_on_misa_sample(self, misa_sample):
+        pooled, points, kernel, model = misa_sample
         reference = reference_spectral_fit(points, kernel, s=4, seed=33)
         for name in ("alpha", "embedding", "centers", "assignments"):
             assert np.array_equal(getattr(model, name), getattr(reference, name)), name
@@ -190,6 +169,34 @@ class TestSpectral:
         for block in (pooled[:1], pooled[:87], pooled[1000:1530]):
             assert np.array_equal(kernel(points.points, block),
                                   reference_gaussian_kernel(points.points, block, 50.0))
+
+    def test_states_match_ridge_solve_on_misa_pool(self, misa_sample):
+        # the kernel-interpolant solve that the Nystrom extension replaced
+        # gives the same states on every pooled point, the 30 outside the
+        # training subsample among them
+        pooled, _, _, model = misa_sample
+        assert np.array_equal(spectral_assign(model, pooled),
+                              ridge_spectral_assign(model, pooled))
+
+    def test_states_match_ridge_solve_on_spiral_holdout(self):
+        points, _ = two_arm_spiral(m=600, seed=5)
+        model = spectral_fit(PointSet(points[::3]), GaussianKernel(sigma=1.0), s=2, seed=6)
+        held_out = np.delete(points, np.s_[::3], axis=0)
+        assert np.array_equal(spectral_assign(model, held_out),
+                              ridge_spectral_assign(model, held_out))
+
+    def test_nonpositive_eigenvalue_raises(self):
+        # without self-similarity the normalized kernel matrix of two points
+        # is [[0, 1], [1, 0]], with eigenvalues 1 and -1
+        class NoSelfKernel:
+            def __call__(self, a, b):
+                sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+                return np.where(sq > 0, np.exp(-sq / 2.0), 0.0)
+
+        points = PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        assert spectral_fit(points, NoSelfKernel(), s=1).r == 1
+        with pytest.raises(NumericalError, match="top 2 eigenvalues .* not -1"):
+            spectral_fit(points, NoSelfKernel(), s=2)
 
     def test_traced_peak_memory_bounded(self):
         # the normalized matrix, built in the kernel matrix's buffer, and the
@@ -242,6 +249,17 @@ class TestSpectral:
         with pytest.raises(ValidationError, match="point 2"):
             spectral_fit(PointSet(points), TruncatedKernel(), s=2)
 
+    def test_point_isolated_from_training_points_rejected(self):
+        # the kernel sum of the far point against the training points is 0,
+        # so it has no Nystrom embedding; nor does it get a state
+        points, _ = two_blobs(n_per=10, gap=3.0, seed=24)
+        model = spectral_fit(PointSet(points), GaussianKernel(sigma=1.0), s=2, seed=25)
+        far = np.array([[1e3, 1e3]])
+        with pytest.raises(ValidationError, match="point 0 is isolated from the training points"):
+            spectral_assign(model, far)
+        with pytest.raises(ValidationError, match="point 2 is isolated from the training points"):
+            spectral_embed(model, np.vstack([points[:2], far]))
+
     def test_dimension_mismatch_rejected(self):
         points, _ = two_blobs(seed=25)
         model = spectral_fit(PointSet(points), GaussianKernel(sigma=1.0), s=2)
@@ -257,8 +275,11 @@ class TestSpectral:
         write_spectral_model(path, model)
         loaded = read_spectral_model(path)
         assert loaded.kernel.sigma == model.kernel.sigma
-        assert np.allclose(loaded.alpha, model.alpha)
-        assert np.allclose(loaded.centers, model.centers)
+        assert set(json.loads(path.read_text())) == {
+            "kernel", "nystrom_alpha", "centers", "training_points", "r", "s"}
+        assert np.array_equal(loaded.alpha, model.alpha)
+        assert np.array_equal(loaded.centers, model.centers)
+        assert np.allclose(loaded.embedding, model.embedding, rtol=0, atol=1e-12)
         assert np.array_equal(loaded.assignments, spectral_assign(model, model.points))
         fresh = np.array([[0.5, -0.2], [7.5, 0.3]])
         assert np.array_equal(spectral_assign(loaded, fresh),
@@ -310,6 +331,17 @@ class TestDiscretize:
         model, points = self._model()
         with pytest.raises(ValidationError, match=text):
             discretize_trajectories(model, [points[:3], traj])
+
+    def test_isolated_point_named_across_trajectories(self, monkeypatch):
+        import chainmix.clustering as clustering
+
+        model, points = self._model()
+        trajs = [points[:3], np.vstack([points[:2], [[1e3, 1e3]], points[:1]])]
+        # one row per block: the point is named by its place in all trajectories
+        for entries in (model.points.shape[0], 1 << 22):
+            monkeypatch.setattr(clustering, "_ASSIGN_BLOCK_ENTRIES", entries)
+            with pytest.raises(ValidationError, match="point 5 is isolated from the training points"):
+                discretize_trajectories(model, trajs)
 
     def test_dataset_shape(self):
         model, points = self._model()

@@ -378,26 +378,38 @@ class TestSpectralModelJson:
     def _payload(**changes):
         payload = {"kernel": {"name": "gaussian", "sigma": 1.0},
                    "training_points": [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]],
-                   "alpha": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                   "nystrom_alpha": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
                    "centers": [[0.0, 0.0], [1.0, 1.0]]}
         payload.update(changes)
         return payload
 
     def test_missing_field(self, tmp_path):
         payload = self._payload()
-        del payload["alpha"]
+        del payload["nystrom_alpha"]
         path = tmp_path / "model.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValidationError, match="missing field 'alpha'"):
+        with pytest.raises(ValidationError, match="missing field 'nystrom_alpha'"):
+            dataio.read_spectral_model(path)
+
+    def test_kernel_interpolant_format_rejected(self, tmp_path):
+        # a file of the earlier format holds kernel-interpolant coefficients
+        # under "alpha"; read with the Nystrom formula they would embed wrongly
+        payload = self._payload()
+        payload["alpha"] = payload.pop("nystrom_alpha")
+        payload.update(r=2, s=2)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="missing field 'nystrom_alpha'"):
             dataio.read_spectral_model(path)
 
     @pytest.mark.parametrize("changes, text", [
         ({"kernel": {"name": "gaussian"}}, "unknown kernel spec"),
         ({"kernel": "gaussian"}, "unknown kernel spec 'gaussian'"),
         ({"kernel": {"name": "gaussian", "sigma": "wide"}}, "unknown kernel spec"),
-        ({"alpha": "q"}, "field 'alpha' must be an array of numbers"),
-        ({"alpha": [[1.0, 0.0], [0.0, 1.0]]}, r"alpha must be \(r, 3\) for 3 training points, not \(2, 2\)"),
-        ({"alpha": [[1.0, 0.0, 0.0]]}, r"centers must be \(s >= 1, 1\) for r = 1, not \(2, 2\)"),
+        ({"nystrom_alpha": "q"}, "field 'nystrom_alpha' must be an array of numbers"),
+        ({"nystrom_alpha": [[1.0, 0.0], [0.0, 1.0]]},
+         r"nystrom_alpha must be \(r, 3\) for 3 training points, not \(2, 2\)"),
+        ({"nystrom_alpha": [[1.0, 0.0, 0.0]]}, r"centers must be \(s >= 1, 1\) for r = 1, not \(2, 2\)"),
         ({"centers": [[0.0, 0.0, 0.0]]}, r"centers must be \(s >= 1, 2\) for r = 2, not \(1, 3\)"),
     ], ids=["kernel-without-sigma", "kernel-not-an-object", "sigma-not-a-number",
             "alpha-not-numeric", "alpha-columns", "alpha-rows", "centers-columns"])

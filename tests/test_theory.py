@@ -125,6 +125,13 @@ class TestKlRate:
 class TestStationaryDistribution:
     """The log-step walk against the step-by-step power iteration."""
 
+    @pytest.mark.parametrize("transition", [
+        [[0.5, 0.5]], [0.5, 0.5], [[[1.0]]], np.zeros((0, 0)), 1.0,
+    ], ids=["wide", "vector", "3-d", "empty", "scalar"])
+    def test_non_square_matrix_rejected(self, transition):
+        with pytest.raises(ValidationError, match="transition matrix must be square"):
+            stationary_distribution(transition)
+
     def test_period_two_chain_with_stationary_uniform_start(self):
         # uniform is already stationary, so the first residual is 0 even
         # though the chain is periodic
