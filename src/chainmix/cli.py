@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     if args.model is not None:
         params = dataio.read_params(args.model)
-    elif args.random_k and args.random_s:
+    elif args.random_k is not None and args.random_s is not None:
         params = random_mixture_params(args.random_k, args.random_s, seed=args.seed)
     else:
         raise ValidationError("provide --model or both --random-k and --random-s")
@@ -214,14 +214,19 @@ def _cmd_cluster(args) -> int:
         raise ValidationError("--points and --traj-files exclude each other")
     if args.traj_files and args.method != "spectral":
         raise ValidationError("trajectory discretization requires --method spectral")
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     if args.points is not None:
         points = dataio.read_points_csv(args.points)
         continuous = None
     else:
         continuous = [dataio.read_points_csv(p) for p in args.traj_files]
+        for path, part in zip(args.traj_files, continuous):
+            if part.shape[1] != continuous[0].shape[1]:
+                raise ValidationError(
+                    f"{path}: point dimension {part.shape[1]} does not match "
+                    f"{args.traj_files[0]}'s {continuous[0].shape[1]}")
         points = np.vstack(continuous)
+    out = args.out
+    out.mkdir(parents=True, exist_ok=True)
 
     if args.method == "kmeans":
         centers, assignments = kmeans(PointSet(points), args.s, seed=args.seed)
@@ -318,10 +323,10 @@ def _cmd_experiment(args) -> int:
     dataio.write_table(out / f"{name}_results.{fmt}", header,
                        [[row[h] for h in header] for row in rows], fmt=fmt)
     if name == "fig3":
-        summary = experiments.summarize_fig3(rows)
-        s_header = list(summary[0].keys())
+        s_header = experiments.FIG3_SUMMARY_COLUMNS
         dataio.write_table(out / f"{name}_summary.{fmt}", s_header,
-                           [[row[h] for h in s_header] for row in summary],
+                           [[row[h] for h in s_header]
+                            for row in experiments.summarize_fig3(rows)],
                            fmt=fmt)
     print(f"{name}: wrote {len(rows)} result rows to {out}")
     if failures:

@@ -17,10 +17,13 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .model_core import TrajectoryDataset, as_rng
 
-# Assignment embeds points in row blocks whose kernel block against the
-# training points holds at most this many entries (1 MB of float64): memory
+# The Nystrom extension embeds points in row blocks whose kernel block against
+# the training points holds at most this many entries (1 MB of float64): memory
 # stays bounded for long inputs, and the block's temporaries stay in cache.
 _ASSIGN_BLOCK_ENTRIES = 1 << 17
+
+# k-means stops after this many Lloyd steps if the assignment is not yet fixed.
+_LLOYD_MAX_ITERS = 300
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,30 +120,24 @@ def _kmeanspp_init(x: np.ndarray, s: int, rng) -> np.ndarray:
     return centers
 
 
-def kmeans(points, s: int, seed=None, max_iters: int = 300,
-           init_centers=None):
+def kmeans(points, s: int, seed=None):
     """Lloyd iterations from distance-weighted seeding.
 
     Returns (centers, assignments).  Iterates until the assignment reaches a
-    fixed point or `max_iters`.  A center that loses all its points is
+    fixed point or `_LLOYD_MAX_ITERS`.  A center that loses all its points is
     reseeded at the point currently farthest from its assigned center.
     """
     x = _as_points(points)
     m = x.shape[0]
     if s < 1 or s > m:
         raise ValidationError("cluster count must satisfy 1 <= s <= M")
-    rng = as_rng(seed)
-    if init_centers is not None:
-        centers = np.asarray(init_centers, dtype=np.float64).copy()
-        if centers.shape != (s, x.shape[1]):
-            raise ValidationError("init_centers must have shape (s, D)")
-    else:
-        centers = _kmeanspp_init(x, s, rng)
-
-    labels = _nearest(x, centers)
-    for _ in range(max_iters):
-        d2 = _squared_distances(x, centers)
-        nearest = d2[np.arange(m), labels].copy()
+    centers = _kmeanspp_init(x, s, as_rng(seed))
+    # one distance block per step: it gives the assignment and, at the next
+    # update, each point's distance to its assigned center
+    d2 = _squared_distances(x, centers)
+    labels = np.argmin(d2, axis=1)
+    for _ in range(_LLOYD_MAX_ITERS):
+        nearest = d2[np.arange(m), labels]
         for c in range(s):
             members = labels == c
             if members.any():
@@ -149,7 +146,8 @@ def kmeans(points, s: int, seed=None, max_iters: int = 300,
                 far = int(np.argmax(nearest))
                 centers[c] = x[far]
                 nearest[far] = 0.0
-        new_labels = _nearest(x, centers)
+        d2 = _squared_distances(x, centers)
+        new_labels = np.argmin(d2, axis=1)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -215,26 +213,30 @@ class SpectralModel:
         )
 
 
-def _nystrom(kernel, points: np.ndarray, alpha: np.ndarray, x: np.ndarray,
-             first: int = 0) -> np.ndarray:
+def _nystrom(kernel, points: np.ndarray, alpha: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The Nystrom extension alpha @ k(points, x) / d(x), d(x) = sum_i k(points_i, x),
-    as a (len(x), r) array.  A row with d(x) = 0 raises ValidationError naming
-    it, counting the rows of x from `first`."""
-    block = kernel(points, x)
-    sums = block.sum(axis=0)
-    if not np.all(sums > 0):
-        bad = first + int(np.flatnonzero(~(sums > 0))[0])
-        raise ValidationError(f"point {bad} is isolated from the training points (zero kernel sum)")
-    embedding = alpha @ block
-    embedding /= sums
-    return embedding.T
+    as a (len(x), r) array, taken in row blocks of x whose kernel block against
+    `points` has at most `_ASSIGN_BLOCK_ENTRIES` entries.  A row with d(x) = 0
+    raises ValidationError naming it."""
+    out = np.empty((x.shape[0], alpha.shape[0]))
+    rows = max(1, _ASSIGN_BLOCK_ENTRIES // points.shape[0])
+    for start in range(0, x.shape[0], rows):
+        block = kernel(points, x[start:start + rows])
+        sums = block.sum(axis=0)
+        if not np.all(sums > 0):
+            bad = start + int(np.flatnonzero(~(sums > 0))[0])
+            raise ValidationError(f"point {bad} is isolated from the training points (zero kernel sum)")
+        embedding = alpha @ block
+        embedding /= sums
+        out[start:start + rows] = embedding.T
+    return out
 
 
-def _canonical_signs(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Flip eigenvector signs so the first above-tolerance entry is positive."""
+def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
+    """Flip eigenvector signs so the first entry above 1e-12 in magnitude is positive."""
     out = vectors.copy()
     for col in range(out.shape[1]):
-        nz = np.flatnonzero(np.abs(out[:, col]) > tol)
+        nz = np.flatnonzero(np.abs(out[:, col]) > 1e-12)
         if nz.size and out[nz[0], col] < 0:
             out[:, col] = -out[:, col]
     return out
@@ -247,15 +249,16 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def spectral_fit(points, kernel, s: int, r: int = None, seed=None) -> SpectralModel:
+def spectral_fit(points, kernel, s: int, seed=None) -> SpectralModel:
     """Fit a spectral clustering model.
 
-    Builds the kernel matrix K and its row-sum diagonal D, takes the top-r
+    Builds the kernel matrix K and its row-sum diagonal D, takes the top-s
     eigenpairs (lambda, u) of D^(-1/2) K D^(-1/2), rescales the vectors to
     e = D^(-1/2) u, keeps alpha = (e / lambda)^T for the Nystrom extension
-    (see `SpectralModel`), and clusters the rows of e with k-means.  `r`
-    defaults to `s`.  A top-r eigenvalue that is not positive has no
-    extension and raises NumericalError.
+    (see `SpectralModel`), and clusters the rows of e with k-means into s
+    clusters, so the embedding has as many dimensions as there are clusters.
+    A top-s eigenvalue that is not positive has no extension and raises
+    NumericalError.
 
     The m x m arrays are built in place; at most three are live at once: K
     and the squared-norm sum it is subtracted from, then sym = D^(-1/2) K
@@ -268,9 +271,6 @@ def spectral_fit(points, kernel, s: int, r: int = None, seed=None) -> SpectralMo
     m = x.shape[0]
     if s < 1 or s > m:
         raise ValidationError("cluster count must satisfy 1 <= s <= M")
-    r = s if r is None else r
-    if r < 1 or r > m:
-        raise ValidationError("embedding dimension must satisfy 1 <= r <= M")
 
     sym = _symmetrize(kernel(x, x))  # K, until it is normalized below
     row_sums = sym.sum(axis=1)
@@ -289,11 +289,11 @@ def spectral_fit(points, kernel, s: int, r: int = None, seed=None) -> SpectralMo
         vals, vecs = eigh(sym.T, driver="evd", overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    lam = vals[::-1][:r]
+    lam = vals[::-1][:s]
     if not np.all(lam > 0):
-        raise NumericalError(f"the top {r} eigenvalues of the normalized kernel matrix "
+        raise NumericalError(f"the top {s} eigenvalues of the normalized kernel matrix "
                              f"must be positive for the Nystrom extension, not {lam.min():.3g}")
-    top = _canonical_signs(vecs[:, ::-1][:, :r])
+    top = _canonical_signs(vecs[:, ::-1][:, :s])
     del sym, vecs
     embedding = inv_sqrt[:, None] * top
     alpha = (embedding / lam).T
@@ -340,10 +340,10 @@ def spectral_assign(model: SpectralModel, points) -> np.ndarray:
 def discretize_trajectories(model: SpectralModel, trajectories) -> TrajectoryDataset:
     """Map continuous trajectories (uniformly sampled in time) to state sequences.
 
-    The points of all trajectories are assigned together, in row blocks
-    whose kernel block against the training points has at most
-    `_ASSIGN_BLOCK_ENTRIES` entries.  An isolated point's ValidationError
-    numbers the points in order across all trajectories.
+    Each trajectory is checked to be a (T+1, D) array, then the points of all
+    trajectories are assigned together (`spectral_assign`), so an isolated
+    point's ValidationError numbers the points in order across all
+    trajectories.
     """
     parts = [np.asarray(traj, dtype=np.float64) for traj in trajectories]
     for part in parts:
@@ -351,12 +351,7 @@ def discretize_trajectories(model: SpectralModel, trajectories) -> TrajectoryDat
             raise ValidationError("each trajectory must be a (T+1, D) array")
         _check_dimension(model, part)
     sizes = np.array([part.shape[0] for part in parts], dtype=np.int64)
-    states = np.empty(sizes.sum(), dtype=np.int64)
-    if parts:
-        stacked = np.concatenate(parts)
-        rows = max(1, _ASSIGN_BLOCK_ENTRIES // model.points.shape[0])
-        for start in range(0, stacked.shape[0], rows):
-            embedding = _nystrom(model.kernel, model.points, model.alpha,
-                                 stacked[start:start + rows], first=start)
-            states[start:start + rows] = _nearest(embedding, model.centers)
+    # with no points, TrajectoryDataset names the empty trajectory
+    states = (spectral_assign(model, np.concatenate(parts)) if sizes.sum()
+              else np.empty(0, dtype=np.int64))
     return TrajectoryDataset.from_flat(states, sizes, model.s)

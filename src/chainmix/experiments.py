@@ -100,6 +100,11 @@ def run_fig3(t_values=(5, 10, 30, 100), n_values=(25, 100, 400),
     return _sweep(cells, run, ("accuracy", "final_objective", "surviving_components"))
 
 
+# The columns of `summarize_fig3`'s rows, so a sweep whose every cell failed
+# still gets a summary table with its header.
+FIG3_SUMMARY_COLUMNS = ("n", "t", "trials", "mean_accuracy", "stderr")
+
+
 def summarize_fig3(rows):
     """Mean accuracy and Monte-Carlo standard error per (N, T) cell."""
     cells = {}
@@ -111,13 +116,8 @@ def summarize_fig3(rows):
     for (n_traj, t_len), accs in sorted(cells.items()):
         arr = np.asarray(accs)
         stderr = arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.0
-        summary.append({
-            "n": n_traj,
-            "t": t_len,
-            "trials": arr.size,
-            "mean_accuracy": float(arr.mean()),
-            "stderr": float(stderr),
-        })
+        summary.append(dict(zip(FIG3_SUMMARY_COLUMNS, (
+            n_traj, t_len, arr.size, float(arr.mean()), float(stderr)))))
     return summary
 
 

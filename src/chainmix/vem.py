@@ -52,22 +52,17 @@ class VemConfig:
     """Settings for a variational fit.
 
     k_max bounds the number of components; extraneous ones are pruned.
-    A component is reported as surviving when its weight-posterior mass is
-    at least `prune_threshold` and at least one trajectory is labeled with it.
     """
 
     k_max: int
     max_iters: int = 1000
     tol_scale: float = 1e-12
-    prune_threshold: float = 1.0
 
     def __post_init__(self):
         if self.k_max < 1:
             raise ValidationError("k_max must be >= 1")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        if self.prune_threshold < 1.0 / self.k_max:
-            raise ValidationError("prune_threshold must be >= 1/k_max")
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +168,9 @@ def vem_fit(stats: SufficientStats, init: Responsibilities,
     The returned fit carries the DirichletPosterior in `posterior`, and its
     params hold the posterior-mean point estimates; the objective trace is
     the variational lower bound per iteration.  Terminates when |delta L| <=
-    tol_scale * N * T_mean or at max_iters.
+    tol_scale * N * T_mean or at max_iters.  A component survives when its
+    weight-posterior parameter n_hat is at least 1 and at least one
+    trajectory is labeled with it.
 
     Each iteration takes one matrix product for the posterior counts, one
     digamma and one gammaln over the stacked Dirichlet parameters, and one
@@ -215,7 +212,7 @@ def vem_fit(stats: SufficientStats, init: Responsibilities,
     posterior = DirichletPosterior(n_hat=n_hat, n_i_hat=rows[:, 0], n_ialpha_hat=rows[:, 1:])
     labels = labels_from_responsibilities(gamma)
     label_counts = np.bincount(labels, minlength=config.k_max)
-    surviving = int(np.sum((n_hat >= config.prune_threshold) & (label_counts > 0)))
+    surviving = int(np.sum((n_hat >= 1.0) & (label_counts > 0)))
     return FitResult(
         params=posterior.mean_params(),
         responsibilities=Responsibilities(gamma),

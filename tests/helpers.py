@@ -486,7 +486,39 @@ def reference_gaussian_kernel(a, b, sigma):
     return np.exp(-sq / (2.0 * sigma**2))
 
 
-def reference_spectral_fit(points, kernel, s, r=None, seed=None):
+def reference_kmeans(points, s, seed=None, max_iters=300):
+    """The Lloyd loop `kmeans` replaced, from the same seeding: it builds the
+    (m, s) distance block twice per step, once for the reseed distances and
+    once for the new assignment."""
+    from chainmix.clustering import _kmeanspp_init
+    from chainmix.model_core import as_rng
+
+    def distances(x, centers):
+        diff = x[:, None, :] - centers[None, :, :]
+        return (diff * diff).sum(axis=2)
+
+    x = np.asarray(points, dtype=np.float64)
+    m = x.shape[0]
+    centers = _kmeanspp_init(x, s, as_rng(seed))
+    labels = np.argmin(distances(x, centers), axis=1)
+    for _ in range(max_iters):
+        nearest = distances(x, centers)[np.arange(m), labels].copy()
+        for c in range(s):
+            members = labels == c
+            if members.any():
+                centers[c] = x[members].mean(axis=0)
+            else:
+                far = int(np.argmax(nearest))
+                centers[c] = x[far]
+                nearest[far] = 0.0
+        new_labels = np.argmin(distances(x, centers), axis=1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return centers, labels
+
+
+def reference_spectral_fit(points, kernel, s, seed=None):
     """The out-of-place `spectral_fit` the in-place one replaced: the kernel
     above, `np.linalg.eigh`, and the Nystrom coefficients e / lambda."""
     from chainmix.clustering import (
@@ -494,16 +526,15 @@ def reference_spectral_fit(points, kernel, s, r=None, seed=None):
     )
 
     x = _as_points(points)
-    r = s if r is None else r
     K = reference_gaussian_kernel(x, x, kernel.sigma)
     K = 0.5 * (K + K.T)
     inv_sqrt = 1.0 / np.sqrt(K.sum(axis=1))
     sym = inv_sqrt[:, None] * K * inv_sqrt[None, :]
     sym = 0.5 * (sym + sym.T)
     vals, vecs = np.linalg.eigh(sym)
-    top = _canonical_signs(vecs[:, ::-1][:, :r])
+    top = _canonical_signs(vecs[:, ::-1][:, :s])
     embedding = inv_sqrt[:, None] * top
-    alpha = (embedding / vals[::-1][:r]).T
+    alpha = (embedding / vals[::-1][:s]).T
 
     order = np.lexsort(embedding.T[::-1])
     centers, _ = kmeans(embedding[order], s, seed=seed)

@@ -80,6 +80,15 @@ class TestSimulate:
         data = dataio.read_trajectories(tmp_path / "trajectories.txt")
         assert all(np.array_equal(t, [0, 0, 0]) for t in data.trajectories)
 
+    @pytest.mark.parametrize("k, s", [(0, 3), (2, 0)])
+    def test_zero_random_size_named(self, tmp_path, capsys, k, s):
+        rc = run_cli("simulate", "--random-k", k, "--random-s", s,
+                     "--n-traj", 2, "--t-len", 2, "--out", tmp_path / "sim")
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"type": "ValidationError", "message": "k and s must be >= 1"}
+        assert not (tmp_path / "sim").exists()
+
     def test_missing_model_spec_fails(self, tmp_path, capsys):
         rc = run_cli("simulate", "--n-traj", 2, "--t-len", 2, "--out", tmp_path)
         assert rc == 1
@@ -286,6 +295,19 @@ class TestCluster:
         assert text in err["error"]["message"]
         assert not (tmp_path / "clust").exists()
 
+    def test_traj_files_of_different_dimensions_fail(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        dataio.write_points_csv("t1.csv", np.zeros((3, 2)))
+        dataio.write_points_csv("t2.csv", np.zeros((3, 3)))
+        rc = run_cli("cluster", "--traj-files", "t1.csv", "t2.csv", "--s", 2,
+                     "--out", tmp_path / "clust")
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {
+            "type": "ValidationError",
+            "message": "t2.csv: point dimension 3 does not match t1.csv's 2"}
+        assert not (tmp_path / "clust").exists()
+
 
 class TestBound:
     @pytest.mark.parametrize("command", ["bound", "simulate"])
@@ -457,6 +479,17 @@ class TestExperiment:
         assert len(rows) == 2
         summary = json.loads((tmp_path / "fig3_summary.json").read_text())
         assert {(r["n"], r["t"]) for r in summary} == {(20, 5), (20, 10)}
+
+    def test_fig3_with_every_cell_failed(self, tmp_path, capsys):
+        rc = run_cli("experiment", "--name", "fig3", "--trials", 1, "--t-values", 5,
+                     "--n-values", 25, "--k-max", 0, "--out", tmp_path)
+        assert rc == 1
+        failed = json.loads(capsys.readouterr().err)["failed_cells"]
+        assert [(c["n"], c["t"], c["error"]) for c in failed] == [(25, 5, "k_max must be >= 1")]
+        with open(tmp_path / "fig3_results.csv") as fh:
+            assert [r["status"] for r in csv.DictReader(fh)] == ["failed"]
+        assert (tmp_path / "fig3_summary.csv").read_text().splitlines() == [
+            "n,t,trials,mean_accuracy,stderr"]
 
     def test_fig4_smoke(self, tmp_path):
         rc = run_cli("experiment", "--name", "fig4", "--restarts", 3,

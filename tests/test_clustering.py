@@ -22,6 +22,7 @@ from chainmix.gene_circuit import _MAX_FIT_POINTS, MisaParams, misa_simulate
 from helpers import (
     kmeans_objective,
     reference_gaussian_kernel,
+    reference_kmeans,
     reference_spectral_fit,
     ridge_spectral_assign,
     two_arm_spiral,
@@ -76,13 +77,16 @@ class TestKmeans:
         assert np.allclose(centers[0], points.mean(axis=0), atol=1e-12)
         assert np.all(assign == 0)
 
-    def test_objective_nonincreasing_over_iterations(self):
+    def test_objective_nonincreasing_over_iterations(self, monkeypatch):
+        import chainmix.clustering as clustering
+
         rng = np.random.default_rng(7)
         points = rng.standard_normal((120, 2))
         # track the objective by re-running with increasing iteration caps
         values = []
         for iters in (1, 2, 3, 5, 10, 50):
-            centers, assign = kmeans(points, 4, seed=8, max_iters=iters)
+            monkeypatch.setattr(clustering, "_LLOYD_MAX_ITERS", iters)
+            centers, assign = kmeans(points, 4, seed=8)
             values.append(kmeans_objective(points, centers, assign))
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
@@ -96,13 +100,35 @@ class TestKmeans:
         d2 = ((points[:, None, :] - centers[None]) ** 2).sum(axis=2)
         assert np.array_equal(np.argmin(d2, axis=1), assign)
 
-    def test_empty_cluster_reseeded_at_farthest_point(self):
+    def test_empty_cluster_reseeded_at_farthest_point(self, monkeypatch):
+        import chainmix.clustering as clustering
+
         points = np.array([[0.0], [0.1], [0.2], [10.0]])
         # both initial centers on the left cluster: center 1 grabs everything
         # near it, the far point reseeds whichever center empties
-        centers, assign = kmeans(points, 2, init_centers=np.array([[0.0], [0.15]]))
+        monkeypatch.setattr(clustering, "_kmeanspp_init",
+                            lambda x, s, rng: np.array([[0.0], [0.15]]))
+        centers, assign = kmeans(points, 2)
         assert np.unique(assign).size == 2
         assert np.any(np.isclose(centers, 10.0))
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_matches_two_block_reference(self, case):
+        # one distance block per Lloyd step gives the centers and labels of
+        # the loop that built it twice, on inputs with repeated points and
+        # coordinate ties, and with clusters that empty
+        rng = np.random.default_rng(100 + case)
+        m = int(rng.integers(1, 60))
+        s = int(rng.integers(1, min(m, 8) + 1))
+        pool = rng.integers(-3, 4, size=(int(rng.integers(1, m + 1)), int(rng.integers(1, 4))))
+        points = pool[rng.integers(0, pool.shape[0], size=m)].astype(np.float64)
+        if case % 2:
+            points += 0.01 * rng.standard_normal(points.shape)
+        centers, labels = kmeans(points, s, seed=case)
+        ref_centers, ref_labels = reference_kmeans(points, s, seed=case)
+        assert np.array_equal(centers, ref_centers)
+        assert np.array_equal(labels, ref_labels)
+        assert labels.dtype == np.int64
 
     def test_s_larger_than_m_rejected(self):
         with pytest.raises(ValidationError):
@@ -260,6 +286,19 @@ class TestSpectral:
         with pytest.raises(ValidationError, match="point 2 is isolated from the training points"):
             spectral_embed(model, np.vstack([points[:2], far]))
 
+    def test_isolated_point_in_later_row_block_named_globally(self, monkeypatch):
+        import chainmix.clustering as clustering
+
+        points, _ = two_blobs(n_per=10, gap=3.0, seed=24)
+        model = spectral_fit(PointSet(points), GaussianKernel(sigma=1.0), s=2, seed=25)
+        fresh = np.vstack([points[:5], [[1e3, 1e3]], points[5:8]])
+        expected = spectral_assign(model, np.delete(fresh, 5, axis=0))
+        # 3 rows per block: the far point is the last row of the second block
+        monkeypatch.setattr(clustering, "_ASSIGN_BLOCK_ENTRIES", 3 * model.points.shape[0])
+        with pytest.raises(ValidationError, match="point 5 is isolated from the training points"):
+            spectral_assign(model, fresh)
+        assert np.array_equal(spectral_assign(model, np.delete(fresh, 5, axis=0)), expected)
+
     def test_dimension_mismatch_rejected(self):
         points, _ = two_blobs(seed=25)
         model = spectral_fit(PointSet(points), GaussianKernel(sigma=1.0), s=2)
@@ -342,6 +381,11 @@ class TestDiscretize:
             monkeypatch.setattr(clustering, "_ASSIGN_BLOCK_ENTRIES", entries)
             with pytest.raises(ValidationError, match="point 5 is isolated from the training points"):
                 discretize_trajectories(model, trajs)
+
+    def test_nan_point_rejected_as_not_finite(self):
+        model, points = self._model()
+        with pytest.raises(ValidationError, match="points must be finite"):
+            discretize_trajectories(model, [points[:3], np.vstack([points[:2], [[np.nan, 0.0]]])])
 
     def test_dataset_shape(self):
         model, points = self._model()

@@ -230,9 +230,6 @@ class TestVemFit:
         from chainmix import ValidationError
         with pytest.raises(ValidationError):
             VemConfig(k_max=0)
-        with pytest.raises(ValidationError):
-            VemConfig(k_max=4, prune_threshold=0.1)  # below the 1/k_max floor
-        assert VemConfig(k_max=4, prune_threshold=0.25).prune_threshold == 0.25
 
 
 class TestPerFitBuffers:
