@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, experiments
-from .clustering import GaussianKernel, PointSet, discretize_trajectories, kmeans, spectral_fit
+from .clustering import (GaussianKernel, PointSet, discretize_trajectories, kmeans, spectral_assign,
+                         spectral_fit)
 from .em import EmConfig
 from .errors import NumericalError, ValidationError
 from .gene_circuit import MisaParams, misa_simulate
@@ -160,8 +161,6 @@ def _cmd_fit(args) -> int:
     true_labels = None
     if args.labels is not None:
         true_labels = dataio.read_labels(args.labels, one_based=args.one_based)
-        if true_labels.size != data.n:
-            raise ValidationError("label count does not match trajectory count")
     if args.algorithm == "em":
         config = EmConfig(k=args.k_max, max_iters=args.max_iters,
                           tol_scale=args.tol_scale)
@@ -225,24 +224,25 @@ def _cmd_cluster(args) -> int:
                     f"{path}: point dimension {part.shape[1]} does not match "
                     f"{args.traj_files[0]}'s {continuous[0].shape[1]}")
         points = np.vstack(continuous)
+    kernel = GaussianKernel(sigma=args.sigma) if args.method == "spectral" else None
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
 
     if args.method == "kmeans":
         centers, assignments = kmeans(PointSet(points), args.s, seed=args.seed)
         dataio.write_points_csv(out / "centers.csv", centers)
-        model = None
     else:
-        model = spectral_fit(PointSet(points), GaussianKernel(sigma=args.sigma),
-                             s=args.s, seed=args.seed)
-        assignments = model.assignments
+        model = spectral_fit(PointSet(points), kernel, s=args.s, seed=args.seed)
         dataio.write_spectral_model(out / "spectral_model.json", model)
+        if continuous is None:
+            assignments = spectral_assign(model, points)
+        else:  # the points' labels are the states of the concatenated trajectories
+            dataset = discretize_trajectories(model, continuous)
+            assignments = dataset.states
+            dataio.write_trajectories(out / "trajectories.txt", dataset, one_based=args.one_based)
     dataio.write_assignments_csv(out / "assignments.csv", assignments)
 
     if continuous is not None:
-        dataset = discretize_trajectories(model, continuous)
-        dataio.write_trajectories(out / "trajectories.txt", dataset,
-                                  one_based=args.one_based)
         print(f"discretized {dataset.n} trajectories into {dataset.s} states")
     else:
         print(f"clustered {points.shape[0]} points into {args.s} clusters")

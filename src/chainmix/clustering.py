@@ -3,13 +3,13 @@
 Spectral clustering embeds the data through the dominant eigenvectors of
 the symmetrically normalized kernel matrix and runs k-means in that
 embedding; the Nystrom extension of those eigenvectors (Bengio et al.,
-NIPS 2003; Fowlkes et al., IEEE TPAMI 26(2), 2004) embeds unseen points, so
-fitted models can discretize fresh trajectories into Markov states.
+NIPS 2003; Fowlkes et al., IEEE TPAMI 26(2), 2004) embeds every point,
+training points and unseen ones alike, so a fitted model labels fresh
+trajectories into Markov states as it labels its training points.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +62,10 @@ class GaussianKernel:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValidationError("sigma must be positive")
+        # 2 sigma^2 divides in __call__; a float product overflows to inf where ** raises
+        if not (self.sigma > 0 and 0 < 2.0 * float(self.sigma) * float(self.sigma) < np.inf):
+            raise ValidationError(
+                f"sigma must be positive, with 0 < 2 sigma^2 < inf, not {self.sigma!r}")
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.float64)
@@ -77,19 +79,6 @@ class GaussianKernel:
         np.negative(sq, out=sq)
         sq /= 2.0 * self.sigma**2
         return np.exp(sq, out=sq)
-
-    def to_spec(self) -> dict:
-        return {"name": "gaussian", "sigma": self.sigma}
-
-
-def kernel_from_spec(spec: dict):
-    """The kernel that `to_spec` described: an object naming "gaussian" with a
-    real `sigma`; anything else raises ValidationError."""
-    if isinstance(spec, dict) and spec.get("name") == "gaussian":
-        sigma = spec.get("sigma")
-        if isinstance(sigma, numbers.Real) and not isinstance(sigma, bool):
-            return GaussianKernel(sigma=float(sigma))
-    raise ValidationError(f"unknown kernel spec {spec!r}")
 
 
 def _squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -156,21 +145,37 @@ def kmeans(points, s: int, seed=None):
 
 @dataclass(frozen=True, eq=False)
 class SpectralModel:
-    """Fitted spectral embedding and cluster centers.
+    """Fitted spectral embedding and cluster centers: the M training points,
+    the kernel, the Nystrom coefficients alpha (r, M) and the centers (s, r).
 
     The embedding of x is the Nystrom extension f(x) = alpha @ k(x_train, x)
     / d(x), with d(x) = sum_i k(x_i, x) and alpha = (e / lambda)^T, the
     rescaled eigenvectors e = D^(-1/2) u over their eigenvalues.  As
     D^(-1) K e = lambda e, training points embed (up to rounding) onto the
-    rows of e that fit the k-means centers.
+    rows of e that fit the k-means centers.  Every point, training points
+    included, is labelled by `spectral_assign`.
     """
 
     kernel: GaussianKernel
     points: np.ndarray
     alpha: np.ndarray
     centers: np.ndarray
-    embedding: np.ndarray
-    assignments: np.ndarray
+
+    def __post_init__(self):
+        points = _as_points(self.points)
+        alpha = np.asarray(self.alpha, dtype=np.float64)
+        centers = np.asarray(self.centers, dtype=np.float64)
+        m = points.shape[0]
+        if alpha.ndim != 2 or alpha.shape[1] != m:
+            raise ValidationError(f"nystrom_alpha must be (r, {m}) for {m} training points, not {alpha.shape}")
+        r = alpha.shape[0]
+        if centers.ndim != 2 or centers.shape[0] < 1 or centers.shape[1] != r:
+            raise ValidationError(f"centers must be (s >= 1, {r}) for r = {r}, not {centers.shape}")
+        for name, arr in (("nystrom_alpha", alpha), ("centers", centers)):
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"{name} must be finite")
+        for name, arr in (("points", points), ("alpha", alpha), ("centers", centers)):
+            object.__setattr__(self, name, arr)
 
     @property
     def s(self) -> int:
@@ -179,38 +184,6 @@ class SpectralModel:
     @property
     def r(self) -> int:
         return self.centers.shape[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel.to_spec(),
-            "nystrom_alpha": self.alpha.tolist(),
-            "centers": self.centers.tolist(),
-            "training_points": self.points.tolist(),
-            "r": self.r,
-            "s": self.s,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SpectralModel":
-        kernel = kernel_from_spec(payload["kernel"])
-        points = _as_points(payload["training_points"])
-        alpha = np.asarray(payload["nystrom_alpha"], dtype=np.float64)
-        centers = np.asarray(payload["centers"], dtype=np.float64)
-        m = points.shape[0]
-        if alpha.ndim != 2 or alpha.shape[1] != m:
-            raise ValidationError(f"nystrom_alpha must be (r, {m}) for {m} training points, not {alpha.shape}")
-        r = alpha.shape[0]
-        if centers.ndim != 2 or centers.shape[0] < 1 or centers.shape[1] != r:
-            raise ValidationError(f"centers must be (s >= 1, {r}) for r = {r}, not {centers.shape}")
-        embedding = _nystrom(kernel, points, alpha, points)
-        return cls(
-            kernel=kernel,
-            points=points,
-            alpha=alpha,
-            centers=centers,
-            embedding=embedding,
-            assignments=_nearest(embedding, centers),
-        )
 
 
 def _nystrom(kernel, points: np.ndarray, alpha: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -303,14 +276,7 @@ def spectral_fit(points, kernel, s: int, seed=None) -> SpectralModel:
     order = np.lexsort(embedding.T[::-1])
     centers, _ = kmeans(embedding[order], s, seed=seed)
 
-    return SpectralModel(
-        kernel=kernel,
-        points=x.copy(),
-        alpha=alpha,
-        centers=centers,
-        embedding=embedding,
-        assignments=_nearest(embedding, centers),
-    )
+    return SpectralModel(kernel=kernel, points=x.copy(), alpha=alpha, centers=centers)
 
 
 def _check_dimension(model: SpectralModel, x: np.ndarray):

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 from pathlib import Path
 
 import numpy as np
 
-from .clustering import SpectralModel
+from .clustering import GaussianKernel, SpectralModel
 from .errors import ValidationError
 from .model_core import FitResult, MixtureParams, Responsibilities, TrajectoryDataset
 from .theory import KlReport
@@ -354,12 +355,29 @@ def write_assignments_csv(path, assignments):
 
 
 def write_spectral_model(path, model: SpectralModel):
-    write_json(path, model.to_dict())
+    """A model with a `GaussianKernel` as JSON; the reader ignores `r` and `s`."""
+    write_json(path, {
+        "kernel": {"name": "gaussian", "sigma": model.kernel.sigma},
+        "nystrom_alpha": model.alpha.tolist(),
+        "centers": model.centers.tolist(),
+        "training_points": model.points.tolist(),
+        "r": model.r,
+        "s": model.s,
+    })
 
 
 def read_spectral_model(path) -> SpectralModel:
-    return SpectralModel.from_dict(_read_fields(
-        path, "spectral model file", ("kernel",), ("training_points", "nystrom_alpha", "centers")))
+    """The model `write_spectral_model` wrote, read without evaluating its kernel."""
+    payload = _read_fields(path, "spectral model file", ("kernel",),
+                           ("training_points", "nystrom_alpha", "centers"))
+    spec = payload["kernel"]
+    sigma = spec.get("sigma") if isinstance(spec, dict) and spec.get("name") == "gaussian" else None
+    if not isinstance(sigma, numbers.Real) or isinstance(sigma, bool):
+        raise ValidationError(f"unknown kernel spec {spec!r}")
+    return SpectralModel(kernel=GaussianKernel(sigma=float(sigma)),
+                         points=payload["training_points"],
+                         alpha=payload["nystrom_alpha"],
+                         centers=payload["centers"])
 
 
 def write_misa_csv(path, trajectory):

@@ -38,6 +38,8 @@ class EmConfig:
             raise ValidationError("k must be >= 1")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
+        if not self.tol_scale >= 0:
+            raise ValidationError(f"tol_scale must be >= 0, not {self.tol_scale!r}")
 
 
 def normalize_rows(counts: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .em import EmConfig, em_fit
 from .errors import NumericalError, ValidationError
-from .metrics import accuracy
+from .metrics import _as_labels, accuracy
 from .model_core import (FitResult, Responsibilities, SufficientStats, as_rng, check_seed,
                          uniform_simplex)
 from .vem import VemConfig, vem_fit
@@ -109,7 +109,8 @@ def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
     algorithm is "em" (config: EmConfig) or "vem" (config: VemConfig).
     Per-restart seeds derive from the master seed by spawn index, so each
     restart can be reproduced on its own.  When `true_labels` is given,
-    per-restart permutation-matched accuracies are recorded.
+    per-restart permutation-matched accuracies are recorded; they must be N
+    non-negative integers, checked before the first restart.
 
     Raises NumericalError if every restart fails numerically.
     """
@@ -123,6 +124,11 @@ def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
             raise ValidationError("algorithm 'vem' requires a VemConfig")
     else:
         raise ValidationError(f"unknown algorithm {algorithm!r}")
+    if true_labels is not None:
+        true_labels = _as_labels(true_labels, "true_labels")
+        if true_labels.size != stats.n:
+            raise ValidationError(
+                f"true_labels must have one label per trajectory ({stats.n}), not {true_labels.size}")
 
     master_entropy = _master_entropy(seed)
     sequences = [restart_seed_sequence(master_entropy, r) for r in range(restarts)]

@@ -63,6 +63,8 @@ class VemConfig:
             raise ValidationError("k_max must be >= 1")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
+        if not self.tol_scale >= 0:
+            raise ValidationError(f"tol_scale must be >= 0, not {self.tol_scale!r}")
 
 
 @dataclass(frozen=True, eq=False)

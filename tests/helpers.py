@@ -520,10 +520,9 @@ def reference_kmeans(points, s, seed=None, max_iters=300):
 
 def reference_spectral_fit(points, kernel, s, seed=None):
     """The out-of-place `spectral_fit` the in-place one replaced: the kernel
-    above, `np.linalg.eigh`, and the Nystrom coefficients e / lambda."""
-    from chainmix.clustering import (
-        SpectralModel, _as_points, _canonical_signs, _nearest, kmeans,
-    )
+    above, `np.linalg.eigh`, and the Nystrom coefficients e / lambda.
+    Returns the model and the training rows e of its embedding."""
+    from chainmix.clustering import SpectralModel, _as_points, _canonical_signs, kmeans
 
     x = _as_points(points)
     K = reference_gaussian_kernel(x, x, kernel.sigma)
@@ -538,20 +537,19 @@ def reference_spectral_fit(points, kernel, s, seed=None):
 
     order = np.lexsort(embedding.T[::-1])
     centers, _ = kmeans(embedding[order], s, seed=seed)
-    return SpectralModel(kernel=kernel, points=x.copy(), alpha=alpha,
-                         centers=centers, embedding=embedding,
-                         assignments=_nearest(embedding, centers))
+    return SpectralModel(kernel=kernel, points=x.copy(), alpha=alpha, centers=centers), embedding
 
 
 # Ridge scale of the kernel-interpolant solve that the Nystrom extension replaced.
 RIDGE_SCALE = 1e-10
 
 
-def ridge_spectral_assign(model, points):
+def ridge_spectral_assign(model, embedding, points):
     """`spectral_assign` through the extension the Nystrom one replaced:
     f(x) = beta @ k(x_train, x), with beta^T solving (K + ridge I) beta^T = e
     by a Cholesky factor and two refinement sweeps against K, for the
-    training rows e = `model.embedding`, and the nearest of `model.centers`."""
+    training rows e = `embedding` (`reference_spectral_fit` returns them),
+    and the nearest of `model.centers`."""
     from scipy.linalg import cho_factor, cho_solve
 
     from chainmix.clustering import _nearest
@@ -561,9 +559,9 @@ def ridge_spectral_assign(model, points):
     K = reference_gaussian_kernel(x, x, model.kernel.sigma)
     K = 0.5 * (K + K.T)
     factor = cho_factor(K + RIDGE_SCALE * np.trace(K) / m * np.eye(m))
-    beta_t = cho_solve(factor, model.embedding)
+    beta_t = cho_solve(factor, embedding)
     for _ in range(2):
-        beta_t = beta_t + cho_solve(factor, model.embedding - K @ beta_t)
+        beta_t = beta_t + cho_solve(factor, embedding - K @ beta_t)
     block = reference_gaussian_kernel(x, np.asarray(points, dtype=np.float64),
                                       model.kernel.sigma)
     return _nearest((beta_t.T @ block).T, model.centers)

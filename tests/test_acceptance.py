@@ -22,6 +22,7 @@ from chainmix import (
     random_mixture_params,
     sample_mixture,
     sample_simplex_rows,
+    spectral_assign,
     spectral_fit,
     sufficient_stats,
     misclassification_bound,
@@ -240,7 +241,7 @@ def test_criterion_7_spectral_beats_kmeans_on_spiral():
     points, arms = two_arm_spiral(m=100, seed=7)
     model = spectral_fit(PointSet(points), GaussianKernel(sigma=1.0), s=2,
                          seed=70)
-    spec_acc, _ = accuracy(arms, model.assignments)
+    spec_acc, _ = accuracy(arms, spectral_assign(model, points))
     _, km_assign = kmeans(points, 2, seed=70)
     km_acc, _ = accuracy(arms, km_assign)
     ok = report(7, "spectral vs k-means on spiral",

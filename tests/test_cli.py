@@ -221,6 +221,28 @@ class TestFit:
         assert np.allclose(p_em.P[0], mle, atol=1e-9)
         assert np.allclose(p_vem.P[0], smoothed, atol=1e-9)
 
+    @pytest.mark.parametrize("tol", ["nan", "-1e-12"])
+    def test_unusable_tol_scale_fails(self, simulated, tmp_path, capsys, tol):
+        rc = run_cli("fit", "--input", simulated / "trajectories.txt", "--restarts", 1,
+                     f"--tol-scale={tol}", "--out", tmp_path / "fit")
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"type": "ValidationError",
+                                "message": f"tol_scale must be >= 0, not {float(tol)!r}"}
+        assert not (tmp_path / "fit").exists()
+
+    def test_label_count_mismatch_fails(self, simulated, tmp_path, capsys):
+        (tmp_path / "labels.txt").write_text("0\n1\n")
+        rc = run_cli("fit", "--input", simulated / "trajectories.txt",
+                     "--labels", tmp_path / "labels.txt", "--restarts", 1,
+                     "--out", tmp_path / "fit")
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {
+            "type": "ValidationError",
+            "message": "true_labels must have one label per trajectory (40), not 2"}
+        assert not (tmp_path / "fit").exists()
+
     def test_missing_input_file_fails_cleanly(self, tmp_path, capsys):
         rc = run_cli("fit", "--input", tmp_path / "nope.txt", "--out", tmp_path)
         assert rc == 1
@@ -278,12 +300,20 @@ class TestCluster:
         ds = dataio.read_trajectories(tmp_path / "trajectories.txt")
         assert ds.n == 2
         assert list(ds.lengths) == [5, 4]
+        # one labelling: each point's cluster is its state in the trajectories
+        with open(tmp_path / "assignments.csv") as fh:
+            assign = [int(r["cluster"]) for r in csv.DictReader(fh)]
+        assert assign == ds.states.tolist()
 
     @pytest.mark.parametrize("inputs, text", [
         (["--traj-files", "t1.csv", "--method", "kmeans"], "requires --method spectral"),
         ([], "provide --points or --traj-files"),
         (["--points", "t1.csv", "--traj-files", "t1.csv"], "exclude each other"),
-    ], ids=["traj-files-with-kmeans", "no-input", "points-with-traj-files"])
+        (["--points", "t1.csv", "--sigma", "inf"], "sigma must be positive, with 0 < 2 sigma^2 < inf"),
+        (["--points", "t1.csv", "--sigma", "1e300"], "sigma must be positive, with 0 < 2 sigma^2 < inf"),
+        (["--points", "t1.csv", "--sigma", "1e-200"], "sigma must be positive, with 0 < 2 sigma^2 < inf"),
+    ], ids=["traj-files-with-kmeans", "no-input", "points-with-traj-files", "sigma-inf",
+            "sigma-overflows", "sigma-underflows"])
     def test_unusable_inputs_fail_before_output(self, tmp_path, monkeypatch, capsys,
                                                 inputs, text):
         monkeypatch.chdir(tmp_path)

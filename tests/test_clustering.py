@@ -16,7 +16,7 @@ from chainmix import (
     spectral_embed,
     spectral_fit,
 )
-from chainmix.clustering import SpectralModel
+from chainmix.clustering import SpectralModel, _nearest
 from chainmix.gene_circuit import _MAX_FIT_POINTS, MisaParams, misa_simulate
 
 from helpers import (
@@ -42,6 +42,13 @@ def misa_sample():
     points = PointSet(pooled[np.sort(pick)])
     kernel = GaussianKernel(sigma=50.0)
     return pooled, points, kernel, spectral_fit(points, kernel, s=4, seed=33)
+
+
+@pytest.fixture(scope="module")
+def misa_reference(misa_sample):
+    """`reference_spectral_fit` of the misa sample: its model and eigenvector rows."""
+    _, points, kernel, _ = misa_sample
+    return reference_spectral_fit(points, kernel, s=4, seed=33)
 
 
 def two_blobs(n_per=20, gap=10.0, seed=0):
@@ -140,7 +147,7 @@ class TestSpectral:
         points, truth = two_blobs(gap=50.0, seed=11)
         model = spectral_fit(PointSet(points), GaussianKernel(sigma=1.0), s=2,
                              seed=12)
-        acc, _ = accuracy(truth, model.assignments)
+        acc, _ = accuracy(truth, spectral_assign(model, points))
         assert acc == 1.0
 
     def test_training_embedding_matches_eigenvector_rows(self):
@@ -151,23 +158,31 @@ class TestSpectral:
         ])
         model = spectral_fit(PointSet(points), GaussianKernel(sigma=1.0), s=2,
                              seed=14)
+        _, rows = reference_spectral_fit(PointSet(points), GaussianKernel(sigma=1.0), s=2,
+                                         seed=14)
         emb = spectral_embed(model, points)
-        residual = np.max(np.abs(emb - model.embedding))
+        residual = np.max(np.abs(emb - rows))
         assert residual < 1e-8
 
     def test_spiral_embedding_residual_below_tolerance(self):
         points, _ = two_arm_spiral(m=100, seed=17)
         model = spectral_fit(PointSet(points), GaussianKernel(sigma=1.0), s=2,
                              seed=18)
-        residual = np.max(np.abs(spectral_embed(model, points) - model.embedding))
+        _, rows = reference_spectral_fit(PointSet(points), GaussianKernel(sigma=1.0), s=2,
+                                         seed=18)
+        residual = np.max(np.abs(spectral_embed(model, points) - rows))
         assert residual < 1e-8
 
     def test_training_points_keep_their_assignment(self):
+        # the Nystrom labels of the training points are those of the
+        # eigenvector rows that the centers were fitted on
         points, _ = two_blobs(gap=8.0, seed=15)
         model = spectral_fit(PointSet(points), GaussianKernel(sigma=1.5), s=2,
                              seed=16)
+        _, rows = reference_spectral_fit(PointSet(points), GaussianKernel(sigma=1.5), s=2,
+                                         seed=16)
         again = spectral_assign(model, points)
-        assert np.array_equal(again, model.assignments)
+        assert np.array_equal(again, _nearest(rows, model.centers))
 
     def test_equidistant_point_takes_lower_index(self):
         points = np.array([[0.0, 0.0], [4.0, 0.0]])
@@ -182,34 +197,39 @@ class TestSpectral:
         points, _ = two_arm_spiral(m=200, seed=1)
         kernel = GaussianKernel(sigma=1.0)
         model = spectral_fit(PointSet(points), kernel, s=2, seed=2)
-        reference = reference_spectral_fit(PointSet(points), kernel, s=2, seed=2)
-        for name in ("alpha", "embedding", "centers", "assignments"):
+        reference, rows = reference_spectral_fit(PointSet(points), kernel, s=2, seed=2)
+        for name in ("points", "alpha", "centers"):
             assert np.array_equal(getattr(model, name), getattr(reference, name)), name
+        assert np.array_equal(spectral_assign(model, points), _nearest(rows, reference.centers))
 
-    def test_matches_out_of_place_reference_on_misa_sample(self, misa_sample):
+    def test_matches_out_of_place_reference_on_misa_sample(self, misa_sample, misa_reference):
         pooled, points, kernel, model = misa_sample
-        reference = reference_spectral_fit(points, kernel, s=4, seed=33)
-        for name in ("alpha", "embedding", "centers", "assignments"):
+        reference, rows = misa_reference
+        for name in ("points", "alpha", "centers"):
             assert np.array_equal(getattr(model, name), getattr(reference, name)), name
+        assert np.array_equal(spectral_assign(model, points), _nearest(rows, reference.centers))
         # the rectangular blocks that discretize_trajectories embeds
         for block in (pooled[:1], pooled[:87], pooled[1000:1530]):
             assert np.array_equal(kernel(points.points, block),
                                   reference_gaussian_kernel(points.points, block, 50.0))
 
-    def test_states_match_ridge_solve_on_misa_pool(self, misa_sample):
+    def test_states_match_ridge_solve_on_misa_pool(self, misa_sample, misa_reference):
         # the kernel-interpolant solve that the Nystrom extension replaced
         # gives the same states on every pooled point, the 30 outside the
         # training subsample among them
         pooled, _, _, model = misa_sample
+        _, rows = misa_reference
         assert np.array_equal(spectral_assign(model, pooled),
-                              ridge_spectral_assign(model, pooled))
+                              ridge_spectral_assign(model, rows, pooled))
 
     def test_states_match_ridge_solve_on_spiral_holdout(self):
         points, _ = two_arm_spiral(m=600, seed=5)
         model = spectral_fit(PointSet(points[::3]), GaussianKernel(sigma=1.0), s=2, seed=6)
+        _, rows = reference_spectral_fit(PointSet(points[::3]), GaussianKernel(sigma=1.0), s=2,
+                                         seed=6)
         held_out = np.delete(points, np.s_[::3], axis=0)
         assert np.array_equal(spectral_assign(model, held_out),
-                              ridge_spectral_assign(model, held_out))
+                              ridge_spectral_assign(model, rows, held_out))
 
     def test_nonpositive_eigenvalue_raises(self):
         # without self-similarity the normalized kernel matrix of two points
@@ -244,7 +264,7 @@ class TestSpectral:
         points, arms = two_arm_spiral(m=100, seed=17)
         model = spectral_fit(PointSet(points), GaussianKernel(sigma=1.0), s=2,
                              seed=18)
-        spec_acc, _ = accuracy(arms, model.assignments)
+        spec_acc, _ = accuracy(arms, spectral_assign(model, points))
         _, km_assign = kmeans(points, 2, seed=19)
         km_acc, _ = accuracy(arms, km_assign)
         assert spec_acc >= 0.95
@@ -258,7 +278,8 @@ class TestSpectral:
         perm = rng.permutation(points.shape[0])
         model_p = spectral_fit(PointSet(points[perm]), GaussianKernel(sigma=1.5),
                                s=2, seed=22)
-        acc, _ = accuracy(model.assignments[perm], model_p.assignments)
+        acc, _ = accuracy(spectral_assign(model, points)[perm],
+                          spectral_assign(model_p, points[perm]))
         assert acc == 1.0
 
     def test_isolated_point_reported(self):
@@ -318,8 +339,8 @@ class TestSpectral:
             "kernel", "nystrom_alpha", "centers", "training_points", "r", "s"}
         assert np.array_equal(loaded.alpha, model.alpha)
         assert np.array_equal(loaded.centers, model.centers)
-        assert np.allclose(loaded.embedding, model.embedding, rtol=0, atol=1e-12)
-        assert np.array_equal(loaded.assignments, spectral_assign(model, model.points))
+        assert np.array_equal(loaded.points, model.points)
+        assert np.array_equal(spectral_embed(loaded, points), spectral_embed(model, points))
         fresh = np.array([[0.5, -0.2], [7.5, 0.3]])
         assert np.array_equal(spectral_assign(loaded, fresh),
                               spectral_assign(model, fresh))

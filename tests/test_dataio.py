@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from chainmix import (
+    GaussianKernel,
     Responsibilities,
     TrajectoryDataset,
     ValidationError,
     random_mixture_params,
+    spectral_assign,
     sufficient_stats,
     vem_fit,
     VemConfig,
@@ -411,15 +413,35 @@ class TestSpectralModelJson:
          r"nystrom_alpha must be \(r, 3\) for 3 training points, not \(2, 2\)"),
         ({"nystrom_alpha": [[1.0, 0.0, 0.0]]}, r"centers must be \(s >= 1, 1\) for r = 1, not \(2, 2\)"),
         ({"centers": [[0.0, 0.0, 0.0]]}, r"centers must be \(s >= 1, 2\) for r = 2, not \(1, 3\)"),
+        ({"nystrom_alpha": [[float("nan"), 0.0, 0.0], [0.0, 1.0, 0.0]]},
+         "nystrom_alpha must be finite"),
+        ({"centers": [[0.0, 0.0], [float("inf"), 1.0]]}, "centers must be finite"),
+        ({"kernel": {"name": "gaussian", "sigma": float("inf")}},
+         r"sigma must be positive, with 0 < 2 sigma\^2 < inf, not inf"),
     ], ids=["kernel-without-sigma", "kernel-not-an-object", "sigma-not-a-number",
-            "alpha-not-numeric", "alpha-columns", "alpha-rows", "centers-columns"])
+            "alpha-not-numeric", "alpha-columns", "alpha-rows", "centers-columns",
+            "alpha-not-finite", "centers-not-finite", "sigma-infinite"])
     def test_malformed_model_rejected(self, tmp_path, changes, text):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(self._payload(**changes)))
         with pytest.raises(ValidationError, match=text):
             dataio.read_spectral_model(path)
         path.write_text(json.dumps(self._payload()))
-        assert dataio.read_spectral_model(path).assignments.shape == (3,)
+        model = dataio.read_spectral_model(path)
+        assert spectral_assign(model, model.points).shape == (3,)
+
+    def test_read_evaluates_no_kernel(self, tmp_path, monkeypatch):
+        def refuse(self, a, b):
+            raise AssertionError("the kernel was evaluated")
+
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self._payload()))
+        monkeypatch.setattr(GaussianKernel, "__call__", refuse)
+        model = dataio.read_spectral_model(path)
+        assert model.kernel == GaussianKernel(sigma=1.0)
+        assert np.array_equal(model.points, self._payload()["training_points"])
+        assert np.array_equal(model.alpha, self._payload()["nystrom_alpha"])
+        assert np.array_equal(model.centers, self._payload()["centers"])
 
 
 class TestTablesAndPoints:

@@ -169,6 +169,17 @@ def test_numerical_failure_carries_iteration_index():
     assert err.value.iteration == 1
 
 
+def test_config_validation():
+    from chainmix import ValidationError
+    for kwargs in (dict(k=0), dict(k=2, max_iters=0)):
+        with pytest.raises(ValidationError):
+            EmConfig(**kwargs)
+    for tol in (-1e-12, float("nan")):
+        with pytest.raises(ValidationError, match="tol_scale must be >= 0"):
+            EmConfig(k=2, tol_scale=tol)
+    assert EmConfig(k=2, tol_scale=0.0).tol_scale == 0.0
+
+
 def test_init_width_must_match_k():
     stats = sufficient_stats(TrajectoryDataset(([0, 1],), s=2))
     with pytest.raises(ValidationError, match="init must have k columns"):

@@ -250,14 +250,14 @@ def test_spectral_states_cover_metastable_regions():
     # intermediate unbinding rate: the circuit toggles between competing
     # regimes, and sigma=50 spectral clustering into 4 states should carve
     # out a low-low region plus both asymmetric high regions
-    from chainmix import GaussianKernel, PointSet, spectral_fit
+    from chainmix import GaussianKernel, PointSet, spectral_assign, spectral_fit
 
     traj = misa_simulate(MisaParams(f_r=0.1), t_end=600.0, seed=77)
     model = spectral_fit(PointSet(traj.ab), GaussianKernel(sigma=50.0), s=4,
                          seed=78)
     means = []
     for c in range(4):
-        members = traj.ab[model.assignments == c]
+        members = traj.ab[spectral_assign(model, traj.ab) == c]
         assert members.size > 0
         means.append(members.mean(axis=0))
     means = np.asarray(means)
@@ -309,6 +309,10 @@ class TestMixtureExperiment:
         (dict(k_max=0), "k_max must be >= 1"),
         (dict(sigma=0.0), "sigma must be positive"),
         (dict(sigma=-1.0), "sigma must be positive"),
+        (dict(sigma=float("inf")), r"sigma must be positive, with 0 < 2 sigma\^2 < inf, not inf"),
+        (dict(sigma=1e300), r"sigma must be positive, with 0 < 2 sigma\^2 < inf, not 1e\+300"),
+        (dict(sigma=1e-200), r"sigma must be positive, with 0 < 2 sigma\^2 < inf, not 1e-200"),
+        (dict(sigma=float("nan")), "sigma must be positive"),
     ])
     def test_arguments_checked_before_simulating(self, monkeypatch, argument, message):
         calls = count_calls(monkeypatch, gene_circuit, "misa_simulate")

@@ -15,6 +15,8 @@ from chainmix import (
 )
 from chainmix.multistart import TIE_RTOL, restart_seed_sequence
 
+from helpers import count_calls
+
 
 @pytest.fixture(scope="module")
 def small_problem():
@@ -184,6 +186,23 @@ class TestMultistart:
             multistart_fit(stats, "gibbs", restarts=2, config=EmConfig(k=2), seed=1)
         with pytest.raises(ValidationError):
             multistart_fit(stats, "em", restarts=2, config=VemConfig(k_max=2), seed=1)
+
+    @pytest.mark.parametrize("labels, text", [
+        (np.zeros(24, dtype=np.int64), r"one label per trajectory \(25\), not 24"),
+        (np.zeros((25, 1), dtype=np.int64), "nonempty 1-D integer array"),
+        (np.r_[-1, np.zeros(24, dtype=np.int64)], "nonnegative integers"),
+    ], ids=["wrong-length", "two-dimensional", "negative"])
+    def test_true_labels_checked_before_first_restart(self, small_problem, monkeypatch,
+                                                      labels, text):
+        import chainmix.multistart as multistart
+        from chainmix import ValidationError
+
+        stats, _ = small_problem
+        calls = count_calls(monkeypatch, multistart, "vem_fit")
+        with pytest.raises(ValidationError, match=text):
+            multistart_fit(stats, "vem", restarts=2, config=VemConfig(k_max=2), seed=1,
+                           true_labels=labels)
+        assert calls == {"vem_fit": 0}
 
     def test_all_failures_aggregate_error(self):
         # inf counts poison every restart; the error lists per-restart failures

@@ -230,6 +230,10 @@ class TestVemFit:
         from chainmix import ValidationError
         with pytest.raises(ValidationError):
             VemConfig(k_max=0)
+        for tol in (-1e-12, float("nan")):
+            with pytest.raises(ValidationError, match="tol_scale must be >= 0"):
+                VemConfig(k_max=2, tol_scale=tol)
+        assert VemConfig(k_max=2, tol_scale=0.0).tol_scale == 0.0
 
 
 class TestPerFitBuffers:
