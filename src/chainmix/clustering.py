@@ -77,7 +77,7 @@ class GaussianKernel:
                     sq, out=sq)
         np.maximum(sq, 0.0, out=sq)
         np.negative(sq, out=sq)
-        sq /= 2.0 * self.sigma**2
+        sq /= 2.0 * float(self.sigma) * float(self.sigma)  # the product __post_init__ checked
         return np.exp(sq, out=sq)
 
 

@@ -27,12 +27,13 @@ from .errors import ValidationError
 
 
 def _as_labels(x, name):
-    arr = np.asarray(x, dtype=np.int64)
+    arr = np.asarray(x)
     if arr.ndim != 1 or arr.size < 1:
         raise ValidationError(f"{name} must be a nonempty 1-D integer array")
-    if arr.min() < 0:
+    # a float label must be a whole number, not one that the int64 cast truncates
+    if arr.dtype.kind not in "iubf" or not np.all(np.isfinite(arr) & (arr >= 0) & (arr == np.round(arr))):
         raise ValidationError(f"{name} must be nonnegative integers")
-    return arr
+    return arr.astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)

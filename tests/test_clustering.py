@@ -340,7 +340,13 @@ class TestSpectral:
         assert np.array_equal(loaded.alpha, model.alpha)
         assert np.array_equal(loaded.centers, model.centers)
         assert np.array_equal(loaded.points, model.points)
-        assert np.array_equal(spectral_embed(loaded, points), spectral_embed(model, points))
+        embedding = spectral_embed(loaded, points)
+        assert np.array_equal(embedding, spectral_embed(model, points))
+        # the loaded model's extension of the training points reproduces the
+        # eigenvector rows that the centers were fitted on
+        _, rows = reference_spectral_fit(PointSet(points), GaussianKernel(sigma=1.5), s=2,
+                                         seed=28)
+        assert np.allclose(embedding, rows, rtol=0, atol=1e-12)
         fresh = np.array([[0.5, -0.2], [7.5, 0.3]])
         assert np.array_equal(spectral_assign(loaded, fresh),
                               spectral_assign(model, fresh))

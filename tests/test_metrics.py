@@ -32,6 +32,19 @@ class TestAccuracy:
         with pytest.raises(ValidationError):
             accuracy([0, 1], [0])
 
+    @pytest.mark.parametrize("labels", [
+        [0.5, 1.7, 1.2], [0.0, np.nan, 1.0], [0.0, np.inf, 1.0], ["0", "1", "1"],
+    ], ids=["fractional", "nan", "inf", "strings"])
+    def test_non_integer_labels_rejected(self, labels):
+        # a cast to int64 would truncate [0.5, 1.7, 1.2] to [0, 1, 1] and score 1.0
+        with pytest.raises(ValidationError, match="true_labels must be nonnegative integers"):
+            accuracy(labels, [0, 1, 1])
+        with pytest.raises(ValidationError, match="est_labels must be nonnegative integers"):
+            confusion([0, 1, 1], labels, [0, 1])
+
+    def test_whole_float_labels_accepted(self):
+        assert accuracy([0.0, 1.0, 1.0], [1, 0, 0])[0] == 1.0
+
     @given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=40))
     @settings(max_examples=40, deadline=None)
     def test_invariant_under_bijective_relabeling(self, labels):

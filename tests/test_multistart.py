@@ -191,7 +191,8 @@ class TestMultistart:
         (np.zeros(24, dtype=np.int64), r"one label per trajectory \(25\), not 24"),
         (np.zeros((25, 1), dtype=np.int64), "nonempty 1-D integer array"),
         (np.r_[-1, np.zeros(24, dtype=np.int64)], "nonnegative integers"),
-    ], ids=["wrong-length", "two-dimensional", "negative"])
+        (np.full(25, 0.9), "nonnegative integers"),
+    ], ids=["wrong-length", "two-dimensional", "negative", "fractional"])
     def test_true_labels_checked_before_first_restart(self, small_problem, monkeypatch,
                                                       labels, text):
         import chainmix.multistart as multistart
