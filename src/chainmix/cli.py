@@ -30,7 +30,7 @@ from .em import EmConfig
 from .errors import NumericalError, ValidationError
 from .gene_circuit import MisaParams, misa_simulate
 from .metrics import accuracy, confusion
-from .model_core import check_seed, random_mixture_params, sample_mixture, sufficient_stats
+from .model_core import check_int, check_seed, random_mixture_params, sample_mixture, sufficient_stats
 from .multistart import multistart_fit
 from .theory import kl_report
 from .vem import VemConfig
@@ -161,12 +161,8 @@ def _cmd_fit(args) -> int:
     true_labels = None
     if args.labels is not None:
         true_labels = dataio.read_labels(args.labels, one_based=args.one_based)
-    if args.algorithm == "em":
-        config = EmConfig(k=args.k_max, max_iters=args.max_iters,
-                          tol_scale=args.tol_scale)
-    else:
-        config = VemConfig(k_max=args.k_max, max_iters=args.max_iters,
-                           tol_scale=args.tol_scale)
+    config = (EmConfig if args.algorithm == "em" else VemConfig)(
+        args.k_max, max_iters=args.max_iters, tol_scale=args.tol_scale)
     report = multistart_fit(stats, args.algorithm, args.restarts, config,
                             seed=args.seed, true_labels=true_labels)
     best = report.best
@@ -268,8 +264,7 @@ def _cmd_misa(args) -> int:
     overrides = {rate: getattr(args, rate) for rate in _MISA_RATES
                  if getattr(args, rate) is not None}
     params = MisaParams(f_r=args.f_r, **overrides)
-    if args.n_traj < 1:
-        raise ValidationError("--n-traj must be >= 1")
+    check_int(args.n_traj, "--n-traj", 1)
     out = args.out
     master = np.random.SeedSequence(args.seed)
     children = master.spawn(args.n_traj)

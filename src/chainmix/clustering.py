@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model_core import TrajectoryDataset, as_rng
+from .model_core import TrajectoryDataset, as_rng, check_int
 
 # The Nystrom extension embeds points in row blocks whose kernel block against
 # the training points holds at most this many entries (1 MB of float64): memory
@@ -118,8 +118,7 @@ def kmeans(points, s: int, seed=None):
     """
     x = _as_points(points)
     m = x.shape[0]
-    if s < 1 or s > m:
-        raise ValidationError("cluster count must satisfy 1 <= s <= M")
+    check_int(s, "s", 1, m)
     centers = _kmeanspp_init(x, s, as_rng(seed))
     # one distance block per step: it gives the assignment and, at the next
     # update, each point's distance to its assigned center
@@ -241,9 +240,7 @@ def spectral_fit(points, kernel, s: int, seed=None) -> SpectralModel:
     from scipy.linalg import eigh
 
     x = _as_points(points)
-    m = x.shape[0]
-    if s < 1 or s > m:
-        raise ValidationError("cluster count must satisfy 1 <= s <= M")
+    check_int(s, "s", 1, x.shape[0])
 
     sym = _symmetrize(kernel(x, x))  # K, until it is normalized below
     row_sums = sym.sum(axis=1)

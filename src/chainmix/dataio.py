@@ -167,6 +167,7 @@ def write_trajectories(path, data: TrajectoryDataset, one_based: bool = False):
 
 
 def read_labels(path, one_based: bool = False) -> np.ndarray:
+    """One label per line, a token of ASCII digits as a state is in a trajectory file."""
     offset = 1 if one_based else 0
     labels = []
     with open(path) as handle:
@@ -174,10 +175,9 @@ def read_labels(path, one_based: bool = False) -> np.ndarray:
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
-            try:
-                labels.append(int(text) - offset)
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            if not (text.isascii() and text.isdigit() and len(text) <= _MAX_DIGITS):
+                raise ValidationError(f"{path}:{lineno}: invalid label token {text!r}")
+            labels.append(int(text) - offset)
     if not labels:
         raise ValidationError(f"{path}: no labels found")
     return np.asarray(labels, dtype=np.int64)

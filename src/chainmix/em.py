@@ -18,6 +18,7 @@ from .model_core import (
     MixtureParams,
     Responsibilities,
     SufficientStats,
+    check_int,
     coordinate_ascent,
     labels_from_responsibilities,
     log_mixture_weights,
@@ -34,10 +35,8 @@ class EmConfig:
     tol_scale: float = 1e-12
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValidationError("k must be >= 1")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
+        check_int(self.k, "k", 1)
+        check_int(self.max_iters, "max_iters", 1)
         if not self.tol_scale >= 0:
             raise ValidationError(f"tol_scale must be >= 0, not {self.tol_scale!r}")
 

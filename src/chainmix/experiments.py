@@ -23,7 +23,7 @@ import numpy as np
 
 from .em import EmConfig
 from .gene_circuit import _STAGES, misa_mixture_experiment
-from .model_core import check_seed, random_mixture_params, sample_mixture, sufficient_stats
+from .model_core import check_int, check_seed, random_mixture_params, sample_mixture, sufficient_stats
 from .multistart import multistart_fit
 from .vem import VemConfig
 
@@ -79,6 +79,7 @@ def run_fig2(instances: int = 20, k_true: int = 4, s: int = 3, n_traj: int = 100
         return (report.best.surviving_components, _best_accuracy(report),
                 report.best.objective)
 
+    check_int(instances, "instances", 0)
     cells = ({"instance": inst, "seed": _cell_seed(seed, inst)}
              for inst in range(instances))
     return _sweep(cells, run, ("surviving_components", "accuracy", "final_objective"))
@@ -94,6 +95,7 @@ def run_fig3(t_values=(5, 10, 30, 100), n_values=(25, 100, 400),
         return (_best_accuracy(report), report.best.objective,
                 report.best.surviving_components)
 
+    check_int(trials, "trials", 0)
     cells = ({"n": n_traj, "t": t_len, "trial": trial,
               "seed": _cell_seed(seed, n_traj, t_len, trial)}
              for n_traj in n_values for t_len in t_values for trial in range(trials))
@@ -160,6 +162,7 @@ def run_fig8(fr1: float = 0.01, fr2_values=(0.01, 0.05, 0.25, 1.0),
         return (result.accuracy, result.report.best.surviving_components,
                 *(result.stage_s[stage] for stage in _STAGES))
 
+    check_int(reps, "reps", 0)
     cells = ({"f_r_1": fr1, "f_r_2": fr2, "ratio": fr2 / fr1, "t": t_len, "rep": rep,
               "seed": _cell_seed(seed, int(round(fr2 * 10**6)), t_len, rep)}
              for fr2 in fr2_values for t_len in t_values for rep in range(reps))

@@ -26,7 +26,7 @@ import numpy as np
 from .clustering import GaussianKernel, PointSet, discretize_trajectories, spectral_fit
 from .errors import ValidationError
 from .metrics import accuracy  # noqa: F401  (perfbench/spans.py wraps this name)
-from .model_core import TrajectoryDataset, as_rng, check_seed, sufficient_stats
+from .model_core import TrajectoryDataset, as_rng, check_int, check_seed, sufficient_stats
 from .multistart import MultistartReport, multistart_fit
 from .vem import VemConfig
 
@@ -74,8 +74,8 @@ class MisaState:
         for gene in (self.gene_a, self.gene_b):
             if tuple(gene) not in ((0, 0), (0, 1), (1, 0), (1, 1)):
                 raise ValidationError(f"invalid gene condition {gene!r}")
-        if self.a < 0 or self.b < 0:
-            raise ValidationError("protein counts must be nonnegative")
+        check_int(self.a, "protein count a", 0)
+        check_int(self.b, "protein count b", 0)
         object.__setattr__(self, "gene_a", tuple(self.gene_a))
         object.__setattr__(self, "gene_b", tuple(self.gene_b))
 
@@ -258,14 +258,9 @@ def misa_mixture_experiment(f_r_1: float, f_r_2: float, n_per_group: int = 15,
     variational EM, and returns the permutation-matched accuracy against the
     true group labels.
     """
-    if n_per_group < 1:
-        raise ValidationError("n_per_group must be >= 1")
-    if t_len < 1:
-        raise ValidationError("t_len must be >= 1")
-    if n_states < 1:
-        raise ValidationError("n_states must be >= 1")
-    if restarts < 1:
-        raise ValidationError("restarts must be >= 1")
+    for name, count in (("n_per_group", n_per_group), ("t_len", t_len),
+                        ("n_states", n_states), ("restarts", restarts)):
+        check_int(count, name, 1)
     # built before the simulation, so a bad argument fails before it runs
     kernel = GaussianKernel(sigma=sigma)
     config = VemConfig(k_max=k_max)

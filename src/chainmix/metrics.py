@@ -24,16 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .model_core import _as_states
 
 
 def _as_labels(x, name):
     arr = np.asarray(x)
     if arr.ndim != 1 or arr.size < 1:
         raise ValidationError(f"{name} must be a nonempty 1-D integer array")
-    # a float label must be a whole number, not one that the int64 cast truncates
-    if arr.dtype.kind not in "iubf" or not np.all(np.isfinite(arr) & (arr >= 0) & (arr == np.round(arr))):
+    arr, _ = _as_states(arr)
+    if arr is None or arr.min() < 0:
         raise ValidationError(f"{name} must be nonnegative integers")
-    return arr.astype(np.int64)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,10 +144,10 @@ def confusion(true_labels, est_labels, permutation) -> ConfusionMatrix:
     est = _as_labels(est_labels, "est_labels")
     if true.size != est.size:
         raise ValidationError("label arrays must have equal length")
-    perm = np.asarray(permutation, dtype=np.int64)
-    if perm.ndim != 1 or perm.size <= est.max():
+    perm = _as_labels(permutation, "permutation")
+    if perm.size <= est.max():
         raise ValidationError("permutation does not cover the estimated label range")
-    if np.unique(perm).size != perm.size or perm.min() < 0:
+    if np.unique(perm).size != perm.size:
         raise ValidationError("permutation must be a bijection on label indices")
     mapped = perm[est]
     size = int(max(true.max(), mapped.max())) + 1

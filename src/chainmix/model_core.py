@@ -27,6 +27,22 @@ from .errors import NumericalError, ValidationError
 _SUM_TOL = 1e-9
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_int(value, name, low, high=None):
+    """`value` if it is an int or np.integer (not a bool) in [low, high], else
+    ValidationError naming `name`: every count and index the library takes."""
+    if not _is_int(value):
+        raise ValidationError(f"{name} must be an integer, not {value!r}")
+    if value < low:
+        raise ValidationError(f"{name} must be >= {low}")
+    if high is not None and value > high:
+        raise ValidationError(f"{name} must be <= {high}")
+    return value
+
+
 def check_seed(seed, *kinds):
     """`seed` itself if it is None, a non-negative integer or an instance of
     one of `kinds`; ValidationError otherwise.
@@ -35,9 +51,7 @@ def check_seed(seed, *kinds):
     fractional, boolean or string seed fails with one message instead of
     being truncated, parsed or rejected deep inside numpy.
     """
-    if seed is None or isinstance(seed, kinds):
-        return seed
-    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0:
+    if seed is None or isinstance(seed, kinds) or (_is_int(seed) and seed >= 0):
         return seed
     raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
@@ -123,12 +137,13 @@ class TrajectoryDataset:
 
     def __post_init__(self, parts):
         if isinstance(parts, _FlatStates):
+            sizes, bad = _as_states(parts.sizes)
             states, fraction = _as_states(parts.states)
-            sizes = np.asarray(parts.sizes, dtype=np.int64)
-            if fraction >= 0:
-                n = int(np.searchsorted(np.cumsum(sizes), fraction, side="right"))
+            if bad < 0 <= fraction:
+                bad = int(np.searchsorted(np.cumsum(sizes), fraction, side="right"))
+            if bad >= 0:
                 raise ValidationError(
-                    f"trajectory {n} must be a nonempty 1-D integer sequence")
+                    f"trajectory {bad} must be a nonempty 1-D integer sequence")
             if states.ndim != 1 or sizes.ndim != 1:
                 raise ValidationError("flat states and sizes must be 1-D arrays")
         else:
@@ -147,8 +162,7 @@ class TrajectoryDataset:
             )
         if sizes.size == 0:
             raise ValidationError("dataset must contain at least one trajectory")
-        if self.s < 1:
-            raise ValidationError("state count s must be >= 1")
+        check_int(self.s, "state count s", 1)
         if sizes.sum() != states.size:
             raise ValidationError(
                 f"sizes sum to {sizes.sum()} but there are {states.size} states"
@@ -393,10 +407,8 @@ def sample_mixture(params: MixtureParams, n: int, t: int, seed=None):
     comparison mask and the current states) are allocated once per call and
     reused at every step; only the returned states and labels outlive it.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    if t < 0:
-        raise ValidationError("t must be >= 0")
+    check_int(n, "n", 1)
+    check_int(t, "t", 0)
     rng = as_rng(seed)
     k, s = params.k, params.s
     work = (np.empty(n), np.empty(n), np.empty(n, dtype=bool))
@@ -445,8 +457,8 @@ def sufficient_stats(data: TrajectoryDataset) -> SufficientStats:
 
 def random_mixture_params(k: int, s: int, seed=None) -> MixtureParams:
     """Draw mu, each nu_i, and each row of each P_i uniformly from the simplex."""
-    if k < 1 or s < 1:
-        raise ValidationError("k and s must be >= 1")
+    check_int(k, "k", 1)
+    check_int(s, "s", 1)
     rng = as_rng(seed)
     return MixtureParams(
         mu=uniform_simplex(rng, k),
@@ -533,7 +545,7 @@ def coordinate_ascent(stats: SufficientStats, init: Responsibilities, step,
     `gamma`, the E-step and the objective evaluation at iteration `it`
     (1-based), and returns (new gamma, objective, parameters).  The loop
     stops when |delta L| <= tol_scale * N * T_mean or after `max_iters`
-    steps.
+    steps; `max_iters` >= 1 is the config's check.
 
     Returns (gamma, parameters, objective trace, converged, iterations) from
     the last step.  Raises NumericalError carrying the iteration index if
@@ -541,8 +553,6 @@ def coordinate_ascent(stats: SufficientStats, init: Responsibilities, step,
     """
     if init.n != stats.n:
         raise ValidationError("init responsibilities and stats disagree on N")
-    if max_iters < 1:
-        raise ValidationError("max_iters must be >= 1")
     threshold = tol_scale * stats.n * stats.mean_transitions
     gamma = init.gamma.copy()
     trace = []

@@ -19,8 +19,8 @@ import numpy as np
 from .em import EmConfig, em_fit
 from .errors import NumericalError, ValidationError
 from .metrics import _as_labels, accuracy
-from .model_core import (FitResult, Responsibilities, SufficientStats, as_rng, check_seed,
-                         uniform_simplex)
+from .model_core import (FitResult, Responsibilities, SufficientStats, as_rng, check_int,
+                         check_seed, uniform_simplex)
 from .vem import VemConfig, vem_fit
 
 # Relative tolerance under which a restart's objective ties with the best.
@@ -33,8 +33,8 @@ def sample_simplex_rows(n: int, k: int, seed=None) -> Responsibilities:
     Each row normalizes k independent exponential variates, the standard
     construction of the flat simplex distribution.  Deterministic given seed.
     """
-    if n < 1 or k < 1:
-        raise ValidationError("n and k must be >= 1")
+    check_int(n, "n", 1)
+    check_int(k, "k", 1)
     return Responsibilities(uniform_simplex(as_rng(seed), n, k))
 
 
@@ -96,10 +96,7 @@ def _run_restart(seq, stats, algorithm, config, true_labels):
         fit = em_fit(stats, sample_simplex_rows(stats.n, config.k, seq), config)
     else:
         fit = vem_fit(stats, sample_simplex_rows(stats.n, config.k_max, seq), config)
-    acc = None
-    if true_labels is not None:
-        acc, _ = accuracy(true_labels, fit.labels)
-    return fit, acc
+    return fit, None if true_labels is None else accuracy(true_labels, fit.labels)[0]
 
 
 def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
@@ -114,8 +111,7 @@ def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
 
     Raises NumericalError if every restart fails numerically.
     """
-    if restarts < 1:
-        raise ValidationError("restarts must be >= 1")
+    check_int(restarts, "restarts", 1)
     if algorithm == "em":
         if not isinstance(config, EmConfig):
             raise ValidationError("algorithm 'em' requires an EmConfig")

@@ -20,6 +20,7 @@ from .errors import NumericalError, ValidationError
 from .model_core import (
     MixtureParams,
     TrajectoryDataset,
+    check_int,
     labels_from_responsibilities,
     log_mixture_weights,
     log_normalize_rows,
@@ -54,8 +55,7 @@ def _occupation(nu: np.ndarray, P: np.ndarray, horizon: int) -> np.ndarray:
     nu is (..., s) and P is (..., s, s), one chain per leading index.  The
     sum and the marginal are row vectors written into preallocated buffers.
     """
-    if horizon < 0:
-        raise ValidationError("horizon must be >= 0")
+    check_int(horizon, "horizon", 0)
     marginal = nu[..., None, :].copy()
     occupation = np.zeros_like(marginal)
     following = np.empty_like(marginal)
@@ -79,6 +79,8 @@ def kl_trajectory(params: MixtureParams, i: int, j: int, horizon: int) -> float:
     state over the first `horizon` steps.  O(horizon * s^2); returns +inf
     when chain j fails to cover chain i's reachable support.
     """
+    check_int(i, "i", 0, params.k - 1)
+    check_int(j, "j", 0, params.k - 1)
     occupation = _occupation(params.nu[i], params.P[i], horizon)
     return float(_kl_rows(params.nu[i], params.nu[j])
                  + _average(occupation, _kl_rows(params.P[i], params.P[j])))
@@ -156,6 +158,8 @@ def kl_rate(params: MixtureParams, i: int, j: int) -> float:
     stationary measure.  Raises NumericalError naming the component when the
     stationary computation does not converge.
     """
+    check_int(i, "i", 0, params.k - 1)
+    check_int(j, "j", 0, params.k - 1)
     stationary = _stationary_measures(params.P[i:i + 1], components=(i,))[0]
     return float(_average(stationary, _kl_rows(params.P[i], params.P[j])))
 

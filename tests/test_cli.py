@@ -86,7 +86,8 @@ class TestSimulate:
                      "--n-traj", 2, "--t-len", 2, "--out", tmp_path / "sim")
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == {"type": "ValidationError", "message": "k and s must be >= 1"}
+        name = "k" if k == 0 else "s"
+        assert err["error"] == {"type": "ValidationError", "message": f"{name} must be >= 1"}
         assert not (tmp_path / "sim").exists()
 
     def test_missing_model_spec_fails(self, tmp_path, capsys):
@@ -530,6 +531,21 @@ class TestExperiment:
         assert len(rows) == 3
         assert {"restart", "seed", "final_objective", "accuracy"} <= set(rows[0])
 
+    def test_fig4_em(self, tmp_path):
+        (tmp_path / "spec.json").write_text(json.dumps(
+            {"algorithm": "em", "k_max": 3, "k_true": 2, "s": 2, "n_traj": 20, "t_len": 10}))
+        rc = run_cli("experiment", "--name", "fig4", "--spec", tmp_path / "spec.json",
+                     "--restarts", 4, "--seed", 49, "--out", tmp_path)
+        assert rc == 0
+        with open(tmp_path / "fig4_results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["restart"]) for r in rows] == [0, 1, 2, 3]
+        for row in rows:
+            objective, acc = row["final_objective"], row["accuracy"]
+            # a failed restart leaves both cells blank
+            assert (objective == acc == "") or (np.isfinite(float(objective))
+                                                  and 0.0 <= float(acc) <= 1.0)
+
     def test_fig8_smoke(self, tmp_path):
         rc = run_cli("experiment", "--name", "fig8", "--fr2-values", 1.0,
                      "--t-values", 5, "--reps", 1, "--restarts", 2,
@@ -650,6 +666,31 @@ class TestExperiment:
         assert err["error"]["type"] == "ValidationError"
         assert err["error"]["message"].startswith(f"{name}: the sweep has no cells")
         assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("name, key", [("fig2", "instances"), ("fig3", "trials"),
+                                           ("fig8", "reps")])
+    def test_fractional_loop_count_fails_before_the_sweep(self, tmp_path, capsys, name, key):
+        (tmp_path / "spec.json").write_text(json.dumps({key: 2.5}))
+        rc = run_cli("experiment", "--name", name, "--spec", tmp_path / "spec.json",
+                     "--out", tmp_path / "exp")
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"type": "ValidationError",
+                                "message": f"{key} must be an integer, not 2.5"}
+        assert not (tmp_path / "exp").exists()
+
+    def test_float_restarts_fail_each_cell(self, tmp_path, capsys):
+        (tmp_path / "spec.json").write_text(json.dumps(
+            {"instances": 2, "restarts": 1.0, "n_traj": 5, "t_len": 3}))
+        rc = run_cli("experiment", "--name", "fig2", "--spec", tmp_path / "spec.json",
+                     "--out", tmp_path)
+        assert rc == 1
+        failed = json.loads(capsys.readouterr().err)["failed_cells"]
+        assert [(c["instance"], c["error"]) for c in failed] == [
+            (0, "restarts must be an integer, not 1.0"),
+            (1, "restarts must be an integer, not 1.0")]
+        with open(tmp_path / "fig2_results.csv") as fh:
+            assert [r["status"] for r in csv.DictReader(fh)] == ["failed", "failed"]
 
     @pytest.mark.parametrize("content, text", [
         ({"format": "xml"}, "argument --format: invalid choice: 'xml'"),

@@ -277,6 +277,13 @@ class TestLabelFiles:
         assert path.read_text() == "1\n2\n"
         assert np.array_equal(dataio.read_labels(path, one_based=True), [0, 1])
 
+    @pytest.mark.parametrize("token", ["1_0", "+2", "-1", "\u0663", "1.0", "1" * 19])
+    def test_only_ascii_digit_tokens(self, tmp_path, token):
+        path = tmp_path / "labels.txt"
+        path.write_text(f"0\n\n{token}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"{path.name}:3: "):
+            dataio.read_labels(path)
+
 
 class TestParamsJson:
     def test_round_trip(self, tmp_path):

@@ -70,6 +70,8 @@ class TestStepSsa:
             MisaState(gene_a=(2, 0), gene_b=(0, 0), a=0, b=0)
         with pytest.raises(ValidationError):
             MisaState(gene_a=(0, 0), gene_b=(0, 0), a=-1, b=0)
+        with pytest.raises(ValidationError, match="protein count b must be an integer"):
+            MisaState(gene_a=(0, 0), gene_b=(0, 0), a=0, b=2.5)
 
 
 class TestSimulate:

@@ -34,7 +34,8 @@ class TestAccuracy:
 
     @pytest.mark.parametrize("labels", [
         [0.5, 1.7, 1.2], [0.0, np.nan, 1.0], [0.0, np.inf, 1.0], ["0", "1", "1"],
-    ], ids=["fractional", "nan", "inf", "strings"])
+        [False, True, True],
+    ], ids=["fractional", "nan", "inf", "strings", "bool"])
     def test_non_integer_labels_rejected(self, labels):
         # a cast to int64 would truncate [0.5, 1.7, 1.2] to [0, 1, 1] and score 1.0
         with pytest.raises(ValidationError, match="true_labels must be nonnegative integers"):
@@ -149,3 +150,6 @@ class TestConfusion:
             confusion([0, 1], [0, 1], np.array([0]))  # does not cover range
         with pytest.raises(ValidationError):
             confusion([0, 1], [0, 1], np.array([1, 1]))  # not bijective
+        # a cast to int64 would truncate it to the bijection [1, 0]
+        with pytest.raises(ValidationError, match="permutation must be nonnegative integers"):
+            confusion([0, 1], [0, 1], np.array([1.5, 0.2]))

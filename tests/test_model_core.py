@@ -1,21 +1,33 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from chainmix import (
+    EmConfig,
+    GaussianKernel,
+    MisaState,
     MixtureParams,
     Responsibilities,
     TrajectoryDataset,
     ValidationError,
     VemConfig,
+    kl_rate,
+    kl_report,
+    kl_trajectory,
+    kmeans,
     misa_mixture_experiment,
+    misclassification_bound,
     multistart_fit,
     random_mixture_params,
     sample_mixture,
+    sample_simplex_rows,
+    spectral_fit,
     sufficient_stats,
 )
-from chainmix.experiments import run_fig2
+from chainmix import cli
+from chainmix.experiments import run_fig2, run_fig3, run_fig8
 from chainmix.model_core import (
     SufficientStats,
     as_rng,
@@ -86,6 +98,13 @@ class TestTrajectoryDataset:
             TrajectoryDataset(([0, 1], bad), s=3)
         with pytest.raises(ValidationError, match=text.replace("1", "0", 1)):
             TrajectoryDataset.from_flat(np.asarray(bad), [len(bad)], s=3)
+
+    @pytest.mark.parametrize("sizes, bad", [([2.7, 1], 0), ([2, 0.5], 1), ([True, True], 0)])
+    def test_sizes_that_are_not_whole_numbers_rejected(self, sizes, bad):
+        # a cast to int64 would truncate [2.7, 1] to [2, 1]
+        with pytest.raises(ValidationError,
+                           match=f"trajectory {bad} must be a nonempty 1-D integer sequence"):
+            TrajectoryDataset.from_flat([0, 1, 1], sizes, s=2)
 
     def test_unsigned_states_accepted(self):
         ds = TrajectoryDataset.from_flat(np.array([2, 0, 1], dtype=np.uint8), [3], s=3)
@@ -456,3 +475,87 @@ class TestSeedChecks:
         assert reports[0].seeds == reports[1].seeds
         assert reports[2].master_seed == int(
             np.random.SeedSequence(5).generate_state(1, np.uint64)[0])
+
+
+def _misa_cli(n_traj):
+    args = cli.build_parser().parse_args(
+        ["misa", "--f-r", "0.1", "--t-end", "2", "--burn-in", "1", "--out", "misa"])
+    args.n_traj = n_traj
+    return cli._cmd_misa(args)
+
+
+_PARAMS = random_mixture_params(3, 2, seed=0)
+_STATS = sufficient_stats(sample_mixture(_PARAMS, 6, 4, seed=1)[0])
+_POINTS = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0], [3.0, 1.0]])  # M = 4
+_MISA = dict(n_per_group=1, t_len=2, restarts=1, n_states=2, k_max=2, burn_in=1.0, seed=0)
+
+# (argument as its message names it, low, high or None, a value in range,
+# the call with that argument set to the value)
+_INTEGER_ARGUMENTS = {
+    "EmConfig-k": ("k", 1, None, 2, lambda v: EmConfig(k=v)),
+    "EmConfig-max_iters": ("max_iters", 1, None, 5, lambda v: EmConfig(k=2, max_iters=v)),
+    "VemConfig-k_max": ("k_max", 1, None, 2, lambda v: VemConfig(k_max=v)),
+    "VemConfig-max_iters": ("max_iters", 1, None, 5,
+                            lambda v: VemConfig(k_max=2, max_iters=v)),
+    "sample_mixture-n": ("n", 1, None, 3, lambda v: sample_mixture(_PARAMS, v, 2, seed=0)),
+    "sample_mixture-t": ("t", 0, None, 2, lambda v: sample_mixture(_PARAMS, 3, v, seed=0)),
+    "random_mixture_params-k": ("k", 1, None, 2, lambda v: random_mixture_params(v, 2)),
+    "random_mixture_params-s": ("s", 1, None, 2, lambda v: random_mixture_params(2, v)),
+    "TrajectoryDataset-s": ("state count s", 1, None, 3,
+                            lambda v: TrajectoryDataset(([0, 1],), s=v)),
+    "sample_simplex_rows-n": ("n", 1, None, 3, lambda v: sample_simplex_rows(v, 2)),
+    "sample_simplex_rows-k": ("k", 1, None, 2, lambda v: sample_simplex_rows(3, v)),
+    "multistart_fit-restarts": ("restarts", 1, None, 2, lambda v: multistart_fit(
+        _STATS, "em", v, EmConfig(k=2, max_iters=3), seed=0)),
+    "kl_report-horizon": ("horizon", 0, None, 3, lambda v: kl_report(_PARAMS, v)),
+    "misclassification_bound-horizon": ("horizon", 0, None, 3,
+                                        lambda v: misclassification_bound(_PARAMS, v)),
+    "kl_trajectory-horizon": ("horizon", 0, None, 3,
+                              lambda v: kl_trajectory(_PARAMS, 0, 1, v)),
+    "kl_trajectory-i": ("i", 0, 2, 1, lambda v: kl_trajectory(_PARAMS, v, 0, 3)),
+    "kl_trajectory-j": ("j", 0, 2, 1, lambda v: kl_trajectory(_PARAMS, 0, v, 3)),
+    "kl_rate-i": ("i", 0, 2, 1, lambda v: kl_rate(_PARAMS, v, 0)),
+    "kl_rate-j": ("j", 0, 2, 1, lambda v: kl_rate(_PARAMS, 0, v)),
+    "kmeans-s": ("s", 1, 4, 2, lambda v: kmeans(_POINTS, v, seed=0)),
+    "spectral_fit-s": ("s", 1, 4, 2, lambda v: spectral_fit(
+        _POINTS, GaussianKernel(sigma=2.0), v, seed=0)),
+    "misa_mixture_experiment-n_per_group": ("n_per_group", 1, None, 1, lambda v: (
+        misa_mixture_experiment(0.01, 0.25, **{**_MISA, "n_per_group": v}))),
+    "misa_mixture_experiment-t_len": ("t_len", 1, None, 2, lambda v: (
+        misa_mixture_experiment(0.01, 0.25, **{**_MISA, "t_len": v}))),
+    "misa_mixture_experiment-n_states": ("n_states", 1, None, 2, lambda v: (
+        misa_mixture_experiment(0.01, 0.25, **{**_MISA, "n_states": v}))),
+    "misa_mixture_experiment-restarts": ("restarts", 1, None, 1, lambda v: (
+        misa_mixture_experiment(0.01, 0.25, **{**_MISA, "restarts": v}))),
+    "MisaState-a": ("protein count a", 0, None, 3, lambda v: MisaState(
+        gene_a=(0, 0), gene_b=(0, 0), a=v, b=0)),
+    "MisaState-b": ("protein count b", 0, None, 3, lambda v: MisaState(
+        gene_a=(0, 0), gene_b=(0, 0), a=0, b=v)),
+    "cli-misa-n_traj": ("--n-traj", 1, None, 1, _misa_cli),
+    # a loop count of 0 is in range; the CLI then reports the empty sweep
+    "run_fig2-instances": ("instances", 0, None, 0, lambda v: run_fig2(instances=v)),
+    "run_fig3-trials": ("trials", 0, None, 0, lambda v: run_fig3(trials=v)),
+    "run_fig8-reps": ("reps", 0, None, 0, lambda v: run_fig8(reps=v)),
+}
+
+
+class TestIntegerChecks:
+    """Every count and index the library takes is an integer in its range."""
+
+    @pytest.mark.parametrize("entry", sorted(_INTEGER_ARGUMENTS))
+    def test_rejected(self, entry):
+        name, low, high, _, call = _INTEGER_ARGUMENTS[entry]
+        outside = [(low - 1, f"must be >= {low}")]
+        if high is not None:
+            outside.append((high + 1, f"must be <= {high}"))
+        not_integers = [(v, f"must be an integer, not {v!r}")
+                        for v in (2.5, np.float64(3.0), True)]
+        for value, text in not_integers + outside:
+            with pytest.raises(ValidationError, match=f"^{re.escape(f'{name} {text}')}$"):
+                call(value)
+
+    @pytest.mark.parametrize("entry", sorted(_INTEGER_ARGUMENTS))
+    def test_numpy_integer_accepted(self, entry, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the CLI writes its files here
+        _, _, _, value, call = _INTEGER_ARGUMENTS[entry]
+        call(np.int64(value))

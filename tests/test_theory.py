@@ -122,6 +122,21 @@ class TestKlRate:
             kl_rate(params, 0, 1)
 
 
+class TestComponentIndices:
+    """A component index outside [0, k) is rejected, not wrapped around."""
+
+    @pytest.mark.parametrize("i, j, text", [
+        (-1, 0, "i must be >= 0"), (0, -1, "j must be >= 0"),
+        (3, 0, "i must be <= 2"), (0, 3, "j must be <= 2"),
+    ])
+    def test_out_of_range(self, i, j, text):
+        params = strictly_positive_params(3, 2, seed=161)
+        with pytest.raises(ValidationError, match=text):
+            kl_trajectory(params, i, j, 5)
+        with pytest.raises(ValidationError, match=text):
+            kl_rate(params, i, j)
+
+
 class TestStationaryDistribution:
     """The log-step walk against the step-by-step power iteration."""
 
