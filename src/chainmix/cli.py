@@ -222,13 +222,14 @@ def _cmd_cluster(args) -> int:
         points = np.vstack(continuous)
     kernel = GaussianKernel(sigma=args.sigma) if args.method == "spectral" else None
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
 
     if args.method == "kmeans":
         centers, assignments = kmeans(PointSet(points), args.s, seed=args.seed)
+        out.mkdir(parents=True, exist_ok=True)
         dataio.write_points_csv(out / "centers.csv", centers)
     else:
         model = spectral_fit(PointSet(points), kernel, s=args.s, seed=args.seed)
+        out.mkdir(parents=True, exist_ok=True)
         dataio.write_spectral_model(out / "spectral_model.json", model)
         if continuous is None:
             assignments = spectral_assign(model, points)

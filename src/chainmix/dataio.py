@@ -3,8 +3,8 @@ posterior documents, CSV diagnostics.
 
 Trajectory files hold one trajectory per line, states written as ASCII
 digits and separated by ASCII whitespace or commas, with an optional header
-line `# s=<int>` declaring the state count.  States are 0-based by default; pass
-one_based=True to convert on read/write.  Ground-truth labels live in a
+line `# s=<int>` declaring the state count in ASCII digits too.  States are
+0-based by default; pass one_based=True to convert on read/write.  Ground-truth labels live in a
 sidecar file with one integer per line.
 """
 
@@ -20,7 +20,8 @@ import numpy as np
 
 from .clustering import GaussianKernel, SpectralModel
 from .errors import ValidationError
-from .model_core import FitResult, MixtureParams, Responsibilities, TrajectoryDataset
+from .model_core import (FitResult, MixtureParams, Responsibilities, TrajectoryDataset,
+                         check_int)
 from .theory import KlReport
 from .vem import DirichletPosterior
 
@@ -42,7 +43,7 @@ def read_trajectories(path, one_based: bool = False) -> TrajectoryDataset:
 
     The file is read as bytes once.  Lines end at \\n, \\r\\n or a lone \\r.
     A line whose first non-blank byte is '#' is a comment (or the `# s=<int>`
-    header) and blank lines are skipped; every other line is one trajectory
+    header, whose <int> is one ASCII-digit token) and blank lines are skipped; every other line is one trajectory
     of ASCII-digit tokens separated by ASCII whitespace or commas.  All
     tokens are parsed together; only comment, header and blank lines are
     visited one at a time.  Errors name the file and the 1-based line.
@@ -90,11 +91,11 @@ def read_trajectories(path, one_based: bool = False) -> TrajectoryDataset:
                 continue
             body = text[1:].strip().decode(errors="replace")
             if body.startswith("s="):
-                try:
-                    declared_s = int(body[2:].strip())
-                except ValueError as exc:
-                    header_error = (li, exc)
+                value = body[2:].strip()
+                if not (value.isascii() and value.isdigit() and len(value) <= _MAX_DIGITS):
+                    header_error = (li, f"invalid state count token {value!r}")
                     break
+                declared_s = int(value)
             buf[lo:hi] = ord(" ")
 
     token = np.frombuffer(raw.translate(_TOKEN_BYTES), dtype=bool)
@@ -111,8 +112,8 @@ def read_trajectories(path, one_based: bool = False) -> TrajectoryDataset:
         if raw[line_starts[li]:line_ends[li]].strip():
             raise ValidationError(f"{path}:{li + 1}: empty trajectory")
     if header_error is not None:
-        li, exc = header_error
-        raise ValidationError(f"{path}:{li + 1}: bad header: {exc}") from exc
+        li, reason = header_error
+        raise ValidationError(f"{path}:{li + 1}: bad header: {reason}")
 
     # the token bytes in file order, as digit values
     digits = np.frombuffer(raw.translate(_DIGIT_VALUES, _SEPARATORS), dtype=np.uint8)
@@ -234,7 +235,9 @@ def write_json(path, payload, indent=None):
 def read_params(path) -> MixtureParams:
     payload = _read_fields(path, "model file", ("k", "s"), ("mu", "nu", "P"))
     params = MixtureParams(mu=payload["mu"], nu=payload["nu"], P=payload["P"])
-    if params.k != payload["k"] or params.s != payload["s"]:
+    k = check_int(payload["k"], f"{path}: declared k", 1)
+    s = check_int(payload["s"], f"{path}: declared s", 1)
+    if params.k != k or params.s != s:
         raise ValidationError(f"{path}: declared k/s disagree with array shapes")
     return params
 

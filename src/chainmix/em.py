@@ -1,9 +1,9 @@
 """Classical expectation-maximization for Markov chain mixtures.
 
-Serves as the maximum-likelihood baseline: the M-step normalizes
-responsibility-weighted counts into point parameters, the E-step evaluates
-per-trajectory component posteriors entirely in log space, and the
-log-likelihood is the sum of the E-step normalizing constants.
+Serves as the maximum-likelihood baseline.  The M-step is the one both
+algorithms share (`model_core._ParameterStack`), with no prior; EM's link
+divides each count by its total, and its objective, the log-likelihood, is
+the sum of the E-step normalizing constants.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .model_core import (
     MixtureParams,
     Responsibilities,
     SufficientStats,
+    _ParameterStack,
     check_int,
     coordinate_ascent,
     labels_from_responsibilities,
@@ -41,28 +42,14 @@ class EmConfig:
             raise ValidationError(f"tol_scale must be >= 0, not {self.tol_scale!r}")
 
 
-def normalize_rows(counts: np.ndarray) -> np.ndarray:
-    """Normalize the last axis to sum to 1; all-zero rows become uniform.
-
-    A row with zero total count corresponds to a state never visited under a
-    component, where any stochastic row is likelihood-equivalent; uniform is
-    the symmetric choice.
-    """
-    totals = counts.sum(axis=-1, keepdims=True)
-    uniform = 1.0 / counts.shape[-1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), uniform)
-    return out
-
-
 def em_fit(stats: SufficientStats, init: Responsibilities, config: EmConfig) -> FitResult:
     """Run EM from the given initial responsibilities.
 
-    Each iteration updates point parameters from responsibility-weighted
-    counts, recomputes responsibilities in log space, and records the
-    log-likelihood L = sum_n log C_n evaluated at the freshly updated
-    parameters.  Terminates when |delta L| <= config.tol_scale * N * T_mean
-    or at config.max_iters.  The returned fit has no posterior.
+    Each iteration divides the shared M-step counts by their totals,
+    recomputes responsibilities in log space, and records the log-likelihood
+    L = sum_n log C_n at the updated parameters.  Terminates when |delta L|
+    <= config.tol_scale * N * T_mean or at config.max_iters.  The returned
+    fit has no posterior, and its params view this fit's buffer.
 
     Zero-probability parameter estimates are kept exact: log 0 = -inf, and a
     component assigning probability zero to a trajectory receives
@@ -75,15 +62,21 @@ def em_fit(stats: SufficientStats, init: Responsibilities, config: EmConfig) -> 
     if init.k != config.k:
         raise ValidationError("init must have k columns")
     k, s = config.k, stats.s
+    stack = _ParameterStack(k, s)
+    # mu, then per component nu_i and the rows of P_i; the fit's params view it
+    theta, positive = np.empty_like(stack.entries), np.ones(stack.entries.size, dtype=bool)
+    row_totals, row_positive = stack.gathered[k:], positive[k:]  # mu: weights over their total
 
-    def step(gamma, it):
-        weights = gamma.sum(axis=0)
-        mu = weights / weights.sum()
-        # per component, nu_i and the rows of P_i (the layout of X's columns)
-        theta = normalize_rows((gamma.T @ stats.X).reshape(k, s + 1, s))
-
+    def step(it):
+        # each entry over its total; a row that no trajectory reaches is
+        # likelihood-equivalent to any other, and uniform is the symmetric choice
+        gathered = stack.gather(stack.totals)
+        np.greater(row_totals, 0.0, out=row_positive)
+        theta.fill(1.0 / s)
         with np.errstate(divide="ignore", invalid="ignore"):
-            logw = log_mixture_weights(np.log(mu), np.log(theta).reshape(k, -1), stats)
+            np.divide(stack.entries, gathered, out=theta, where=positive)
+            np.log(theta, out=stack.log_theta)
+        logw = log_mixture_weights(stack.log_mu, stack.log_params, stats)
         gamma, log_c = log_normalize_rows(logw)
         if np.any(np.isneginf(log_c)):
             bad = int(np.flatnonzero(np.isneginf(log_c))[0])
@@ -91,19 +84,19 @@ def em_fit(stats: SufficientStats, init: Responsibilities, config: EmConfig) -> 
                 f"trajectory {bad} has zero probability under every component",
                 iteration=it,
             )
-        return gamma, float(log_c.sum()), (mu, theta)
+        return gamma, float(log_c.sum())
 
-    gamma, (mu, theta), trace, converged, iterations = coordinate_ascent(
-        stats, init, step, config.max_iters, config.tol_scale
+    gamma, trace, converged, iterations = coordinate_ascent(
+        stats, init, stack, step, config.max_iters, config.tol_scale
     )
     labels = labels_from_responsibilities(gamma)
-    surviving = int(np.unique(labels).size)
+    rows = theta[k:].reshape(k, s + 1, s)
     return FitResult(
-        params=MixtureParams(mu=mu, nu=theta[:, 0], P=theta[:, 1:]),
+        params=MixtureParams(mu=theta[:k], nu=rows[:, 0], P=rows[:, 1:]),
         responsibilities=Responsibilities(gamma),
         labels=labels,
         objective_trace=trace,
         converged=converged,
         iterations=iterations,
-        surviving_components=surviving,
+        surviving_components=int(np.unique(labels).size),
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -267,7 +267,9 @@ class SufficientStats:
     matrix product, so the per-component parameters share its layout: a
     (k, s + s*s) block whose row i is nu_i followed by the s rows of P_i.
     Its `reshape(k, s + 1, s)` holds nu_i at `[:, 0]` and P_i at `[:, 1:]`;
-    `parameter_block` joins a separate nu and P.
+    `parameter_block` joins a separate nu and P.  EM and variational EM
+    share one M-step in that layout (`_ParameterStack`) and differ only in
+    its prior, the link from counts to log parameters and the objective.
     """
 
     U: np.ndarray
@@ -537,32 +539,82 @@ def log_normalize_rows(logw: np.ndarray):
     return gamma, log_norms
 
 
-def coordinate_ascent(stats: SufficientStats, init: Responsibilities, step,
-                      max_iters: int, tol_scale: float):
+@lru_cache(maxsize=64)
+def _stack_owner(k: int, s: int) -> np.ndarray:
+    """owner[e], the index of entry e's total among the totals; shared, so read-only."""
+    groups = k * (s + 1)
+    owner = np.repeat(np.arange(groups + 1), [k] + [s] * groups)
+    owner.flags.writeable = False
+    return owner
+
+
+class _ParameterStack:
+    """One fit's M-step buffer: the counts both algorithms build from gamma.
+
+    `values` is [weights (k) | counts (k, s + s*s) | weight total |
+    k*(s+1) row totals]: every parameter entry (`entries`), then every
+    total (`totals`).  The counts are laid out like the columns of X, so
+    their rows of s (`rows`) are, per component, nu_i's and then P_i's
+    rows.  `owner[e]` indexes entry e's total among the totals and
+    `prior[e]` is its prior: none for EM, the Dirichlet prior for
+    variational EM.  `fill` writes sum(gamma) and gamma^T X plus the prior,
+    then the totals; each algorithm links the stack to the log parameters
+    in `log_theta`, laid out like the entries.  One fit allocates these
+    buffers and every iteration overwrites them.
+    """
+
+    def __init__(self, k: int, s: int, weight_prior: float = 0.0, count_prior: float = 0.0):
+        entries = k * (1 + s + s * s)
+        self.prior = np.repeat([weight_prior, count_prior], [k, entries - k])
+        self.owner = _stack_owner(k, s).copy()  # `take` copies a read-only index array per call
+        self.values = np.empty(entries + 1 + k * (s + 1))
+        self.entries, self.totals = self.values[:entries], self.values[entries:]
+        self.weights = self.values[:k]
+        self.counts = self.values[k:entries].reshape(k, -1)
+        self.rows = self.counts.reshape(-1, s)
+        self.gathered, self.log_theta = np.empty(entries), np.empty(entries)
+        self.log_mu, self.log_params = self.log_theta[:k], self.log_theta[k:].reshape(k, -1)
+
+    def fill(self, gamma: np.ndarray, X: np.ndarray):
+        np.add.reduce(gamma, axis=0, out=self.weights)
+        np.matmul(gamma.T, X, out=self.counts)
+        np.add(self.entries, self.prior, out=self.entries)
+        self.totals[0] = np.add.reduce(self.weights)
+        np.add.reduce(self.rows, axis=1, out=self.totals[1:])
+
+    def gather(self, totals: np.ndarray) -> np.ndarray:
+        """Each entry's value of `totals` (shaped like the totals), in `gathered`;
+        "clip" never clips here, and "raise" would buffer the `out=` write."""
+        return totals.take(self.owner, out=self.gathered, mode="clip")
+
+
+def coordinate_ascent(stats: SufficientStats, init: Responsibilities,
+                      stack: _ParameterStack, step, max_iters: int, tol_scale: float):
     """The iteration shared by EM and variational EM.
 
-    `step(gamma, it)` performs one parameter update from responsibilities
-    `gamma`, the E-step and the objective evaluation at iteration `it`
-    (1-based), and returns (new gamma, objective, parameters).  The loop
+    Each iteration `it` (1-based) fills `stack` from the responsibilities;
+    then `step(it)` links it to log parameters, performs the E-step,
+    evaluates the objective and returns (new gamma, objective).  The loop
     stops when |delta L| <= tol_scale * N * T_mean or after `max_iters`
     steps; `max_iters` >= 1 is the config's check.
 
-    Returns (gamma, parameters, objective trace, converged, iterations) from
-    the last step.  Raises NumericalError carrying the iteration index if
-    the objective becomes NaN or +/-inf.
+    Returns (gamma, objective trace, converged, iterations); `stack` holds
+    the last iteration's counts.  Raises NumericalError carrying the
+    iteration index if the objective becomes NaN or +/-inf.
     """
     if init.n != stats.n:
         raise ValidationError("init responsibilities and stats disagree on N")
     threshold = tol_scale * stats.n * stats.mean_transitions
-    gamma = init.gamma.copy()
+    gamma = init.gamma
     trace = []
     for it in range(1, max_iters + 1):
-        gamma, objective, params = step(gamma, it)
+        stack.fill(gamma, stats.X)
+        gamma, objective = step(it)
         if not math.isfinite(objective):
             raise NumericalError(
                 f"objective became non-finite ({objective})", iteration=it
             )
         trace.append(objective)
         if it > 1 and abs(trace[-1] - trace[-2]) <= threshold:
-            return gamma, params, np.asarray(trace), True, it
-    return gamma, params, np.asarray(trace), False, max_iters
+            return gamma, np.asarray(trace), True, it
+    return gamma, np.asarray(trace), False, max_iters

@@ -12,8 +12,6 @@ to its floor, pruning them without any model comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import digamma as _scipy_digamma, gammaln
@@ -24,6 +22,7 @@ from .model_core import (
     MixtureParams,
     Responsibilities,
     SufficientStats,
+    _ParameterStack,
     check_int,
     coordinate_ascent,
     labels_from_responsibilities,
@@ -113,53 +112,23 @@ class DirichletPosterior:
         )
 
 
-class _Block(NamedTuple):
-    """Layout of the stacked Dirichlet parameters of a k-component, s-state model.
-
-    The stack is [n_hat, rows.ravel(), sum(n_hat), rows.sum(axis=1)]: every
-    Dirichlet parameter, then every Dirichlet total.  `rows` is the
-    (k*(s+1), s) block whose rows are, per component, nu_i and then the s
-    rows of P_i, so `rows.reshape(k, s + s*s)` lines up with the design
-    block X.  `prior` holds each entry's prior parameter, `owner[e]` the
-    index among the totals of entry e's total, and `log_b_prior` the summed
-    log-beta of all prior Dirichlets.
-    """
-
-    prior: np.ndarray
-    owner: np.ndarray
-    log_b_prior: float
-
-
-@lru_cache(maxsize=64)
-def _block(k: int, s: int) -> _Block:
-    """The layout for (k, s), built once and shared by every fit, so read-only."""
-    groups = k * (s + 1)
-    prior = np.concatenate([np.full(k, 1.0 / k), np.ones(groups * s)])
-    owner = np.concatenate([np.zeros(k, dtype=np.intp), np.repeat(np.arange(1, groups + 1), s)])
-    prior.flags.writeable = owner.flags.writeable = False
-    return _Block(
-        prior=prior,
-        owner=owner,
-        log_b_prior=float(k * gammaln(1.0 / k) - gammaln(1.0) - groups * gammaln(float(s))),
-    )
-
-
-def _elbo_value(block: _Block, stack: np.ndarray, log_theta: np.ndarray,
-                log_c: np.ndarray, work: np.ndarray) -> float:
+def _elbo_value(stack: _ParameterStack, log_b_prior: float, log_c: np.ndarray,
+                work: np.ndarray) -> float:
     """Variational lower bound: data term minus Dirichlet divergence terms.
 
-    `log_theta` holds the geometric-mean (digamma) log parameters of the
-    stack's entries.  Each correction term is the negative KL divergence
-    between a posterior Dirichlet and its prior, expressed through log-beta
+    `stack.log_theta` holds the geometric-mean (digamma) log parameters of
+    the stack's entries, and `log_b_prior` the summed log-beta of all prior
+    Dirichlets.  Each correction term is the negative KL divergence between
+    a posterior Dirichlet and its prior, expressed through log-beta
     differences and the geometric-mean log parameters; summed over all
     Dirichlets they are one signed sum of gammaln over the stack.  `work`
-    is a scratch buffer shaped like the stack.
+    is a scratch buffer shaped like `stack.values`.
     """
-    entries = block.prior.size
-    lg = gammaln(stack, out=work)
-    data = np.add.reduce(log_c) + np.add.reduce(lg[:entries]) - np.add.reduce(lg[entries:])
-    excess = np.subtract(stack[:entries], block.prior, out=work[:entries])
-    return float(data - block.log_b_prior - excess @ log_theta)
+    n = stack.entries.size
+    lg = gammaln(stack.values, out=work)
+    data = np.add.reduce(log_c) + np.add.reduce(lg[:n]) - np.add.reduce(lg[n:])
+    excess = np.subtract(stack.entries, stack.prior, out=work[:n])
+    return float(data - log_b_prior - excess @ stack.log_theta)
 
 
 def vem_fit(stats: SufficientStats, init: Responsibilities,
@@ -173,47 +142,32 @@ def vem_fit(stats: SufficientStats, init: Responsibilities,
     weight-posterior parameter n_hat is at least 1 and at least one
     trajectory is labeled with it.
 
-    Each iteration takes one matrix product for the posterior counts, one
-    digamma and one gammaln over the stacked Dirichlet parameters, and one
-    matrix product for the E-step.  The stack, its gathered totals and the
-    log parameters live in buffers that this call allocates once and every
-    iteration overwrites; the returned posterior views the stack of the
-    last one.
+    Each iteration fills the shared M-step stack with the Dirichlet prior
+    added, takes one digamma and one gammaln over it and one matrix product
+    for the E-step; the returned posterior views this fit's stack.
     """
     if init.k != config.k_max:
         raise ValidationError("init must have k_max columns")
     k, s = config.k_max, stats.s
-    block = _block(k, s)
-    entries = block.prior.size
-    # the stack `_Block` lays out: parameters, then totals
-    stack = np.empty(entries + 1 + k * (s + 1))
-    n_hat, totals = stack[:k], stack[entries:]
-    counts = stack[k:entries].reshape(k, -1)  # laid out like the columns of X
-    rows = counts.reshape(-1, s)
-    gathered, log_theta, work = np.empty(entries), np.empty(entries), np.empty_like(stack)
-    log_mu, log_params = log_theta[:k], log_theta[k:].reshape(k, -1)
+    stack = _ParameterStack(k, s, weight_prior=1.0 / k, count_prior=1.0)
+    log_b_prior = float(k * gammaln(1.0 / k) - k * (s + 1) * gammaln(float(s)))
+    work, n = np.empty_like(stack.values), stack.entries.size
 
-    def step(gamma, it):
-        np.add(block.prior[:k], np.add.reduce(gamma, axis=0), out=n_hat)
-        np.matmul(gamma.T, stats.X, out=counts)
-        np.add(counts, 1.0, out=counts)
-        totals[0] = np.add.reduce(n_hat)
-        np.add.reduce(rows, axis=1, out=totals[1:])
-        psi = digamma(stack)
-        psi[entries:].take(block.owner, out=gathered, mode="clip")
-        np.subtract(psi[:entries], gathered, out=log_theta)
-        logw = log_mixture_weights(log_mu, log_params, stats)
+    def step(it):
+        psi = digamma(stack.values)
+        np.subtract(psi[:n], stack.gather(psi[n:]), out=stack.log_theta)
+        logw = log_mixture_weights(stack.log_mu, stack.log_params, stats)
         gamma, log_c = log_normalize_rows(logw)
-        return gamma, _elbo_value(block, stack, log_theta, log_c, work), (n_hat, rows)
+        return gamma, _elbo_value(stack, log_b_prior, log_c, work)
 
-    gamma, (n_hat, rows), trace, converged, iterations = coordinate_ascent(
-        stats, init, step, config.max_iters, config.tol_scale
+    gamma, trace, converged, iterations = coordinate_ascent(
+        stats, init, stack, step, config.max_iters, config.tol_scale
     )
-    rows = rows.reshape(k, s + 1, s)
-    posterior = DirichletPosterior(n_hat=n_hat, n_i_hat=rows[:, 0], n_ialpha_hat=rows[:, 1:])
+    rows = stack.rows.reshape(k, s + 1, s)
+    posterior = DirichletPosterior(stack.weights, rows[:, 0], rows[:, 1:])
     labels = labels_from_responsibilities(gamma)
     label_counts = np.bincount(labels, minlength=config.k_max)
-    surviving = int(np.sum((n_hat >= 1.0) & (label_counts > 0)))
+    surviving = int(np.sum((stack.weights >= 1.0) & (label_counts > 0)))
     return FitResult(
         params=posterior.mean_params(),
         responsibilities=Responsibilities(gamma),

@@ -397,7 +397,8 @@ def _reference_marks_per_line(marks, line_starts):
 def reference_read_trajectories(path, one_based=False):
     """The whole-file mask reader that `dataio.read_trajectories` replaced:
     the same dataset and the same error texts, from several full-size
-    masks and a per-byte digit array."""
+    masks and a per-byte digit array.  The `# s=<int>` header takes the
+    state tokens' ASCII-digit rule, as the library's reader does."""
     from chainmix import TrajectoryDataset, ValidationError
 
     max_digits = 18
@@ -431,10 +432,11 @@ def reference_read_trajectories(path, one_based=False):
             first[lo:hi] = False
             body = text[1:].strip().decode(errors="replace")
             if body.startswith("s="):
-                try:
-                    declared_s = int(body[2:].strip())
-                except ValueError as exc:
-                    raise ValidationError(f"{path}:{li + 1}: bad header: {exc}") from exc
+                value = body[2:].strip()
+                if not (value.isascii() and value.isdigit() and len(value) <= max_digits):
+                    raise ValidationError(
+                        f"{path}:{li + 1}: bad header: invalid state count token {value!r}")
+                declared_s = int(value)
         elif text and not counts[li]:
             raise ValidationError(f"{path}:{li + 1}: empty trajectory")
 

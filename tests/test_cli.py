@@ -326,6 +326,18 @@ class TestCluster:
         assert text in err["error"]["message"]
         assert not (tmp_path / "clust").exists()
 
+    @pytest.mark.parametrize("method", ["kmeans", "spectral"])
+    def test_more_states_than_points_leaves_no_output(self, tmp_path, monkeypatch, capsys,
+                                                     method):
+        monkeypatch.chdir(tmp_path)
+        dataio.write_points_csv("points.csv", np.arange(6.0).reshape(3, 2))
+        rc = run_cli("cluster", "--points", "points.csv", "--method", method, "--s", 5,
+                     "--out", tmp_path / "clust")
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"type": "ValidationError", "message": "s must be <= 3"}
+        assert not (tmp_path / "clust").exists()
+
     def test_traj_files_of_different_dimensions_fail(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         dataio.write_points_csv("t1.csv", np.zeros((3, 2)))

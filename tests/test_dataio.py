@@ -215,7 +215,10 @@ class TestReaderMatchesWholeFileMaskReader:
         (b"123456789012345678 0\n", None),
         (b"", "no trajectories found"),
         (b"# s=3\n# only comments\n\n", "no trajectories found"),
-        (b"0 1\n# s=x\n", "2: bad header: invalid literal"),
+        (b"0 1\n# s=x\n", "2: bad header: invalid state count token 'x'"),
+        (b"# s=1_0\n0 9\n", "1: bad header"),
+        (b"# s=+2\n0 1\n", "1: bad header"),
+        ("# s=\u0663\n0 1\n".encode(), "1: bad header"),
         (b"0 1\n ,\t,\n# s=x\n", "2: empty trajectory"),
         (b"# s=x\n ,\n", "1: bad header"),
         (b"0 1\n2 q3\n", "2: invalid state token 'q3'"),
@@ -304,6 +307,17 @@ class TestParamsJson:
         payload["k"] = 5
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError):
+            dataio.read_params(path)
+
+    @pytest.mark.parametrize("field, value", [("k", True), ("s", 2.0)])
+    def test_declared_counts_must_be_integers(self, tmp_path, field, value):
+        # equal to the array shapes (True == 1, 2.0 == 2), but not integers
+        payload = {"k": 1, "s": 2, "mu": [1.0], "nu": [[0.5, 0.5]],
+                   "P": [[[0.5, 0.5], [0.5, 0.5]]], field: value}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError,
+                           match=f"declared {field} must be an integer, not {value!r}"):
             dataio.read_params(path)
 
     def test_missing_field(self, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -16,6 +17,7 @@ from chainmix import (
     kl_rate,
     random_mixture_params,
     sample_mixture,
+    sample_simplex_rows,
     sufficient_stats,
 )
 from chainmix.model_core import SufficientStats
@@ -112,7 +114,6 @@ def test_monotone_log_likelihood_and_normalized_rows():
                                  int(rng.integers(1, 30)),
                                  seed=int(rng.integers(2**31)))
         stats = sufficient_stats(data)
-        from chainmix import sample_simplex_rows
         init = sample_simplex_rows(stats.n, k, seed=int(rng.integers(2**31)))
         fit = em_fit(stats, init, EmConfig(k=k))
         trace = fit.objective_trace
@@ -127,7 +128,6 @@ def test_refit_from_own_output_is_fixed_point():
     params = random_mixture_params(2, 3, seed=41)
     data, _ = sample_mixture(params, 30, 20, seed=42)
     stats = sufficient_stats(data)
-    from chainmix import sample_simplex_rows
     fit = em_fit(stats, sample_simplex_rows(30, 2, seed=43), EmConfig(k=2))
     refit = em_fit(stats, fit.responsibilities, EmConfig(k=2))
     tol = 1e-12 * stats.n * stats.mean_transitions
@@ -155,6 +155,40 @@ def test_zero_probability_components_get_zero_responsibility():
     init = Responsibilities(np.array([[1.0, 0.0], [0.0, 1.0]]))
     fit = em_fit(stats, init, EmConfig(k=2))
     assert np.allclose(fit.responsibilities.gamma, np.eye(2), atol=1e-12)
+
+
+def _fit_digest(fit):
+    digest = hashlib.sha256()
+    for a in (fit.objective_trace, fit.params.mu, fit.params.nu, fit.params.P,
+              fit.responsibilities.gamma):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return fit.iterations, digest.hexdigest()
+
+
+@pytest.mark.parametrize("seed, k_true, k, iterations, sha", [
+    (0, 4, 4, 178, "9cc3ee556ec944cdceade2ffe8b7ba8ff68617701de065bf398dbc6aa7734c82"),
+    (1, 3, 2, 8, "95de90df46d283de07c00068d8438cb2a9239e35f8cd2cecac847425ecb83fba"),
+    (2, 4, 6, 164, "7e13d5afd7fc020c60149bbc8fc89dd6fb8cfb7685b987a87295e21cd90f2267"),
+])
+def test_seeded_fits_pinned(seed, k_true, k, iterations, sha):
+    # digests of the fits made when EM built its own M-step arrays every
+    # iteration: the trace, mu, nu, P and gamma
+    params = random_mixture_params(k_true, 3, seed=seed)
+    data, _ = sample_mixture(params, 100, 30, seed=seed + 1)
+    fit = em_fit(sufficient_stats(data), sample_simplex_rows(100, k, seed=seed + 2),
+                 EmConfig(k=k))
+    assert _fit_digest(fit) == (iterations, sha)
+
+
+def test_zero_support_fit_pinned():
+    # the fit of test_zero_probability_components_get_zero_responsibility,
+    # whose unvisited rows are uniform
+    ds = TrajectoryDataset(([0, 0, 0, 0, 0], [0, 1, 0, 1, 1]), s=2)
+    init = Responsibilities(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    fit = em_fit(sufficient_stats(ds), init, EmConfig(k=2))
+    assert np.array_equal(fit.params.P[:, 1], np.full((2, 2), 0.5))
+    assert _fit_digest(fit) == (
+        2, "1ba8db3ac95c2f28b278f546f502c83d1d7cf1a1b50a91bd57ffe91c0adebbe0")
 
 
 def test_numerical_failure_carries_iteration_index():

@@ -17,7 +17,7 @@ from chainmix import (
     sufficient_stats,
     vem_fit,
 )
-from chainmix import vem
+from chainmix import model_core, vem
 from chainmix.model_core import log_mixture_weights, parameter_block
 from chainmix.vem import DirichletPosterior
 
@@ -261,47 +261,53 @@ class TestPerFitBuffers:
         assert hashlib.sha256(fit.objective_trace.tobytes()).hexdigest() == trace_sha
         assert posterior.hexdigest() == posterior_sha
 
-    def test_restarts_share_no_buffer(self, monkeypatch):
-        from chainmix import multistart
+    @pytest.mark.parametrize("algorithm", ["em", "vem"])
+    def test_restarts_share_no_buffer(self, monkeypatch, algorithm):
+        from chainmix import EmConfig, multistart
         params = random_mixture_params(3, 3, seed=71)
         data, _ = sample_mixture(params, 40, 12, seed=72)
-        stats, config = sufficient_stats(data), VemConfig(k_max=5)
+        stats, k = sufficient_stats(data), 5 if algorithm == "vem" else 3
+        config = VemConfig(k_max=k) if algorithm == "vem" else EmConfig(k=k)
         fits = []
-        fit_one = multistart.vem_fit
-        monkeypatch.setattr(multistart, "vem_fit",
+        fit_one = getattr(multistart, f"{algorithm}_fit")
+        monkeypatch.setattr(multistart, f"{algorithm}_fit",
                             lambda *args: fits.append(fit_one(*args)) or fits[-1])
-        report = multistart_fit(stats, "vem", 4, config, seed=73)
+        report = multistart_fit(stats, algorithm, 4, config, seed=73)
 
         def arrays(fit):  # copies, so a later fit cannot change what is compared
             post = fit.posterior
-            return [np.array(a) for a in (post.n_hat, post.n_i_hat, post.n_ialpha_hat,
-                                          fit.objective_trace, fit.responsibilities.gamma,
-                                          fit.params.P)]
+            dirichlet = () if post is None else (post.n_hat, post.n_i_hat, post.n_ialpha_hat)
+            return [np.array(a) for a in (*dirichlet, fit.objective_trace,
+                                          fit.responsibilities.gamma, fit.params.mu,
+                                          fit.params.nu, fit.params.P)]
 
         kept = [arrays(fit) for fit in fits]  # read after every restart has run
         assert len(kept) == 4
         for r, restart in enumerate(kept):
             seq = multistart.restart_seed_sequence(report.master_seed, r)
-            alone = arrays(vem_fit(stats, sample_simplex_rows(stats.n, 5, seq), config))
+            alone = arrays(fit_one(stats, sample_simplex_rows(stats.n, k, seq), config))
             assert all(np.array_equal(a, b) for a, b in zip(restart, alone))
 
     def test_block_is_shared_and_read_only(self):
-        block = vem._block(4, 3)
-        assert vem._block(4, 3) is block
-        for arr in (block.prior, block.owner):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0
+        # the owner map of the stack both algorithms fill
+        owner = model_core._stack_owner(4, 3)
+        assert model_core._stack_owner(4, 3) is owner
+        assert not owner.flags.writeable
+        with pytest.raises(ValueError):
+            owner[0] = 0
 
 
 def _elbo(n_hat, n_i, n_ia, log_mu, log_nu, log_p, log_c):
     """The bound `vem_fit` evaluates, with the Dirichlet parameters and their
-    totals stacked in the layout the `vem._Block` docstring gives."""
+    totals stacked in the layout of `model_core._ParameterStack`."""
     k, s = n_i.shape
-    rows = parameter_block(n_i, n_ia).reshape(-1, s)
-    stack = np.concatenate([n_hat, rows.ravel(), [n_hat.sum()], rows.sum(axis=1)])
-    log_theta = np.concatenate([log_mu, parameter_block(log_nu, log_p).ravel()])
-    return vem._elbo_value(vem._block(k, s), stack, log_theta, log_c, np.empty_like(stack))
+    stack = model_core._ParameterStack(k, s, 1.0 / k, 1.0)
+    stack.weights[:] = n_hat
+    stack.rows[:] = parameter_block(n_i, n_ia).reshape(-1, s)
+    stack.totals[:] = np.concatenate([[n_hat.sum()], stack.rows.sum(axis=1)])
+    stack.log_theta[:] = np.concatenate([log_mu, parameter_block(log_nu, log_p).ravel()])
+    log_b_prior = log_beta(np.full(k, 1.0 / k)) + k * (s + 1) * log_beta(np.ones(s))
+    return vem._elbo_value(stack, log_b_prior, log_c, np.empty_like(stack.values))
 
 
 class TestElbo:
