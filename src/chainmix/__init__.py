@@ -40,7 +40,7 @@ from .model_core import (
 )
 from .multistart import MultistartReport, multistart_fit, sample_simplex_rows
 from .theory import KlReport, bayes_classify, kl_rate, kl_report, kl_trajectory, misclassification_bound
-from .vem import DirichletPosterior, VemConfig, digamma, vem_fit
+from .vem import DirichletPosterior, VemConfig, vem_fit
 
 __version__ = "0.1.0"
 
@@ -68,7 +68,6 @@ __all__ = [
     "accuracy",
     "bayes_classify",
     "confusion",
-    "digamma",
     "discretize_trajectories",
     "em_fit",
     "kl_rate",

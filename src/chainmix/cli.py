@@ -41,11 +41,29 @@ from .vem import VemConfig
 _MISA_RATES = tuple(rate.name for rate in fields(MisaParams) if rate.name != "f_r")
 
 
+def _recipe_keywords():
+    """{keyword: (default, presets)} for each keyword of a preset in
+    `experiments.RECIPES` but seed: its default in the first preset that
+    takes it, and the names of all that take it."""
+    keywords = {}
+    for preset, recipe in experiments.RECIPES.items():
+        for param in inspect.signature(recipe).parameters.values():
+            if param.name != "seed":
+                keywords.setdefault(param.name, (param.default, []))[1].append(preset)
+    return keywords
+
+
+# The `experiment` flags by dest: a recipe's new keyword is a flag with no
+# edit here.  Each is typed by its default and defaults to None, so the
+# preset's own default applies.
+_RECIPE_KEYWORDS = _recipe_keywords()
+
+
 # The flags that several subcommands share, by dest.  Each subcommand takes
 # --out and only those of the others that its handler reads.
 _SHARED = {
     "seed": dict(type=int, default=0, help="master RNG seed"),
-    "tol_scale": dict(type=float, default=1e-12,
+    "tol_scale": dict(type=float, default=VemConfig.tol_scale,
                       help="convergence tolerance scale (times N * mean T)"),
     "format": dict(choices=("csv", "json"), default="csv",
                    help="format for result tables"),
@@ -88,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="component budget (EM uses it as the fixed k)")
     p_fit.add_argument("--restarts", type=int, default=100,
                        help="independent random initializations")
-    p_fit.add_argument("--max-iters", type=int, default=1000)
+    p_fit.add_argument("--max-iters", type=int, default=VemConfig.max_iters)
     _add_shared(p_fit, "seed", "tol_scale", "one_based")
 
     p_clu = sub.add_parser("cluster", help="cluster points / discretize trajectories")
@@ -121,17 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run a named experiment recipe")
     p_exp.add_argument("--name", choices=tuple(experiments.RECIPES), required=True)
-    p_exp.add_argument("--spec", type=Path,
-                       help="JSON object of the recipe's keyword overrides")
-    p_exp.add_argument("--trials", type=int, help="trials per cell (fig3)")
-    p_exp.add_argument("--instances", type=int, help="instance count (fig2)")
-    p_exp.add_argument("--restarts", type=int, help="restarts per fit")
-    p_exp.add_argument("--reps", type=int, help="repetitions per cell (fig8)")
-    p_exp.add_argument("--k-max", type=int, help="component budget")
-    p_exp.add_argument("--t-values", type=int, nargs="+", help="T grid (fig3/fig8)")
-    p_exp.add_argument("--n-values", type=int, nargs="+", help="N grid (fig3)")
-    p_exp.add_argument("--fr2-values", type=float, nargs="+",
-                       help="second-population unbinding rates (fig8)")
+    for key, (default, presets) in _RECIPE_KEYWORDS.items():
+        kind = (dict(type=type(default[0]), nargs="+") if isinstance(default, tuple)
+                else dict(type=type(default)))
+        p_exp.add_argument(f"--{key.replace('_', '-')}", **kind,
+                           help=f"{', '.join(presets)} keyword; default: the preset's")
     _add_shared(p_exp, "seed", "format")
 
     return parser
@@ -280,35 +292,16 @@ def _cmd_misa(args) -> int:
     return 0
 
 
-def _experiment_kwargs(args):
-    overrides = {}
-    if args.spec is not None:
-        overrides = dataio.read_json_object(args.spec, "spec file")
-    flag_map = {
-        "trials": args.trials,
-        "instances": args.instances,
-        "restarts": args.restarts,
-        "reps": args.reps,
-        "k_max": args.k_max,
-        "t_values": tuple(args.t_values) if args.t_values else None,
-        "n_values": tuple(args.n_values) if args.n_values else None,
-        "fr2_values": tuple(args.fr2_values) if args.fr2_values else None,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            overrides[key] = value
-    overrides.setdefault("seed", args.seed)
-    return overrides
-
-
 def _cmd_experiment(args) -> int:
     name = args.name
-    overrides = _experiment_kwargs(args)
+    given = {key: getattr(args, key) for key in _RECIPE_KEYWORDS}
+    overrides = {key: tuple(value) if isinstance(value, list) else value
+                 for key, value in given.items() if value is not None}
     recipe = experiments.RECIPES[name]
     unknown = set(overrides) - set(inspect.signature(recipe).parameters)
     if unknown:
         raise ValidationError(f"unsupported overrides for {name}: {sorted(unknown)}")
-    rows, failures = recipe(**overrides)
+    rows, failures = recipe(**overrides, seed=args.seed)
     if not rows:
         raise ValidationError(f"{name}: the sweep has no cells, so no table is written")
 

@@ -5,6 +5,10 @@ Each recipe simulates data, fits mixtures, and returns plot-ready rows
 external tools.  Every cell derives its seed from the master seed and the
 cell index, so sweeps are reproducible and independent of execution order.
 
+The keyword parameters of the recipes in `RECIPES` are the flags of
+`chainmix experiment`: each but `seed` becomes a flag typed by its default
+(`n_per_group` is `--n-per-group`), so a new keyword needs no CLI edit.
+
 Preset names and default parameters:
 
   fig2: component-count recovery on simulated mixtures
@@ -170,7 +174,7 @@ def run_fig8(fr1: float = 0.01, fr2_values=(0.01, 0.05, 0.25, 1.0),
                                *(f"{stage}_s" for stage in _STAGES)))
 
 
-# The presets by name; the keyword parameters of each are the overrides it
+# The presets by name; the keyword parameters of each are the CLI flags it
 # accepts.
 RECIPES = {
     "fig2": run_fig2,

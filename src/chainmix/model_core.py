@@ -280,12 +280,14 @@ class SufficientStats:
         U, V = np.asarray(self.U), np.asarray(self.V)
         if U.ndim != 2 or V.ndim != 3 or V.shape[:1] != U.shape[:1] or V.shape[1:] != (U.shape[1],) * 2:
             raise ValidationError("expected shapes U:(N,s), V:(N,s,s)")
+        if U.shape[0] == 0:
+            raise ValidationError("stats must contain at least one trajectory")
         if U.dtype.kind not in "iubf" or not (
                 np.all((U == 0) | (U == 1)) and np.all(U.sum(axis=1) == 1)):
             raise ValidationError("each row of U must be one-hot")
         # integer counts need only a sign check; float ones must be finite whole numbers
         if V.dtype.kind in "iub":
-            bad = V.size and V.min() < 0
+            bad = V.min() < 0
         else:
             bad = V.dtype.kind != "f" or not np.all(np.isfinite(V) & (V >= 0) & (V == np.round(V)))
         if bad:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma as _scipy_digamma, gammaln
+from scipy.special import digamma, gammaln
 
 from .errors import ValidationError
 from .model_core import (
@@ -29,22 +29,6 @@ from .model_core import (
     log_mixture_weights,
     log_normalize_rows,
 )
-
-
-def digamma(x):
-    """Digamma function psi(x) = d/dx log Gamma(x) for x > 0.
-
-    scipy.special.digamma restricted to the domain the Dirichlet posteriors
-    live on: raises ValueError for x <= 0 or non-finite input.  Accepts
-    scalars or arrays and returns a float for scalar input.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    # a NaN fails the first comparison, because min and max propagate it
-    if arr.size and not (np.minimum.reduce(arr, axis=None) > 0
-                         and np.maximum.reduce(arr, axis=None) < np.inf):
-        raise ValueError("digamma requires x > 0")
-    out = _scipy_digamma(arr)
-    return float(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -154,7 +138,7 @@ def vem_fit(stats: SufficientStats, init: Responsibilities,
     work, n = np.empty_like(stack.values), stack.entries.size
 
     def step(it):
-        psi = digamma(stack.values)
+        psi = digamma(stack.values, out=work)  # `_elbo_value` overwrites work after
         np.subtract(psi[:n], stack.gather(psi[n:]), out=stack.log_theta)
         logw = log_mixture_weights(stack.log_mu, stack.log_params, stats)
         gamma, log_c = log_normalize_rows(logw)

@@ -1,5 +1,7 @@
 import argparse
 import csv
+import functools
+import inspect
 import json
 from pathlib import Path
 
@@ -8,7 +10,9 @@ import pytest
 
 from chainmix import cli, dataio, experiments
 from chainmix.cli import main
+from chainmix.em import EmConfig
 from chainmix.multistart import TIE_RTOL
+from chainmix.vem import VemConfig
 
 from helpers import two_arm_spiral
 
@@ -544,9 +548,8 @@ class TestExperiment:
         assert {"restart", "seed", "final_objective", "accuracy"} <= set(rows[0])
 
     def test_fig4_em(self, tmp_path):
-        (tmp_path / "spec.json").write_text(json.dumps(
-            {"algorithm": "em", "k_max": 3, "k_true": 2, "s": 2, "n_traj": 20, "t_len": 10}))
-        rc = run_cli("experiment", "--name", "fig4", "--spec", tmp_path / "spec.json",
+        rc = run_cli("experiment", "--name", "fig4", "--algorithm", "em", "--k-max", 3,
+                     "--k-true", 2, "--s", 2, "--n-traj", 20, "--t-len", 10,
                      "--restarts", 4, "--seed", 49, "--out", tmp_path)
         assert rc == 0
         with open(tmp_path / "fig4_results.csv") as fh:
@@ -561,20 +564,13 @@ class TestExperiment:
     def test_fig8_smoke(self, tmp_path):
         rc = run_cli("experiment", "--name", "fig8", "--fr2-values", 1.0,
                      "--t-values", 5, "--reps", 1, "--restarts", 2,
-                     "--spec", self._fig8_spec(tmp_path), "--seed", 52,
-                     "--out", tmp_path)
+                     "--n-per-group", 4, "--seed", 52, "--out", tmp_path)
         assert rc == 0
         with open(tmp_path / "fig8_results.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert rows[0]["status"] == "ok"
         assert {"f_r_2", "ratio", "t", "accuracy"} <= set(rows[0])
-
-    @staticmethod
-    def _fig8_spec(tmp_path):
-        spec = tmp_path / "fig8_spec.json"
-        spec.write_text(json.dumps({"n_per_group": 4}))
-        return spec
 
     def test_config_file_supplies_defaults(self, tmp_path):
         config = tmp_path / "config.json"
@@ -609,17 +605,6 @@ class TestExperiment:
         assert "not valid JSON" in err["error"]["message"]
         assert not (tmp_path / "cfg").exists()
 
-    def test_spec_not_an_object_fails(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text("[1, 2]")
-        rc = run_cli("experiment", "--name", "fig2", "--spec", spec,
-                     "--out", tmp_path / "exp")
-        assert rc == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "ValidationError"
-        assert str(spec) in err["error"]["message"]
-        assert "JSON object" in err["error"]["message"]
-
     def test_config_key_of_another_subcommand_allowed(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"f_r": 0.1, "k_max": 3}))
@@ -629,13 +614,15 @@ class TestExperiment:
         assert rc == 0
 
     def test_threads_spec_key_unsupported(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"instances": 1, "threads": 2}))
-        rc = run_cli("experiment", "--name", "fig2", "--spec", spec,
-                     "--out", tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"instances": 1, "threads": 2}))
+        rc = run_cli("--config", config, "experiment", "--name", "fig2",
+                     "--out", tmp_path / "exp")
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"]["message"] == "unsupported overrides for fig2: ['threads']"
+        assert err["error"]["message"] == (
+            f"config file {config} has keys that name no option: ['threads']")
+        assert not (tmp_path / "exp").exists()
 
     def test_custom_name_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -643,35 +630,31 @@ class TestExperiment:
         assert exc.value.code == 2
         assert not (tmp_path / "exp").exists()
 
-    def test_spec_name_key_unsupported(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"name": "fig3", "instances": 1}))
-        rc = run_cli("experiment", "--name", "fig2", "--spec", spec,
+    def test_keyword_of_another_preset_unsupported(self, tmp_path, capsys):
+        rc = run_cli("experiment", "--name", "fig2", "--trials", 1, "--n-per-group", 4,
                      "--out", tmp_path / "exp")
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"]["message"] == "unsupported overrides for fig2: ['name']"
+        assert err["error"]["message"] == (
+            "unsupported overrides for fig2: ['n_per_group', 'trials']")
         assert not (tmp_path / "exp").exists()
 
     def test_custom_spec_file(self, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"instances": 1, "restarts": 2, "k_true": 2,
-                                    "s": 2, "n_traj": 20, "t_len": 10}))
-        rc = run_cli("experiment", "--name", "fig2", "--spec", spec,
+        # the preset's keywords in a --config file, the one file route
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"instances": 1, "restarts": 2, "k_true": 2,
+                                      "s": 2, "n_traj": 20, "t_len": 10}))
+        rc = run_cli("--config", config, "experiment", "--name", "fig2",
                      "--seed", 51, "--out", tmp_path)
         assert rc == 0
         assert (tmp_path / "fig2_results.csv").exists()
 
-    @pytest.mark.parametrize("name, flags, spec", [
-        ("fig2", ["--instances", 0], None),
-        ("fig3", ["--trials", 0], None),
-        ("fig8", ["--reps", 0], None),
-        ("fig3", [], {"t_values": []}),
-    ], ids=["instances-0", "trials-0", "reps-0", "empty-spec-grid"])
-    def test_sweep_without_cells_fails(self, tmp_path, capsys, name, flags, spec):
-        if spec is not None:
-            (tmp_path / "spec.json").write_text(json.dumps(spec))
-            flags = [*flags, "--spec", tmp_path / "spec.json"]
+    @pytest.mark.parametrize("name, flags", [
+        ("fig2", ["--instances", 0]),
+        ("fig3", ["--trials", 0]),
+        ("fig8", ["--reps", 0]),
+    ], ids=["instances-0", "trials-0", "reps-0"])
+    def test_sweep_without_cells_fails(self, tmp_path, capsys, name, flags):
         rc = run_cli("experiment", "--name", name, *flags, "--out", tmp_path / "exp")
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
@@ -682,27 +665,15 @@ class TestExperiment:
     @pytest.mark.parametrize("name, key", [("fig2", "instances"), ("fig3", "trials"),
                                            ("fig8", "reps")])
     def test_fractional_loop_count_fails_before_the_sweep(self, tmp_path, capsys, name, key):
-        (tmp_path / "spec.json").write_text(json.dumps({key: 2.5}))
-        rc = run_cli("experiment", "--name", name, "--spec", tmp_path / "spec.json",
-                     "--out", tmp_path / "exp")
-        assert rc == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == {"type": "ValidationError",
-                                "message": f"{key} must be an integer, not 2.5"}
+        # the recipe's own check is in test_experiments.py; here the flag's type rejects it
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: 2.5}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--config", config, "experiment", "--name", name,
+                    "--out", tmp_path / "exp")
+        assert exc.value.code == 2
+        assert f"argument --{key}: invalid int value: '2.5'" in capsys.readouterr().err
         assert not (tmp_path / "exp").exists()
-
-    def test_float_restarts_fail_each_cell(self, tmp_path, capsys):
-        (tmp_path / "spec.json").write_text(json.dumps(
-            {"instances": 2, "restarts": 1.0, "n_traj": 5, "t_len": 3}))
-        rc = run_cli("experiment", "--name", "fig2", "--spec", tmp_path / "spec.json",
-                     "--out", tmp_path)
-        assert rc == 1
-        failed = json.loads(capsys.readouterr().err)["failed_cells"]
-        assert [(c["instance"], c["error"]) for c in failed] == [
-            (0, "restarts must be an integer, not 1.0"),
-            (1, "restarts must be an integer, not 1.0")]
-        with open(tmp_path / "fig2_results.csv") as fh:
-            assert [r["status"] for r in csv.DictReader(fh)] == ["failed", "failed"]
 
     @pytest.mark.parametrize("content, text", [
         ({"format": "xml"}, "argument --format: invalid choice: 'xml'"),
@@ -757,7 +728,9 @@ def _smoke_invocations(tmp_path):
                   "--seed", 46]],
         "experiment": [["--name", "fig3", "--trials", 1, "--restarts", 2,
                         "--t-values", 5, 10, "--n-values", 20, "--seed", 48,
-                        "--format", "json"]],
+                        "--format", "json"],
+                       ["--name", "fig4", "--algorithm", "em", "--k-true", 2, "--s", 2,
+                        "--n-traj", 20, "--t-len", 10, "--k-max", 3, "--restarts", 4]],
     }
 
 
@@ -809,6 +782,47 @@ def test_preset_names_come_from_the_recipe_table():
     name = next(action for action in _subparser("experiment")._actions
                 if action.dest == "name")
     assert tuple(name.choices) == tuple(experiments.RECIPES)
+
+
+def test_experiment_flags_are_the_recipe_keywords():
+    defaults = {}
+    for recipe in experiments.RECIPES.values():
+        for param in inspect.signature(recipe).parameters.values():
+            defaults.setdefault(param.name, []).append(param.default)
+    del defaults["seed"]
+    actions = {action.dest: action for action in _subparser("experiment")._actions}
+    assert set(actions) - {"name", "seed", "format", "out", "help"} == set(defaults)
+    for key, values in defaults.items():
+        action = actions[key]
+        assert action.default is None, key
+        for default in values:
+            if isinstance(default, tuple):
+                assert action.nargs == "+", key
+                assert all(type(value) is action.type for value in default), key
+            else:
+                assert (action.nargs, action.type) == (None, type(default)), key
+
+
+def test_experiment_passes_the_given_flags_and_the_seed(tmp_path, monkeypatch):
+    seen = []
+
+    @functools.wraps(experiments.run_fig8)  # the signature the override check reads
+    def recipe(**kwargs):
+        seen.append(kwargs)
+        return [{"rep": 0}], []
+
+    monkeypatch.setitem(experiments.RECIPES, "fig8", recipe)
+    assert run_cli("experiment", "--name", "fig8", "--t-values", 5, 10,
+                   "--fr2-values", 0.5, "--reps", 1, "--out", tmp_path) == 0
+    assert run_cli("experiment", "--name", "fig8", "--seed", 7, "--out", tmp_path) == 0
+    assert seen == [{"t_values": (5, 10), "fr2_values": (0.5,), "reps": 1, "seed": 0},
+                    {"seed": 7}]
+
+
+def test_fit_defaults_are_the_configs():
+    fit = {action.dest: action.default for action in _subparser("fit")._actions}
+    for config in (EmConfig(k=1), VemConfig(k_max=1)):
+        assert (fit["max_iters"], fit["tol_scale"]) == (config.max_iters, config.tol_scale)
 
 
 @pytest.fixture()
@@ -872,11 +886,3 @@ def test_config_switch_takes_only_true_or_false(tmp_path, received, capsys):
         run_cli("--config", config, "simulate", "--n-traj", 2, "--t-len", 2)
     assert exc.value.code == 2
     assert "argument --one-based: ignored explicit argument 'yes'" in capsys.readouterr().err
-
-
-def test_spec_seed_beats_seed_default(tmp_path):
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"seed": 7, "instances": 1}))
-    args = cli.build_parser().parse_args(
-        ["experiment", "--name", "fig2", "--spec", str(spec), "--instances", "3"])
-    assert cli._experiment_kwargs(args) == {"seed": 7, "instances": 3}

@@ -1,7 +1,7 @@
 import pytest
 
 from chainmix import experiments
-from chainmix.errors import NumericalError
+from chainmix.errors import NumericalError, ValidationError
 
 
 # The fig8 stage timings: result columns that two runs of a sweep do not
@@ -60,3 +60,28 @@ def test_fig8_rows_hold_stage_timings():
     (row,) = rows
     assert list(row)[-len(TIMING_COLUMNS) - 1:-1] == list(TIMING_COLUMNS)
     assert all(isinstance(row[col], float) and row[col] >= 0.0 for col in TIMING_COLUMNS)
+
+
+@pytest.mark.parametrize("name, key", [("fig2", "instances"), ("fig3", "trials"),
+                                       ("fig8", "reps")])
+def test_fractional_loop_count_fails_before_the_sweep(monkeypatch, name, key):
+    def sweep(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(experiments, "_sweep", sweep)
+    with pytest.raises(ValidationError, match=f"^{key} must be an integer, not 2.5$"):
+        experiments.RECIPES[name](**{key: 2.5})
+
+
+def test_float_restarts_fail_each_cell():
+    rows, failures = experiments.run_fig2(instances=2, restarts=1.0, n_traj=5, t_len=3)
+    assert [(c["instance"], c["error"]) for c in failures] == [
+        (0, "restarts must be an integer, not 1.0"),
+        (1, "restarts must be an integer, not 1.0")]
+    assert [row["status"] for row in rows] == ["failed", "failed"]
+
+
+@pytest.mark.parametrize("name, grid", [("fig3", "t_values"), ("fig3", "n_values"),
+                                        ("fig8", "t_values"), ("fig8", "fr2_values")])
+def test_empty_grid_gives_no_rows(name, grid):
+    assert experiments.RECIPES[name](**{grid: ()}) == ([], [])

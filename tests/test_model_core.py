@@ -285,6 +285,11 @@ class TestSufficientStats:
             assert stats.U[n, traj[0]] == 1 and stats.U[n].sum() == 1
             assert np.array_equal(stats.V[n], V)
 
+    @pytest.mark.parametrize("s", [0, 2])
+    def test_zero_trajectories_rejected(self, s):
+        with pytest.raises(ValidationError, match="^stats must contain at least one trajectory$"):
+            SufficientStats(np.zeros((0, s)), np.zeros((0, s, s)))
+
     def test_one_hot_validation(self):
         for U in (np.array([[1.0, 1.0]]), np.array([["1", "0"]]), np.array([[1 + 0j, 0j]]),
                   np.array([[1, 0]], dtype=object)):
