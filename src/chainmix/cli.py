@@ -7,8 +7,10 @@ file is one more way to type flags: its values are parsed and checked like
 typed ones, and flags typed on the command line win.  The exit
 code is 0 only if every requested run succeeded; failures produce a
 machine-readable JSON summary on stderr.  A successful `fit` prints one JSON
-line on stderr too: restarts, converged, failed and tied restart counts, and
-the command's wall time in seconds.
+line on stderr too: restarts, converged, failed and tied restart counts, the
+command's wall time in seconds, and in `stage_s` the seconds spent reading
+the input files, counting the sufficient statistics, fitting and writing
+the outputs.
 """
 
 from __future__ import annotations
@@ -167,16 +169,19 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    start = time.perf_counter()
+    marks = [time.perf_counter()]  # the start, then the end of each stage
     data = dataio.read_trajectories(args.input, one_based=args.one_based)
-    stats = sufficient_stats(data)
     true_labels = None
     if args.labels is not None:
         true_labels = dataio.read_labels(args.labels, one_based=args.one_based)
+    marks.append(time.perf_counter())
+    stats = sufficient_stats(data)
+    marks.append(time.perf_counter())
     config = (EmConfig if args.algorithm == "em" else VemConfig)(
         args.k_max, max_iters=args.max_iters, tol_scale=args.tol_scale)
     report = multistart_fit(stats, args.algorithm, args.restarts, config,
                             seed=args.seed, true_labels=true_labels)
+    marks.append(time.perf_counter())
     best = report.best
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -204,12 +209,14 @@ def _cmd_fit(args) -> int:
         dataio.write_posterior(out / "posterior.json", best)
     print(f"best of {args.restarts} restarts: objective {best.objective:.6f}, "
           f"{best.surviving_components} surviving components")
+    marks.append(time.perf_counter())
     print(json.dumps({
         "restarts": args.restarts,
         "converged": int(report.all_converged.sum()),
         "failed": len(report.failures),
         "tied": len(report.tied_indices),
-        "wall_s": time.perf_counter() - start,
+        "wall_s": marks[-1] - marks[0],
+        "stage_s": dict(zip(("read", "stats", "fit", "write"), np.diff(marks).tolist())),
     }), file=sys.stderr)
     return 0
 

@@ -8,6 +8,7 @@ the sum of the E-step normalizing constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,12 @@ def em_fit(stats: SufficientStats, init: Responsibilities, config: EmConfig) -> 
     <= config.tol_scale * N * T_mean or at config.max_iters.  The returned
     fit has no posterior, and its params view this fit's buffer.
 
+    One fit allocates its M-step stack, a (k, N) E-step buffer and a (2, N)
+    log-sum-exp scratch, and every iteration overwrites them: an iteration
+    allocates nothing of size N, unless a log parameter is -inf, when the
+    E-step builds its (N, k) support mask.  The returned responsibilities
+    view the E-step buffer.
+
     Zero-probability parameter estimates are kept exact: log 0 = -inf, and a
     component assigning probability zero to a trajectory receives
     responsibility zero for it.
@@ -66,6 +73,7 @@ def em_fit(stats: SufficientStats, init: Responsibilities, config: EmConfig) -> 
     # mu, then per component nu_i and the rows of P_i; the fit's params view it
     theta, positive = np.empty_like(stack.entries), np.ones(stack.entries.size, dtype=bool)
     row_totals, row_positive = stack.gathered[k:], positive[k:]  # mu: weights over their total
+    e_step, scratch = np.empty((k, stats.n)), np.empty((2, stats.n))
 
     def step(it):
         # each entry over its total; a row that no trajectory reaches is
@@ -76,15 +84,17 @@ def em_fit(stats: SufficientStats, init: Responsibilities, config: EmConfig) -> 
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(stack.entries, gathered, out=theta, where=positive)
             np.log(theta, out=stack.log_theta)
-        logw = log_mixture_weights(stack.log_mu, stack.log_params, stats)
-        gamma, log_c = log_normalize_rows(logw)
-        if np.any(np.isneginf(log_c)):
-            bad = int(np.flatnonzero(np.isneginf(log_c))[0])
-            raise NumericalError(
-                f"trajectory {bad} has zero probability under every component",
-                iteration=it,
-            )
-        return gamma, float(log_c.sum())
+        logw = log_mixture_weights(stack.log_mu, stack.log_params, stats, e_step)
+        gamma, log_c = log_normalize_rows(logw, scratch)
+        total = float(np.add.reduce(log_c))
+        if not math.isfinite(total):  # a -inf row makes it -inf, or NaN beside a NaN row
+            bad = np.flatnonzero(np.isneginf(log_c))
+            if bad.size:
+                raise NumericalError(
+                    f"trajectory {bad[0]} has zero probability under every component",
+                    iteration=it,
+                )
+        return gamma, total
 
     gamma, trace, converged, iterations = coordinate_ascent(
         stats, init, stack, step, config.max_iters, config.tol_scale

@@ -407,9 +407,12 @@ def sample_mixture(params: MixtureParams, n: int, t: int, seed=None):
     Returns (TrajectoryDataset, labels) where labels[n] is the true latent
     component of trajectory n.  Deterministic given `seed`.
 
-    The n-sized work arrays (row indices, uniforms, gathered column,
-    comparison mask and the current states) are allocated once per call and
-    reused at every step; only the returned states and labels outlive it.
+    The n-sized work arrays (row indices, uniforms, gathered column and
+    comparison mask) are allocated once per call and reused at every step.
+    The states are drawn time-major into a (t + 1, n) array, so each step
+    writes one contiguous row and reads the previous one; one transposing
+    copy then lays them out trajectory after trajectory.  Only the returned
+    states and labels outlive the call.
     """
     check_int(n, "n", 1)
     check_int(t, "t", 0)
@@ -421,19 +424,17 @@ def sample_mixture(params: MixtureParams, n: int, t: int, seed=None):
     z = _categorical(rng, np.cumsum(params.mu)[:, None], rows,
                      np.empty(n, dtype=np.int64), *work)
 
-    states = np.empty((n, t + 1), dtype=np.int64)
-    prev = _categorical(rng, np.cumsum(params.nu, axis=1).T, z,
-                        np.empty(n, dtype=np.int64), *work)
-    states[:, 0] = prev
+    steps = np.empty((t + 1, n), dtype=np.int64)  # steps[j, m]: state j of trajectory m
+    _categorical(rng, np.cumsum(params.nu, axis=1).T, z, steps[0], *work)
 
     # column b of the transition table, row z*s + a: P_z(a, 0..b) summed
     cum_P = np.ascontiguousarray(np.cumsum(params.P, axis=2).reshape(k * s, s).T)
     base = z * s
     for step in range(t):
-        np.add(base, prev, out=rows)
-        states[:, step + 1] = _categorical(rng, cum_P, rows, prev, *work)
+        np.add(base, steps[step], out=rows)
+        _categorical(rng, cum_P, rows, steps[step + 1], *work)
 
-    data = TrajectoryDataset.from_flat(states.ravel(), np.full(n, t + 1), s=s)
+    data = TrajectoryDataset.from_flat(steps.T.ravel(), np.full(n, t + 1), s=s)
     return data, z
 
 
@@ -478,7 +479,7 @@ def parameter_block(nu, P) -> np.ndarray:
                           axis=1).reshape(nu.shape[0], -1)
 
 
-def log_mixture_weights(log_mu, log_theta, stats: SufficientStats) -> np.ndarray:
+def log_mixture_weights(log_mu, log_theta, stats: SufficientStats, out=None) -> np.ndarray:
     """Per-trajectory, per-component unnormalized log posterior weights.
 
     `log_theta` is the (k, s + s*s) log-parameter block laid out like the
@@ -489,24 +490,26 @@ def log_mixture_weights(log_mu, log_theta, stats: SufficientStats) -> np.ndarray
     and one that no count hits adds nothing.  The support mask is built only
     when the block holds a -inf.
 
-    Returns a fresh (N, k) F-ordered array, the transpose of the product;
-    log_mu is added into it in place, and the caller owns it.
+    The product is written into `out`, a C-ordered float64 (k, N) buffer the
+    caller owns and lets this call overwrite, or into a fresh one when `out`
+    is None.  Returns its transpose, an F-ordered (N, k) view, with log_mu
+    added in place.
     """
     # (L X^T)^T rather than X L^T: in the second form OpenBLAS packs all of X
     # into its work buffer, which then stays resident (4.9 MB at N=20000, s=5)
     # False for a NaN too, which the mask leaves as it is
     if np.minimum.reduce(log_theta, axis=None) > -np.inf:
-        w = (log_theta @ stats.X.T).T
+        w = np.matmul(log_theta, stats.X.T, out=out).T
         w += log_mu
         return w
     neg_inf = np.isneginf(log_theta)
-    w = (np.where(neg_inf, 0.0, log_theta) @ stats.X.T).T
+    w = np.matmul(np.where(neg_inf, 0.0, log_theta), stats.X.T, out=out).T
     w += log_mu
     w[(stats.X > 0) @ neg_inf.T] = -np.inf
     return w
 
 
-def log_normalize_rows(logw: np.ndarray):
+def log_normalize_rows(logw: np.ndarray, scratch=None):
     """Row-wise log-sum-exp normalization via a max shift.
 
     Returns (gamma, log_norms) with gamma = exp(logw - log_norms[:, None]).
@@ -515,14 +518,18 @@ def log_normalize_rows(logw: np.ndarray):
 
     Consumes `logw`: it must be a float64 array the caller no longer needs.
     The shift, the exponential and the division happen in place, so the
-    returned gamma is `logw` itself, and log_norms is the buffer that held
-    the row sums.
+    returned gamma is `logw` itself.  The row maxima and row sums go into
+    `scratch`, a float64 (2, N) buffer the caller owns (fresh when None), and
+    log_norms is its second row.
     """
-    m = np.maximum.reduce(logw, axis=1)
+    if scratch is None:
+        scratch = np.empty((2, logw.shape[0]))
+    m, sums = scratch[0], scratch[1]  # unpacking would iterate, at about 1 µs a call
+    np.maximum.reduce(logw, axis=1, out=m)
     if math.isfinite(np.add.reduce(m)):  # every row max is finite: no row needs a mask
         logw -= m[:, None]
         gamma = np.exp(logw, out=logw)
-        sums = np.add.reduce(gamma, axis=1)
+        np.add.reduce(gamma, axis=1, out=sums)
         gamma /= sums[:, None]
         log_norms = np.log(sums, out=sums)
         log_norms += m
@@ -531,7 +538,7 @@ def log_normalize_rows(logw: np.ndarray):
     # rows without a finite max are overwritten below, so shifting them by 0 is safe
     logw -= np.where(finite, m, 0.0)[:, None]
     gamma = np.exp(logw, out=logw)
-    sums = gamma.sum(axis=1)
+    np.add.reduce(gamma, axis=1, out=sums)
     with np.errstate(divide="ignore", invalid="ignore"):
         gamma /= sums[:, None]
         log_norms = np.log(sums, out=sums)

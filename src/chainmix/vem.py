@@ -128,7 +128,10 @@ def vem_fit(stats: SufficientStats, init: Responsibilities,
 
     Each iteration fills the shared M-step stack with the Dirichlet prior
     added, takes one digamma and one gammaln over it and one matrix product
-    for the E-step; the returned posterior views this fit's stack.
+    for the E-step.  One fit allocates the stack, a (k, N) E-step buffer and
+    a (2, N) log-sum-exp scratch, and no iteration allocates anything of
+    size N; the returned posterior views the stack, and the
+    responsibilities view the E-step buffer.
     """
     if init.k != config.k_max:
         raise ValidationError("init must have k_max columns")
@@ -136,12 +139,13 @@ def vem_fit(stats: SufficientStats, init: Responsibilities,
     stack = _ParameterStack(k, s, weight_prior=1.0 / k, count_prior=1.0)
     log_b_prior = float(k * gammaln(1.0 / k) - k * (s + 1) * gammaln(float(s)))
     work, n = np.empty_like(stack.values), stack.entries.size
+    e_step, scratch = np.empty((k, stats.n)), np.empty((2, stats.n))
 
     def step(it):
         psi = digamma(stack.values, out=work)  # `_elbo_value` overwrites work after
         np.subtract(psi[:n], stack.gather(psi[n:]), out=stack.log_theta)
-        logw = log_mixture_weights(stack.log_mu, stack.log_params, stats)
-        gamma, log_c = log_normalize_rows(logw)
+        logw = log_mixture_weights(stack.log_mu, stack.log_params, stats, e_step)
+        gamma, log_c = log_normalize_rows(logw, scratch)
         return gamma, _elbo_value(stack, log_b_prior, log_c, work)
 
     gamma, trace, converged, iterations = coordinate_ascent(

@@ -351,6 +351,55 @@ def count_calls(monkeypatch, module, *names):
     return calls
 
 
+def record_results(monkeypatch, module, *names):
+    """Wrap each named global of `module` to keep what each call returns;
+    returns the name -> list of results dict that the wrappers append to."""
+    results = {name: [] for name in names}
+    for name in names:
+        def recorded(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            results[_name].append(_fn(*args, **kwargs))
+            return results[_name][-1]
+        monkeypatch.setattr(module, name, recorded)
+    return results
+
+
+def assert_e_step_buffers_reused(results, fit, k, n):
+    """Every iteration's E-step wrote one (k, n) buffer and one (2, n)
+    scratch, and the fit's responsibilities view that buffer."""
+    weights, normalized = results["log_mixture_weights"], results["log_normalize_rows"]
+    assert len(weights) == len(normalized) == fit.iterations
+    buffer, scratch = weights[0].base, normalized[0][1].base
+    assert buffer.shape == (k, n) and buffer.flags.c_contiguous
+    assert scratch.shape == (2, n) and scratch.flags.c_contiguous
+    for w, (gamma, log_c) in zip(weights, normalized):
+        assert w.base is buffer and gamma is w and log_c.base is scratch
+    assert fit.responsibilities.gamma.base is buffer
+
+
+def reference_sample_mixture(params, n, t, seed=None):
+    """The trajectory-major sampler that the time-major `sample_mixture`
+    replaced: each step writes one strided column of an (n, t + 1) array.
+    Returns (states in trajectory-major order, sizes, labels)."""
+    from chainmix.model_core import _categorical, as_rng
+
+    rng = as_rng(seed)
+    k, s = params.k, params.s
+    work = (np.empty(n), np.empty(n), np.empty(n, dtype=bool))
+    rows = np.zeros(n, dtype=np.int64)
+    z = _categorical(rng, np.cumsum(params.mu)[:, None], rows,
+                     np.empty(n, dtype=np.int64), *work)
+    states = np.empty((n, t + 1), dtype=np.int64)
+    prev = _categorical(rng, np.cumsum(params.nu, axis=1).T, z,
+                        np.empty(n, dtype=np.int64), *work)
+    states[:, 0] = prev
+    cum_P = np.ascontiguousarray(np.cumsum(params.P, axis=2).reshape(k * s, s).T)
+    base = z * s
+    for step in range(t):
+        np.add(base, prev, out=rows)
+        states[:, step + 1] = _categorical(rng, cum_P, rows, prev, *work)
+    return states.ravel(), np.full(n, t + 1), z
+
+
 def reference_log_mixture_weights(log_mu, log_nu, log_P, stats):
     """The out-of-place E-step weights the in-place `log_mixture_weights`
     replaced: `log_mu + (L Xᵀ)ᵀ`, with the −inf support mask when L has a

@@ -159,14 +159,19 @@ class TestFit:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         summary = json.loads(lines[0])
-        assert sorted(summary) == ["converged", "failed", "restarts", "tied", "wall_s"]
+        assert sorted(summary) == ["converged", "failed", "restarts", "stage_s", "tied",
+                                   "wall_s"]
+        stages = summary["stage_s"]
+        assert list(stages) == ["read", "stats", "fit", "write"]
+        assert all(v >= 0 for v in stages.values())
+        assert sum(stages.values()) == pytest.approx(summary["wall_s"], abs=1e-9)
         fit = json.loads((out / "fit.json").read_text())
         with open(out / "restarts.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert summary["restarts"] == 3 and summary["failed"] == 0
         assert summary["converged"] == sum(r["converged"] == "1" for r in rows)
         assert summary["tied"] == len(fit["tied_restarts"]) >= 1
-        assert summary["wall_s"] >= sum(float(r["wall_s"]) for r in rows) > 0
+        assert stages["fit"] >= sum(float(r["wall_s"]) for r in rows) > 0
 
     def test_malformed_header_is_an_error_exit(self, tmp_path, capsys):
         path = tmp_path / "trajectories.txt"

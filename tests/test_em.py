@@ -22,7 +22,7 @@ from chainmix import (
 )
 from chainmix.model_core import SufficientStats
 
-from helpers import count_calls
+from helpers import assert_e_step_buffers_reused, record_results
 
 
 def test_single_component_collapses_to_count_normalization():
@@ -136,15 +136,39 @@ def test_refit_from_own_output_is_fixed_point():
 
 def test_one_e_step_call_per_iteration(monkeypatch):
     # the E-step helpers are looked up through chainmix.em once per
-    # iteration; the benchmark's traced run wraps those names
+    # iteration; the benchmark's traced run wraps those names.  Every call
+    # writes the fit's one (k, N) buffer and (2, N) scratch
     from chainmix import em, sample_simplex_rows
     params = random_mixture_params(3, 3, seed=44)
     data, _ = sample_mixture(params, 30, 10, seed=45)
-    calls = count_calls(monkeypatch, em, "log_mixture_weights", "log_normalize_rows")
+    results = record_results(monkeypatch, em, "log_mixture_weights", "log_normalize_rows")
     fit = em_fit(sufficient_stats(data), sample_simplex_rows(30, 3, seed=46),
                  EmConfig(k=3))
     assert fit.iterations > 1
-    assert calls == dict.fromkeys(calls, fit.iterations)
+    assert_e_step_buffers_reused(results, fit, 3, 30)
+
+
+def test_zero_support_e_step_reuses_per_fit_buffers(monkeypatch):
+    # the -inf support path writes the same buffers
+    from chainmix import em
+    ds = TrajectoryDataset(([0, 0, 0, 0, 0], [0, 1, 0, 1, 1]), s=2)
+    results = record_results(monkeypatch, em, "log_mixture_weights", "log_normalize_rows")
+    fit = em_fit(sufficient_stats(ds), Responsibilities(np.array([[1.0, 0.0], [0.0, 1.0]])),
+                 EmConfig(k=2))
+    assert fit.iterations > 1 and np.any(fit.params.P == 0)
+    assert_e_step_buffers_reused(results, fit, 2, 2)
+
+
+def test_zero_probability_trajectory_named_with_iteration():
+    # a row total that overflows to inf turns each of that row's estimates
+    # into 0, so trajectory 1, which makes those steps, has probability 0
+    big = [[8e307, 8e307], [0.0, 0.0]]
+    stats = SufficientStats(np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]),
+                            np.array([[[0.0, 0.0], [0.0, 1.0]], big, big]))
+    with np.errstate(over="ignore"), pytest.raises(NumericalError) as err:
+        em_fit(stats, Responsibilities(np.ones((3, 1))), EmConfig(k=1))
+    assert str(err.value) == "trajectory 1 has zero probability under every component"
+    assert err.value.iteration == 1
 
 
 def test_zero_probability_components_get_zero_responsibility():

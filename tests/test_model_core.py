@@ -36,7 +36,11 @@ from chainmix.model_core import (
     parameter_block,
 )
 
-from helpers import reference_log_mixture_weights, reference_log_normalize_rows
+from helpers import (
+    reference_log_mixture_weights,
+    reference_log_normalize_rows,
+    reference_sample_mixture,
+)
 
 
 # Seeded sampler outputs: (k, s, params seed, labels, states, next random()).
@@ -181,6 +185,25 @@ class TestSampleMixture:
         assert np.array_equal(z1, z2)
         for a, b in zip(d1.trajectories, d2.trajectories):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("k, s, n, t", [
+        (3, 4, 7, 0),  # t=0: one state per trajectory
+        (3, 4, 1, 9),  # n=1
+        (1, 1, 6, 5),
+        (1, 8, 40, 12),
+        (4, 3, 100, 30),  # the fig2 shape
+        (4, 5, 20000, 100),  # the large-n-em shape
+    ])
+    def test_matches_column_major_reference(self, k, s, n, t):
+        # the time-major sampler draws the column-major loop's states, sizes and labels
+        params = random_mixture_params(k, s, seed=n + t)
+        data, z = sample_mixture(params, n, t, seed=np.random.SeedSequence(n * t + s))
+        states, sizes, labels = reference_sample_mixture(
+            params, n, t, seed=np.random.SeedSequence(n * t + s))
+        assert np.array_equal(data.states, states)
+        assert np.array_equal(data.sizes, sizes)
+        assert np.array_equal(z, labels)
+        assert data.states.dtype == np.int64 and data.states.flags.c_contiguous
 
     @pytest.mark.parametrize("k, s, seed, labels, states, next_draw", _SAMPLER_GOLDEN)
     def test_seeded_outputs_pinned(self, k, s, seed, labels, states, next_draw):
@@ -436,6 +459,35 @@ class TestEStepMatchesOutOfPlaceFormulas:
         assert np.array_equal(gamma, expected_gamma, equal_nan=True)
         assert np.array_equal(log_norms, expected_norms, equal_nan=True)
         assert np.shares_memory(gamma, logw)  # logw is consumed
+
+    @pytest.mark.parametrize("support", ["finite", "neg_inf", "nan"])
+    def test_log_mixture_weights_into_buffer(self, support):
+        stats, (log_mu, log_nu, log_P) = self._problem(4, 20)
+        if support == "neg_inf":
+            log_P[0, 1, :2] = -np.inf
+        elif support == "nan":
+            log_P[1, 0, 0] = np.nan
+        block = parameter_block(log_nu, log_P)
+        out = np.full((4, stats.n), 7.0)  # stale values the call must overwrite
+        w = log_mixture_weights(log_mu, block, stats, out)
+        assert w.base is out and w.shape == (stats.n, 4) and w.flags.f_contiguous
+        assert np.array_equal(w, log_mixture_weights(log_mu, block, stats), equal_nan=True)
+
+    @pytest.mark.parametrize("rows", ["finite", "masked"])
+    def test_log_normalize_rows_into_scratch(self, rows):
+        stats, params = self._problem(4, 21)
+        logw = log_mixture_weights(params[0], parameter_block(*params[1:]), stats)
+        if rows == "masked":
+            logw[3] = -np.inf  # a row with no finite weight
+            logw[7, 1] = np.nan
+        fresh = logw.copy(order="K")
+        scratch = np.full((2, stats.n), 7.0)
+        gamma, log_norms = log_normalize_rows(logw, scratch)
+        expected_gamma, expected_norms = log_normalize_rows(fresh)
+        assert gamma is logw and log_norms.base is scratch
+        assert np.shares_memory(log_norms, scratch[1])
+        assert np.array_equal(gamma, expected_gamma, equal_nan=True)
+        assert np.array_equal(log_norms, expected_norms, equal_nan=True)
 
 
 _BAD_SEEDS = [-1, np.int64(-2), 1.5, np.float64(2.0), "3", True, [1, 2]]

@@ -20,7 +20,12 @@ from chainmix import model_core, vem
 from chainmix.model_core import log_mixture_weights, parameter_block
 from chainmix.vem import DirichletPosterior, digamma
 
-from helpers import count_calls, log_beta, partition_log_evidence
+from helpers import (
+    assert_e_step_buffers_reused,
+    log_beta,
+    partition_log_evidence,
+    record_results,
+)
 
 # High-precision reference values (40-digit arbitrary-precision evaluation).
 DIGAMMA_REFERENCE = {
@@ -189,15 +194,17 @@ class TestVemFit:
 
     def test_one_digamma_call_per_iteration(self, monkeypatch):
         # digamma and the E-step helpers are looked up through chainmix.vem
-        # once per iteration; the benchmark's traced run wraps those names
+        # once per iteration; the benchmark's traced run wraps those names.
+        # Every E-step call writes the fit's one (k, N) buffer and (2, N) scratch
         params = random_mixture_params(3, 3, seed=61)
         data, _ = sample_mixture(params, 30, 10, seed=62)
-        calls = count_calls(monkeypatch, vem, "digamma", "log_mixture_weights",
-                            "log_normalize_rows")
+        results = record_results(monkeypatch, vem, "digamma", "log_mixture_weights",
+                                 "log_normalize_rows")
         fit = vem_fit(sufficient_stats(data), sample_simplex_rows(30, 5, seed=63),
                       VemConfig(k_max=5))
         assert fit.iterations > 1
-        assert calls == dict.fromkeys(calls, fit.iterations)
+        assert len(results["digamma"]) == fit.iterations
+        assert_e_step_buffers_reused(results, fit, 5, 30)
 
     @pytest.mark.parametrize("field", ["n_hat", "n_i_hat", "n_ialpha_hat"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
