@@ -326,6 +326,8 @@ def _cmd_experiment(args) -> int:
                            fmt=fmt)
     print(f"{name}: wrote {len(rows)} result rows to {out}")
     if failures:
+        failures = [{key: dataio._json_safe(value) for key, value in cell.items()}
+                    for cell in failures]
         print(json.dumps({"failed_cells": failures}), file=sys.stderr)
         return 1
     return 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model_core import TrajectoryDataset, as_rng, check_int
+from .model_core import TrajectoryDataset, as_rng, check_int, check_real
 
 # The Nystrom extension embeds points in row blocks whose kernel block against
 # the training points holds at most this many entries (1 MB of float64): memory
@@ -62,10 +62,10 @@ class GaussianKernel:
     sigma: float
 
     def __post_init__(self):
+        check_real(self.sigma, "sigma", True)
         # 2 sigma^2 divides in __call__; a float product overflows to inf where ** raises
-        if not (self.sigma > 0 and 0 < 2.0 * float(self.sigma) * float(self.sigma) < np.inf):
-            raise ValidationError(
-                f"sigma must be positive, with 0 < 2 sigma^2 < inf, not {self.sigma!r}")
+        if not 0 < 2.0 * float(self.sigma) * float(self.sigma) < np.inf:
+            raise ValidationError(f"sigma must be positive, with 0 < 2 sigma^2 < inf, not {self.sigma!r}")
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.float64)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import os
 from pathlib import Path
 
@@ -168,17 +167,21 @@ def write_trajectories(path, data: TrajectoryDataset, one_based: bool = False):
 
 
 def read_labels(path, one_based: bool = False) -> np.ndarray:
-    """One label per line, a token of ASCII digits as a state is in a trajectory file."""
+    """One label per line, a token of ASCII digits as a state is in a trajectory file.
+
+    The file is read as bytes: lines end at \\n, \\r\\n or a lone \\r, and only
+    ASCII whitespace may surround a label.
+    """
     offset = 1 if one_based else 0
     labels = []
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if not (text.isascii() and text.isdigit() and len(text) <= _MAX_DIGITS):
-                raise ValidationError(f"{path}:{lineno}: invalid label token {text!r}")
-            labels.append(int(text) - offset)
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        text = line.strip()
+        if not text or text.startswith(b"#"):
+            continue
+        if not (text.isdigit() and len(text) <= _MAX_DIGITS):  # bytes.isdigit: ASCII only
+            token = text.decode(errors="replace")
+            raise ValidationError(f"{path}:{lineno}: invalid label token {token!r}")
+        labels.append(int(text) - offset)
     if not labels:
         raise ValidationError(f"{path}: no labels found")
     return np.asarray(labels, dtype=np.int64)
@@ -194,11 +197,10 @@ def write_labels(path, labels, one_based: bool = False):
 def read_json_object(path, what: str) -> dict:
     """The JSON object in `path`; ValidationError naming `what` and the file
     when the file is not valid JSON or holds something other than an object."""
-    with open(path) as handle:
-        try:
-            value = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
+    try:
+        value = json.loads(Path(path).read_bytes())
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8, -16 or -32
+        raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(value, dict):
         raise ValidationError(f"{what} {path} must hold a JSON object")
     return value
@@ -327,17 +329,17 @@ def write_kl_report(path, report: KlReport):
 
 
 def read_points_csv(path) -> np.ndarray:
-    """Read real-valued point vectors, one per line, comma- or space-separated."""
+    """Read real-valued point vectors, one per line, separated by commas or
+    ASCII whitespace; the file is read as bytes, with lines as in `read_labels`."""
     rows = []
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                rows.append([float(tok) for tok in text.replace(",", " ").split()])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        text = line.strip()
+        if not text or text.startswith(b"#"):
+            continue
+        try:
+            rows.append([float(tok) for tok in text.replace(b",", b" ").split()])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     if not rows:
         raise ValidationError(f"{path}: no points found")
     widths = {len(r) for r in rows}
@@ -360,7 +362,7 @@ def write_assignments_csv(path, assignments):
 def write_spectral_model(path, model: SpectralModel):
     """A model with a `GaussianKernel` as JSON; the reader ignores `r` and `s`."""
     write_json(path, {
-        "kernel": {"name": "gaussian", "sigma": model.kernel.sigma},
+        "kernel": {"name": "gaussian", "sigma": float(model.kernel.sigma)},
         "nystrom_alpha": model.alpha.tolist(),
         "centers": model.centers.tolist(),
         "training_points": model.points.tolist(),
@@ -374,10 +376,9 @@ def read_spectral_model(path) -> SpectralModel:
     payload = _read_fields(path, "spectral model file", ("kernel",),
                            ("training_points", "nystrom_alpha", "centers"))
     spec = payload["kernel"]
-    sigma = spec.get("sigma") if isinstance(spec, dict) and spec.get("name") == "gaussian" else None
-    if not isinstance(sigma, numbers.Real) or isinstance(sigma, bool):
+    if not (isinstance(spec, dict) and spec.get("name") == "gaussian"):
         raise ValidationError(f"unknown kernel spec {spec!r}")
-    return SpectralModel(kernel=GaussianKernel(sigma=float(sigma)),
+    return SpectralModel(kernel=GaussianKernel(sigma=spec.get("sigma")),
                          points=payload["training_points"],
                          alpha=payload["nystrom_alpha"],
                          centers=payload["centers"])

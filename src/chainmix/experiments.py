@@ -27,7 +27,7 @@ import numpy as np
 
 from .em import EmConfig
 from .gene_circuit import _STAGES, misa_mixture_experiment
-from .model_core import check_int, check_seed, random_mixture_params, sample_mixture, sufficient_stats
+from .model_core import check_int, check_real, check_seed, random_mixture_params, sample_mixture, sufficient_stats
 from .multistart import multistart_fit
 from .vem import VemConfig
 
@@ -167,6 +167,9 @@ def run_fig8(fr1: float = 0.01, fr2_values=(0.01, 0.05, 0.25, 1.0),
                 *(result.stage_s[stage] for stage in _STAGES))
 
     check_int(reps, "reps", 0)
+    check_real(fr1, "fr1", True)
+    for i, fr2 in enumerate(fr2_values):  # its cells' seed key is round(fr2 * 10**6)
+        check_real(check_real(fr2, f"fr2_values[{i}]", True) * 10**6, f"fr2_values[{i}] * 10**6", True)
     cells = ({"f_r_1": fr1, "f_r_2": fr2, "ratio": fr2 / fr1, "t": t_len, "rep": rep,
               "seed": _cell_seed(seed, int(round(fr2 * 10**6)), t_len, rep)}
              for fr2 in fr2_values for t_len in t_values for rep in range(reps))

@@ -17,7 +17,6 @@ binding rates versus the ordered-pair x*(x-1) convention.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -26,7 +25,7 @@ import numpy as np
 from .clustering import GaussianKernel, PointSet, discretize_trajectories, spectral_fit
 from .errors import ValidationError
 from .metrics import accuracy  # noqa: F401  (perfbench/spans.py wraps this name)
-from .model_core import TrajectoryDataset, as_rng, check_int, check_seed, sufficient_stats
+from .model_core import TrajectoryDataset, as_rng, check_int, check_real, check_seed, sufficient_stats
 from .multistart import MultistartReport, multistart_fit
 from .vem import VemConfig
 
@@ -54,11 +53,7 @@ class MisaParams:
 
     def __post_init__(self):
         for rate in fields(self):
-            name, value = rate.name, getattr(self, rate.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValidationError(f"rate {name} must be a number, not {value!r}")
-            if not 0 < value < math.inf:
-                raise ValidationError(f"rate {name} must be finite and positive")
+            check_real(getattr(self, rate.name), f"rate {rate.name}", True)
 
 
 @dataclass(frozen=True)
@@ -194,12 +189,9 @@ def misa_simulate(params: MisaParams, t_end: float, sample_interval: float = 1.0
     sample time t = 0, sample_interval, 2*sample_interval, ..., t_end.
     Deterministic given `seed`.
     """
-    if not 0 < t_end < math.inf:
-        raise ValidationError("t_end must be finite and positive")
-    if not 0 < sample_interval < math.inf:
-        raise ValidationError("sample_interval must be finite and positive")
-    if not 0 <= burn_in < math.inf:
-        raise ValidationError("burn_in must be finite and nonnegative")
+    check_real(t_end, "t_end", True)
+    check_real(sample_interval, "sample_interval", True)
+    check_real(burn_in, "burn_in", False)
     rng = as_rng(seed)
 
     if initial_state is None:
@@ -208,9 +200,7 @@ def misa_simulate(params: MisaParams, t_end: float, sample_interval: float = 1.0
         state = (*initial_state.gene_a, *initial_state.gene_b,
                  initial_state.a, initial_state.b)
 
-    steps = t_end / sample_interval
-    if not math.isfinite(steps):
-        raise ValidationError("t_end / sample_interval must be finite")
+    steps = check_real(t_end / sample_interval, "t_end / sample_interval", False)
     n_samples = int(np.floor(steps)) + 1
     sample_times = burn_in + sample_interval * np.arange(n_samples)
 

@@ -14,6 +14,7 @@ to and from 1-based indexing (see chainmix.dataio).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -40,6 +41,18 @@ def check_int(value, name, low, high=None):
         raise ValidationError(f"{name} must be >= {low}")
     if high is not None and value > high:
         raise ValidationError(f"{name} must be <= {high}")
+    return value
+
+
+def check_real(value, name, positive):
+    """`value` if it is an int, float or numpy scalar (not a bool), finite as a
+    float64 and > 0 (`positive`) or >= 0, else ValidationError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a number, not {value!r}")
+    finite = value <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
+    if not (finite and (value > 0 or value == 0 and not positive)):
+        side = "positive" if positive else "nonnegative"
+        raise ValidationError(f"{name} must be finite and {side}")
     return value
 
 

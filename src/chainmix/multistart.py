@@ -134,7 +134,11 @@ def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
     final_deltas = np.full(restarts, np.nan)
     wall_s = np.full(restarts, np.nan)
     accuracies = np.full(restarts, np.nan) if true_labels is not None else None
-    results = [None] * restarts
+    # The fits that can still tie with the best, by restart: each holds its
+    # (k, N) E-step buffer.  The tie floor of the running best only rises, so
+    # a fit below it is never chosen and is dropped; at the end it is the
+    # floor of the best objective.
+    kept, best_value, floor = {}, -np.inf, -np.inf
     failures = []
     for r in range(restarts):
         begin = time.perf_counter()
@@ -144,7 +148,12 @@ def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
             failures.append((r, str(exc)))
             continue
         wall_s[r] = time.perf_counter() - begin
-        results[r] = fit
+        if fit.objective > best_value:
+            best_value = fit.objective
+            floor = best_value - TIE_RTOL * max(1.0, abs(best_value))
+            kept = {i: kept_fit for i, kept_fit in kept.items() if kept_fit.objective >= floor}
+        if fit.objective >= floor:
+            kept[r] = fit
         objectives[r] = fit.objective
         iterations[r] = fit.iterations
         converged[r] = fit.converged
@@ -152,18 +161,18 @@ def multistart_fit(stats: SufficientStats, algorithm: str, restarts: int,
             final_deltas[r] = abs(fit.objective_trace[-1] - fit.objective_trace[-2])
         if acc is not None:
             accuracies[r] = acc
+        del fit  # a dropped fit is freed before the next restart allocates
 
     if len(failures) == restarts:
         detail = "; ".join(f"restart {r}: {msg}" for r, msg in failures)
         raise NumericalError(f"all {restarts} restarts failed: {detail}")
 
-    best_value = np.nanmax(objectives)
-    tied = objectives >= best_value - TIE_RTOL * max(1.0, abs(best_value))
+    tied = objectives >= floor
     best_index = int(np.argmax(tied))
 
     seeds = tuple(int(seq.generate_state(1)[0]) for seq in sequences)
     return MultistartReport(
-        best=results[best_index],
+        best=kept[best_index],
         best_index=best_index,
         all_objectives=objectives,
         all_iterations=iterations,

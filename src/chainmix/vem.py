@@ -24,6 +24,7 @@ from .model_core import (
     SufficientStats,
     _ParameterStack,
     check_int,
+    check_real,
     coordinate_ascent,
     labels_from_responsibilities,
     log_mixture_weights,
@@ -45,8 +46,7 @@ class VemConfig:
     def __post_init__(self):
         check_int(self.k_max, "k_max", 1)
         check_int(self.max_iters, "max_iters", 1)
-        if not self.tol_scale >= 0:
-            raise ValidationError(f"tol_scale must be >= 0, not {self.tol_scale!r}")
+        check_real(self.tol_scale, "tol_scale", False)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chainmix import cli, dataio, experiments
+from chainmix import TrajectoryDataset, cli, dataio, experiments
 from chainmix.cli import main
 from chainmix.em import EmConfig
 from chainmix.multistart import TIE_RTOL
@@ -231,14 +231,14 @@ class TestFit:
         assert np.allclose(p_em.P[0], mle, atol=1e-9)
         assert np.allclose(p_vem.P[0], smoothed, atol=1e-9)
 
-    @pytest.mark.parametrize("tol", ["nan", "-1e-12"])
+    @pytest.mark.parametrize("tol", ["nan", "-1e-12", "inf"])
     def test_unusable_tol_scale_fails(self, simulated, tmp_path, capsys, tol):
         rc = run_cli("fit", "--input", simulated / "trajectories.txt", "--restarts", 1,
                      f"--tol-scale={tol}", "--out", tmp_path / "fit")
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == {"type": "ValidationError",
-                                "message": f"tol_scale must be >= 0, not {float(tol)!r}"}
+                                "message": "tol_scale must be finite and nonnegative"}
         assert not (tmp_path / "fit").exists()
 
     def test_label_count_mismatch_fails(self, simulated, tmp_path, capsys):
@@ -319,7 +319,7 @@ class TestCluster:
         (["--traj-files", "t1.csv", "--method", "kmeans"], "requires --method spectral"),
         ([], "provide --points or --traj-files"),
         (["--points", "t1.csv", "--traj-files", "t1.csv"], "exclude each other"),
-        (["--points", "t1.csv", "--sigma", "inf"], "sigma must be positive, with 0 < 2 sigma^2 < inf"),
+        (["--points", "t1.csv", "--sigma", "inf"], "sigma must be finite and positive"),
         (["--points", "t1.csv", "--sigma", "1e300"], "sigma must be positive, with 0 < 2 sigma^2 < inf"),
         (["--points", "t1.csv", "--sigma", "1e-200"], "sigma must be positive, with 0 < 2 sigma^2 < inf"),
     ], ids=["traj-files-with-kmeans", "no-input", "points-with-traj-files", "sigma-inf",
@@ -497,7 +497,7 @@ class TestMisa:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == {"type": "ValidationError",
-                                "message": "t_end / sample_interval must be finite"}
+                                "message": "t_end / sample_interval must be finite and nonnegative"}
         assert not (tmp_path / "misa").exists()
 
     @pytest.mark.parametrize("n_traj", [0, -1])
@@ -781,6 +781,52 @@ def test_negative_seed_is_a_json_error(tmp_path, capsys, command):
     assert err["error"] == {"type": "ValidationError",
                             "message": "seed must be a non-negative integer, got -1"}
     assert not (tmp_path / "out").exists()
+
+
+def _strict_json(line):
+    """`line` as JSON that holds no NaN or Infinity, which strict parsers refuse."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(line, parse_constant=refuse)
+
+
+_FIG8 = ("experiment", "--name", "fig8")
+_NOT_UTF8 = b"\xff\xfe\xfd\n"  # bytes that never occur in UTF-8
+
+
+@pytest.mark.parametrize("argv, files, names", [
+    ((*_FIG8, "--fr1", "0"), {}, "fr1 must be finite and positive"),
+    ((*_FIG8, "--fr1", "nan"), {}, "fr1 must be finite and positive"),
+    ((*_FIG8, "--fr2-values", "0.5", "nan"), {}, "fr2_values[1] must be finite and positive"),
+    ((*_FIG8, "--fr2-values", "inf"), {}, "fr2_values[0] must be finite and positive"),
+    ((*_FIG8, "--fr2-values", "1e303"), {}, "fr2_values[0] * 10**6 must be finite"),
+    # every cell fails, and the rate ratio 1.0 / 1e-320 overflows to inf
+    ((*_FIG8, "--fr1", "1e-320", "--fr2-values", "1.0", "--sigma", "0", "--t-values", "5",
+      "--reps", "1"), {}, "sigma must be finite and positive"),
+    (("fit", "--input", "traj.txt", "--tol-scale", "inf"), {},
+     "tol_scale must be finite and nonnegative"),
+    (("fit", "--input", "traj.txt", "--labels", "labels.txt"), {"labels.txt": b"0\n" + _NOT_UTF8},
+     "labels.txt:2: invalid label token"),
+    (("cluster", "--points", "points.csv", "--s", "2"), {"points.csv": b"0,0\n1," + _NOT_UTF8},
+     "points.csv:2: "),
+    (("bound", "--model", "model.json", "--t-len", "3"), {"model.json": b'{"k": ' + _NOT_UTF8},
+     "model file model.json is not valid JSON"),
+    (("--config", "config.json", "bound", "--model", "model.json", "--t-len", "3"),
+     {"config.json": b'{"seed": ' + _NOT_UTF8}, "config file config.json is not valid JSON"),
+], ids=["fig8-fr1-zero", "fig8-fr1-nan", "fig8-fr2-nan", "fig8-fr2-inf", "fig8-fr2-seed-key",
+        "fig8-failed-cells-infinite-ratio", "fit-tol-scale-inf", "labels-not-utf8",
+        "points-not-utf8", "model-not-utf8", "config-not-utf8"])
+def test_bad_input_is_one_strict_json_error_line(tmp_path, monkeypatch, capsys, argv, files,
+                                                 names):
+    monkeypatch.chdir(tmp_path)
+    dataio.write_trajectories("traj.txt", TrajectoryDataset(([0, 1, 1], [1, 0, 0]), s=2))
+    for name, content in files.items():
+        Path(name).write_bytes(content)
+    assert run_cli(*argv, "--out", "out") == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1 and err.endswith("\n")
+    _strict_json(err)
+    assert names in err
 
 
 def test_preset_names_come_from_the_recipe_table():

@@ -233,7 +233,7 @@ def test_config_validation():
         with pytest.raises(ValidationError):
             EmConfig(**kwargs)
     for tol in (-1e-12, float("nan")):
-        with pytest.raises(ValidationError, match="tol_scale must be >= 0"):
+        with pytest.raises(ValidationError, match="tol_scale must be finite and nonnegative"):
             EmConfig(k=2, tol_scale=tol)
     assert EmConfig(k=2, tol_scale=0.0).tol_scale == 0.0
 

@@ -309,12 +309,12 @@ class TestMixtureExperiment:
         (dict(n_states=0), "n_states must be >= 1"),
         (dict(restarts=0), "restarts must be >= 1"),
         (dict(k_max=0), "k_max must be >= 1"),
-        (dict(sigma=0.0), "sigma must be positive"),
-        (dict(sigma=-1.0), "sigma must be positive"),
-        (dict(sigma=float("inf")), r"sigma must be positive, with 0 < 2 sigma\^2 < inf, not inf"),
+        (dict(sigma=0.0), "sigma must be finite and positive"),
+        (dict(sigma=-1.0), "sigma must be finite and positive"),
+        (dict(sigma=float("inf")), "sigma must be finite and positive"),
         (dict(sigma=1e300), r"sigma must be positive, with 0 < 2 sigma\^2 < inf, not 1e\+300"),
         (dict(sigma=1e-200), r"sigma must be positive, with 0 < 2 sigma\^2 < inf, not 1e-200"),
-        (dict(sigma=float("nan")), "sigma must be positive"),
+        (dict(sigma=float("nan")), "sigma must be finite and positive"),
     ])
     def test_arguments_checked_before_simulating(self, monkeypatch, argument, message):
         calls = count_calls(monkeypatch, gene_circuit, "misa_simulate")

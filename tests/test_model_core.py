@@ -26,11 +26,12 @@ from chainmix import (
     spectral_fit,
     sufficient_stats,
 )
-from chainmix import cli
+from chainmix import MisaParams, cli, dataio, misa_simulate
 from chainmix.experiments import run_fig2, run_fig3, run_fig8
 from chainmix.model_core import (
     SufficientStats,
     as_rng,
+    check_real,
     log_mixture_weights,
     log_normalize_rows,
     parameter_block,
@@ -534,15 +535,34 @@ class TestSeedChecks:
             np.random.SeedSequence(5).generate_state(1, np.uint64)[0])
 
 
-def _misa_cli(n_traj):
-    args = cli.build_parser().parse_args(
-        ["misa", "--f-r", "0.1", "--t-end", "2", "--burn-in", "1", "--out", "misa"])
-    args.n_traj = n_traj
-    return cli._cmd_misa(args)
+def _run_cli(command, *flags, **values):
+    """The `command` handler on the parsed flags with `values` set on top, so a
+    value that no typed flag can give (True, an array) reaches the handler."""
+    args = cli.build_parser().parse_args([command, *flags])
+    for key, value in values.items():
+        setattr(args, key, value)
+    return cli._HANDLERS[command](args)
+
+
+def _misa_cli(**values):
+    return _run_cli("misa", "--f-r", "0.1", "--t-end", "2", "--burn-in", "1", "--out", "misa",
+                    **values)
+
+
+def _fit_cli(**values):
+    dataio.write_trajectories("traj.txt", _DATA)
+    return _run_cli("fit", "--input", "traj.txt", "--k-max", "2", "--restarts", "2",
+                    "--out", "fit", **values)
+
+
+def _cluster_cli(**values):
+    dataio.write_points_csv("points.csv", _POINTS)
+    return _run_cli("cluster", "--points", "points.csv", "--s", "2", "--out", "clust", **values)
 
 
 _PARAMS = random_mixture_params(3, 2, seed=0)
-_STATS = sufficient_stats(sample_mixture(_PARAMS, 6, 4, seed=1)[0])
+_DATA = sample_mixture(_PARAMS, 6, 4, seed=1)[0]
+_STATS = sufficient_stats(_DATA)
 _POINTS = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0], [3.0, 1.0]])  # M = 4
 _MISA = dict(n_per_group=1, t_len=2, restarts=1, n_states=2, k_max=2, burn_in=1.0, seed=0)
 
@@ -588,7 +608,7 @@ _INTEGER_ARGUMENTS = {
         gene_a=(0, 0), gene_b=(0, 0), a=v, b=0)),
     "MisaState-b": ("protein count b", 0, None, 3, lambda v: MisaState(
         gene_a=(0, 0), gene_b=(0, 0), a=0, b=v)),
-    "cli-misa-n_traj": ("--n-traj", 1, None, 1, _misa_cli),
+    "cli-misa-n_traj": ("--n-traj", 1, None, 1, lambda v: _misa_cli(n_traj=v)),
     # a loop count of 0 is in range; the CLI then reports the empty sweep
     "run_fig2-instances": ("instances", 0, None, 0, lambda v: run_fig2(instances=v)),
     "run_fig3-trials": ("trials", 0, None, 0, lambda v: run_fig3(trials=v)),
@@ -616,3 +636,74 @@ class TestIntegerChecks:
         monkeypatch.chdir(tmp_path)  # the CLI writes its files here
         _, _, _, value, call = _INTEGER_ARGUMENTS[entry]
         call(np.int64(value))
+
+
+def _misa_params(rate, value):
+    return MisaParams(**{"f_r": 1.0, rate: value})
+
+
+# (argument as its message names it, positive (else nonnegative), a value in
+# range, the call with that argument set to the value)
+_REAL_ARGUMENTS = {
+    "EmConfig-tol_scale": ("tol_scale", False, 1, lambda v: EmConfig(k=2, tol_scale=v)),
+    "VemConfig-tol_scale": ("tol_scale", False, 1, lambda v: VemConfig(k_max=2, tol_scale=v)),
+    "GaussianKernel-sigma": ("sigma", True, 2, lambda v: GaussianKernel(sigma=v)),
+    **{f"MisaParams-{rate}": (f"rate {rate}", True, 1, lambda v, rate=rate: _misa_params(rate, v))
+       for rate in ("f_r", "g00", "g01", "g10", "g11", "d", "h_a", "f_a", "h_r")},
+    "misa_simulate-t_end": ("t_end", True, 2, lambda v: misa_simulate(
+        MisaParams(f_r=1.0), t_end=v, burn_in=1.0, seed=0)),
+    "misa_simulate-sample_interval": ("sample_interval", True, 1, lambda v: misa_simulate(
+        MisaParams(f_r=1.0), t_end=2.0, sample_interval=v, burn_in=1.0, seed=0)),
+    "misa_simulate-burn_in": ("burn_in", False, 1, lambda v: misa_simulate(
+        MisaParams(f_r=1.0), t_end=2.0, burn_in=v, seed=0)),
+    # each population's rate is its MisaParams' f_r
+    "misa_mixture_experiment-f_r_1": ("rate f_r", True, 1, lambda v: (
+        misa_mixture_experiment(v, 0.25, **_MISA))),
+    "misa_mixture_experiment-f_r_2": ("rate f_r", True, 1, lambda v: (
+        misa_mixture_experiment(0.01, v, **_MISA))),
+    "misa_mixture_experiment-sigma": ("sigma", True, 50, lambda v: (
+        misa_mixture_experiment(0.01, 0.25, **{**_MISA, "sigma": v}))),
+    "misa_mixture_experiment-burn_in": ("burn_in", False, 1, lambda v: (
+        misa_mixture_experiment(0.01, 0.25, **{**_MISA, "burn_in": v}))),
+    # reps=0: the checks run, no cell does
+    "run_fig8-fr1": ("fr1", True, 1, lambda v: run_fig8(fr1=v, reps=0)),
+    "run_fig8-fr2_values": ("fr2_values[1]", True, 1,
+                            lambda v: run_fig8(fr2_values=(0.25, v), reps=0)),
+    "cli-fit-tol_scale": ("tol_scale", False, 1, lambda v: _fit_cli(tol_scale=v)),
+    "cli-cluster-sigma": ("sigma", True, 2, lambda v: _cluster_cli(sigma=v)),
+    "cli-misa-t_end": ("t_end", True, 2, lambda v: _misa_cli(t_end=v)),
+}
+
+
+class TestRealChecks:
+    """Every real-valued setting the library takes is a finite number in its range."""
+
+    @pytest.mark.parametrize("entry", sorted(_REAL_ARGUMENTS))
+    def test_rejected(self, entry, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the CLI reads its input files here
+        name, positive, _, call = _REAL_ARGUMENTS[entry]
+        side = "positive" if positive else "nonnegative"
+        outside = (0.0, -1.0) if positive else (-1.0,)
+        cases = [(v, f"must be a number, not {v!r}") for v in (True, "1", np.array([1.0]))]
+        cases += [(v, f"must be finite and {side}") for v in (np.nan, np.inf, -np.inf, *outside)]
+        for value, text in cases:
+            with pytest.raises(ValidationError, match=f"^{re.escape(f'{name} {text}')}$"):
+                call(value)
+
+    @pytest.mark.parametrize("entry", sorted(_REAL_ARGUMENTS))
+    def test_numpy_scalars_accepted(self, entry, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the CLI writes its files here
+        _, _, value, call = _REAL_ARGUMENTS[entry]
+        for scalar in (np.float32(value), np.int64(value)):
+            call(scalar)
+
+    def test_value_returned_unchanged(self):
+        for value in (0, 2, 2.5, 5e-324, np.float32(2.5), np.int64(2), np.uint64(2**64 - 1),
+                      2**1023):
+            assert check_real(value, "x", False) is value
+        assert check_real(0.0, "x", False) == 0.0
+
+    def test_int_beyond_float64_rejected(self):
+        # a Python int has no float64 value above the largest float64
+        with pytest.raises(ValidationError, match="^x must be finite and positive$"):
+            check_real(2**1024, "x", True)

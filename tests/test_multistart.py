@@ -205,6 +205,25 @@ class TestMultistart:
                            true_labels=labels)
         assert calls == {"vem_fit": 0}
 
+    @pytest.mark.parametrize("algorithm, config", [("em", EmConfig(k=10, max_iters=3)),
+                                                   ("vem", VemConfig(k_max=10, max_iters=3))])
+    def test_traced_peak_does_not_grow_with_restarts(self, algorithm, config):
+        # each fit holds a (k, N) E-step buffer; only those that can still
+        # tie with the best are kept, so 40 restarts hold about as much as 2
+        import tracemalloc
+
+        params = random_mixture_params(4, 5, seed=0)
+        stats = sufficient_stats(sample_mixture(params, 4000, 5, seed=1)[0])
+        peaks = []
+        for restarts in (2, 40):
+            tracemalloc.start()
+            try:
+                multistart_fit(stats, algorithm, restarts, config, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+
     def test_all_failures_aggregate_error(self):
         # inf counts poison every restart; the error lists per-restart failures
         from chainmix.model_core import SufficientStats, Responsibilities

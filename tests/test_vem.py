@@ -229,7 +229,7 @@ class TestVemFit:
         with pytest.raises(ValidationError):
             VemConfig(k_max=0)
         for tol in (-1e-12, float("nan")):
-            with pytest.raises(ValidationError, match="tol_scale must be >= 0"):
+            with pytest.raises(ValidationError, match="tol_scale must be finite and nonnegative"):
                 VemConfig(k_max=2, tol_scale=tol)
         assert VemConfig(k_max=2, tol_scale=0.0).tol_scale == 0.0
 
