@@ -377,8 +377,12 @@ def read_spectral_model(path) -> SpectralModel:
                            ("training_points", "nystrom_alpha", "centers"))
     spec = payload["kernel"]
     if not (isinstance(spec, dict) and spec.get("name") == "gaussian"):
-        raise ValidationError(f"unknown kernel spec {spec!r}")
-    return SpectralModel(kernel=GaussianKernel(sigma=spec.get("sigma")),
+        raise ValidationError(f"{path}: unknown kernel spec {spec!r}")
+    try:
+        kernel = GaussianKernel(sigma=spec.get("sigma"))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    return SpectralModel(kernel=kernel,
                          points=payload["training_points"],
                          alpha=payload["nystrom_alpha"],
                          centers=payload["centers"])

@@ -251,6 +251,8 @@ def misa_mixture_experiment(f_r_1: float, f_r_2: float, n_per_group: int = 15,
     for name, count in (("n_per_group", n_per_group), ("t_len", t_len),
                         ("n_states", n_states), ("restarts", restarts)):
         check_int(count, name, 1)
+    check_real(f_r_1, "f_r_1", True)
+    check_real(f_r_2, "f_r_2", True)
     # built before the simulation, so a bad argument fails before it runs
     kernel = GaussianKernel(sigma=sigma)
     config = VemConfig(k_max=k_max)

@@ -191,8 +191,20 @@ class TrajectoryDataset:
     @cached_property
     def trajectories(self) -> tuple:
         """Read-only views into `states`, one per trajectory; built on first use."""
+        block = self._as_block()
+        if block is not None:
+            return tuple(block)
         ends = np.cumsum(self.sizes).tolist()
         return tuple(self.states[a:b] for a, b in zip([0] + ends[:-1], ends))
+
+    def _as_block(self):
+        """`states` viewed as an (n, L) block when every trajectory has length
+        L, else None.  Every simulator and preset draws equal lengths, so this
+        block is the common case; only trajectory files can be ragged."""
+        sizes = self.sizes
+        if sizes.min() != sizes.max():
+            return None
+        return self.states.reshape(sizes.size, -1)
 
     @property
     def n(self) -> int:
@@ -388,30 +400,29 @@ def labels_from_responsibilities(gamma: np.ndarray) -> np.ndarray:
     return np.argmax(gamma, axis=1).astype(np.int64)
 
 
-def _categorical(rng, columns, rows, out, u, gathered, hit) -> np.ndarray:
+def _categorical(rng, table, rows, out, u, gathered, hit) -> np.ndarray:
     """Draw one index per trajectory m from row `rows[m]` of a cumulative table.
 
-    `columns` holds the table by column: columns[b][r] is the cumulative
-    probability of indices 0..b in row r.  The draw is the number of columns
-    below the last that a uniform variate reaches.  Cumulative rows never
-    decrease, so this is the count over all columns capped at the last
-    index, and a variate above a row total that rounding left short of 1
-    still picks the last index.  One `rng.random` fill of `u` per call.
+    `table` is a (columns, rows) block holding every cumulative column but
+    the last: table[b, r] is the probability of indices 0..b in row r.  The
+    draw is the number of those columns that a uniform variate reaches.
+    Cumulative rows never decrease, so this is the index itself, and a
+    variate above a row total that rounding left short of 1 still picks the
+    last index.  One `rng.random` fill of `u` per call, then one gather, one
+    comparison and one column sum over the whole block.
 
-    The draw is written into `out`, which is returned.  `u`, `gathered` and
-    `hit` are work buffers of the same length, owned by the caller and
-    overwritten here.  Every row index is in range, so the clipping gather
-    never clips; it is used because `take` with `out=` buffers its result
-    in the default "raise" mode.  The method, not `np.take`, is called: the
-    function adds about 1 µs of Python per call, which small n would feel.
+    The draw is written into `out`, in its dtype, which is returned.  `u`
+    (n,), `gathered` and `hit` (columns, n) are work buffers owned by the
+    caller and overwritten here.  Every row index is in range, so the
+    clipping gather never clips; it is used because `take` with `out=`
+    buffers its result in the default "raise" mode.  The method, not
+    `np.take`, is called: the function adds about 1 µs of Python per call,
+    which small n would feel.
     """
     rng.random(out=u)
-    out.fill(0)
-    for col in columns[:-1]:
-        col.take(rows, out=gathered, mode="clip")
-        np.greater_equal(u, gathered, out=hit)
-        out += hit
-    return out
+    table.take(rows, axis=1, out=gathered, mode="clip")
+    np.greater_equal(u, gathered, out=hit)
+    return np.add.reduce(hit, axis=0, out=out, dtype=out.dtype)
 
 
 def sample_mixture(params: MixtureParams, n: int, t: int, seed=None):
@@ -420,56 +431,76 @@ def sample_mixture(params: MixtureParams, n: int, t: int, seed=None):
     Returns (TrajectoryDataset, labels) where labels[n] is the true latent
     component of trajectory n.  Deterministic given `seed`.
 
-    The n-sized work arrays (row indices, uniforms, gathered column and
-    comparison mask) are allocated once per call and reused at every step.
-    The states are drawn time-major into a (t + 1, n) array, so each step
-    writes one contiguous row and reads the previous one; one transposing
-    copy then lays them out trajectory after trajectory.  Only the returned
-    states and labels outlive the call.
+    The work arrays (row indices, uniforms, and a (columns, n) gathered
+    block and comparison mask) are allocated once per call and reused at
+    every step.  The states are drawn time-major into a (t + 1, n) array of
+    the narrowest unsigned dtype that holds s - 1 (uint8 for s <= 256), so
+    each step writes one contiguous row and reads the previous one; one
+    transposing copy then widens them into the int64 array that holds them
+    trajectory after trajectory.  Only the returned states and labels
+    outlive the call.
     """
     check_int(n, "n", 1)
     check_int(t, "t", 0)
     rng = as_rng(seed)
     k, s = params.k, params.s
-    work = (np.empty(n), np.empty(n), np.empty(n, dtype=bool))
+    u = np.empty(n)
+    gathered = np.empty((max(k, s) - 1, n))
+    hit = np.empty(gathered.shape, dtype=bool)
 
     rows = np.zeros(n, dtype=np.int64)  # mu is a table of one row
-    z = _categorical(rng, np.cumsum(params.mu)[:, None], rows,
-                     np.empty(n, dtype=np.int64), *work)
+    z = _categorical(rng, np.cumsum(params.mu)[:-1, None], rows,
+                     np.empty(n, dtype=np.int64), u, gathered[:k - 1], hit[:k - 1])
 
-    steps = np.empty((t + 1, n), dtype=np.int64)  # steps[j, m]: state j of trajectory m
-    _categorical(rng, np.cumsum(params.nu, axis=1).T, z, steps[0], *work)
+    work = (u, gathered[:s - 1], hit[:s - 1])
+    # steps[j, m]: state j of trajectory m, in the narrowest dtype that holds s - 1
+    steps = np.empty((t + 1, n), dtype=np.min_scalar_type(s - 1))
+    _categorical(rng, np.cumsum(params.nu, axis=1)[:, :-1].T, z, steps[0], *work)
 
     # column b of the transition table, row z*s + a: P_z(a, 0..b) summed
-    cum_P = np.ascontiguousarray(np.cumsum(params.P, axis=2).reshape(k * s, s).T)
+    cum_P = np.ascontiguousarray(np.cumsum(params.P, axis=2)[:, :, :-1].reshape(k * s, s - 1).T)
     base = z * s
     for step in range(t):
         np.add(base, steps[step], out=rows)
         _categorical(rng, cum_P, rows, steps[step + 1], *work)
 
-    data = TrajectoryDataset.from_flat(steps.T.ravel(), np.full(n, t + 1), s=s)
+    states = np.empty((n, t + 1), dtype=np.int64)
+    np.copyto(states, steps.T)
+    data = TrajectoryDataset.from_flat(states.reshape(-1), np.full(n, t + 1), s=s)
     return data, z
 
 
 def sufficient_stats(data: TrajectoryDataset) -> SufficientStats:
     """Count initial states and transitions for every trajectory.
 
-    Every adjacent pair of states in the dataset's flat state array is
-    coded as (trajectory, from, to) for one flat bincount.  The pairs that
-    straddle two trajectories go to one extra bin that is dropped, so ragged
-    and equal-length data take the same path.
+    Every adjacent pair of states is coded as (trajectory, from, to) for one
+    flat bincount.  When every trajectory has the same length L the pairs
+    are the adjacent columns of the (n, L) block, offset per trajectory by
+    a broadcast column.  Ragged data code the pairs of the flat state array
+    with a per-state offset instead, and the pairs that straddle two
+    trajectories go to one extra bin that is dropped.
     """
     n, s = data.n, data.s
-    states, sizes = data.states, data.sizes
-    starts = np.cumsum(sizes) - sizes
+    bins = n * s * s
     U = np.zeros((n, s), dtype=np.float64)
-    U[np.arange(n), states[starts]] = 1.0
-    # in-place updates keep the peak at three state-sized arrays
-    codes = states[:-1] * s
-    codes += states[1:]
-    codes += np.repeat(np.arange(n) * (s * s), sizes)[:-1]
-    codes[starts[1:] - 1] = n * s * s
-    counts = np.bincount(codes, minlength=n * s * s + 1)[:-1]
+    block = data._as_block()
+    # in-place updates keep the peak at the states, the codes and, for ragged
+    # data only, the per-state offsets
+    if block is not None:
+        U[np.arange(n), block[:, 0]] = 1.0
+        codes = block[:, :-1] * s
+        codes += block[:, 1:]
+        codes += (np.arange(n) * (s * s))[:, None]
+    else:
+        states, sizes = data.states, data.sizes
+        starts = np.cumsum(sizes) - sizes
+        U[np.arange(n), states[starts]] = 1.0
+        codes = states[:-1] * s
+        codes += states[1:]
+        codes += np.repeat(np.arange(n) * (s * s), sizes)[:-1]
+        codes[starts[1:] - 1] = bins
+    counts = np.bincount(codes.reshape(-1), minlength=bins + 1)[:bins]
+    del codes  # before SufficientStats copies the counts into X
     return SufficientStats(U, counts.reshape(n, s, s))
 
 

@@ -376,27 +376,42 @@ def assert_e_step_buffers_reused(results, fit, k, n):
     assert fit.responsibilities.gamma.base is buffer
 
 
+def _reference_categorical(rng, columns, rows, out, u, gathered, hit):
+    """The per-column categorical step that the one-block `_categorical`
+    replaced: columns[b][r] is the cumulative probability of indices 0..b in
+    row r, and the draw counts the columns below the last that the uniform
+    variate reaches, three numpy calls per column."""
+    rng.random(out=u)
+    out.fill(0)
+    for col in columns[:-1]:
+        col.take(rows, out=gathered, mode="clip")
+        np.greater_equal(u, gathered, out=hit)
+        out += hit
+    return out
+
+
 def reference_sample_mixture(params, n, t, seed=None):
     """The trajectory-major sampler that the time-major `sample_mixture`
-    replaced: each step writes one strided column of an (n, t + 1) array.
+    replaced, with its per-column categorical step: each step writes one
+    strided column of an int64 (n, t + 1) array.
     Returns (states in trajectory-major order, sizes, labels)."""
-    from chainmix.model_core import _categorical, as_rng
+    from chainmix.model_core import as_rng
 
     rng = as_rng(seed)
     k, s = params.k, params.s
     work = (np.empty(n), np.empty(n), np.empty(n, dtype=bool))
     rows = np.zeros(n, dtype=np.int64)
-    z = _categorical(rng, np.cumsum(params.mu)[:, None], rows,
-                     np.empty(n, dtype=np.int64), *work)
+    z = _reference_categorical(rng, np.cumsum(params.mu)[:, None], rows,
+                               np.empty(n, dtype=np.int64), *work)
     states = np.empty((n, t + 1), dtype=np.int64)
-    prev = _categorical(rng, np.cumsum(params.nu, axis=1).T, z,
-                        np.empty(n, dtype=np.int64), *work)
+    prev = _reference_categorical(rng, np.cumsum(params.nu, axis=1).T, z,
+                                  np.empty(n, dtype=np.int64), *work)
     states[:, 0] = prev
     cum_P = np.ascontiguousarray(np.cumsum(params.P, axis=2).reshape(k * s, s).T)
     base = z * s
     for step in range(t):
         np.add(base, prev, out=rows)
-        states[:, step + 1] = _categorical(rng, cum_P, rows, prev, *work)
+        states[:, step + 1] = _reference_categorical(rng, cum_P, rows, prev, *work)
     return states.ravel(), np.full(n, t + 1), z
 
 

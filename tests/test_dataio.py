@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -438,9 +439,11 @@ class TestSpectralModelJson:
             dataio.read_spectral_model(path)
 
     @pytest.mark.parametrize("changes, text", [
-        ({"kernel": {"name": "gaussian"}}, "sigma must be a number, not None"),
-        ({"kernel": "gaussian"}, "unknown kernel spec 'gaussian'"),
-        ({"kernel": {"name": "gaussian", "sigma": "wide"}}, "sigma must be a number, not 'wide'"),
+        # the kernel's errors name the file, as the field errors do
+        ({"kernel": {"name": "gaussian"}}, "^PATH: sigma must be a number, not None$"),
+        ({"kernel": "gaussian"}, "^PATH: unknown kernel spec 'gaussian'$"),
+        ({"kernel": {"name": "gaussian", "sigma": "wide"}},
+         "^PATH: sigma must be a number, not 'wide'$"),
         ({"nystrom_alpha": "q"}, "field 'nystrom_alpha' must be an array of numbers"),
         ({"nystrom_alpha": [[1.0, 0.0], [0.0, 1.0]]},
          r"nystrom_alpha must be \(r, 3\) for 3 training points, not \(2, 2\)"),
@@ -449,14 +452,17 @@ class TestSpectralModelJson:
         ({"nystrom_alpha": [[float("nan"), 0.0, 0.0], [0.0, 1.0, 0.0]]},
          "nystrom_alpha must be finite"),
         ({"centers": [[0.0, 0.0], [float("inf"), 1.0]]}, "centers must be finite"),
-        ({"kernel": {"name": "gaussian", "sigma": float("inf")}}, "sigma must be finite and positive"),
+        ({"kernel": {"name": "gaussian", "sigma": float("inf")}},
+         "^PATH: sigma must be finite and positive$"),
+        ({"kernel": {"name": "gaussian", "sigma": 1e300}},
+         r"^PATH: sigma must be positive, with 0 < 2 sigma\^2 < inf, not 1e\+300$"),
     ], ids=["kernel-without-sigma", "kernel-not-an-object", "sigma-not-a-number",
             "alpha-not-numeric", "alpha-columns", "alpha-rows", "centers-columns",
-            "alpha-not-finite", "centers-not-finite", "sigma-infinite"])
+            "alpha-not-finite", "centers-not-finite", "sigma-infinite", "sigma-squared-overflows"])
     def test_malformed_model_rejected(self, tmp_path, changes, text):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(self._payload(**changes)))
-        with pytest.raises(ValidationError, match=text):
+        with pytest.raises(ValidationError, match=text.replace("PATH", re.escape(str(path)))):
             dataio.read_spectral_model(path)
         path.write_text(json.dumps(self._payload()))
         model = dataio.read_spectral_model(path)

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,8 +193,12 @@ class TestSampleMixture:
         (3, 4, 1, 9),  # n=1
         (1, 1, 6, 5),
         (1, 8, 40, 12),
+        (1, 3, 25, 7),  # k=1: the label table is a (0, 1) block
+        (10, 2, 60, 9),  # more components than states
         (4, 3, 100, 30),  # the fig2 shape
         (4, 5, 20000, 100),  # the large-n-em shape
+        (2, 256, 300, 20),  # the largest s whose states fit in uint8
+        (2, 257, 300, 20),  # the time-major buffer widens to uint16
     ])
     def test_matches_column_major_reference(self, k, s, n, t):
         # the time-major sampler draws the column-major loop's states, sizes and labels
@@ -205,6 +210,20 @@ class TestSampleMixture:
         assert np.array_equal(data.sizes, sizes)
         assert np.array_equal(z, labels)
         assert data.states.dtype == np.int64 and data.states.flags.c_contiguous
+
+    def test_traced_peak_memory_bounded(self):
+        # the uint8 time-major buffer and the int64 states it is copied into
+        # are the most that is live: about 1.22 times the states' bytes (2.06
+        # with an int64 time-major buffer)
+        params = random_mixture_params(4, 5, seed=7)
+        sample_mixture(params, 20, 5, seed=8)  # warm-up
+        tracemalloc.start()
+        try:
+            data, _ = sample_mixture(params, 2000, 100, seed=9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * data.states.nbytes
 
     @pytest.mark.parametrize("k, s, seed, labels, states, next_draw", _SAMPLER_GOLDEN)
     def test_seeded_outputs_pinned(self, k, s, seed, labels, states, next_draw):
@@ -297,6 +316,37 @@ class TestSufficientStats:
         slow = sufficient_stats(ds_mixed)
         assert np.array_equal(slow.U[:2], fast.U)
         assert np.array_equal(slow.V[:2], fast.V)
+
+    @pytest.mark.parametrize("n, t", [(1, 0), (1, 6), (9, 0), (9, 1), (40, 12)])
+    @pytest.mark.parametrize("extra", [1, 3, 20])
+    def test_equal_length_block_matches_ragged_path(self, n, t, extra):
+        # one more trajectory of another length sends the same data down the
+        # ragged path; its first n rows must be what the (n, L) block gave
+        length = extra + (extra == t + 1)  # another length than the n trajectories'
+        data, _ = sample_mixture(random_mixture_params(3, 4, seed=n + t), n, t, seed=extra)
+        ragged = TrajectoryDataset(data.trajectories + (np.arange(length) % 4,), s=4)
+        assert data._as_block() is not None and ragged._as_block() is None
+        assert np.array_equal(sufficient_stats(ragged).X[:n], sufficient_stats(data).X)
+        assert len(data.trajectories) == n
+        for view, other in zip(data.trajectories, ragged.trajectories):
+            assert np.array_equal(view, other)
+            assert np.shares_memory(view, data.states) and not view.flags.writeable
+
+    def test_traced_peak_memory_bounded(self):
+        # the states, the (n, L - 1) pair codes and the counts are the most
+        # that is live: about 2.29 times the states' bytes, the states
+        # included (3.08 with a per-state offset array beside the codes)
+        params = random_mixture_params(4, 5, seed=7)
+        sufficient_stats(sample_mixture(params, 20, 5, seed=8)[0])  # warm-up
+        tracemalloc.start()
+        try:
+            data, _ = sample_mixture(params, 2000, 100, seed=9)
+            tracemalloc.reset_peak()
+            sufficient_stats(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * data.states.nbytes
 
     def test_ragged_matches_per_trajectory_counts(self):
         rng = np.random.default_rng(5)
@@ -656,10 +706,9 @@ _REAL_ARGUMENTS = {
         MisaParams(f_r=1.0), t_end=2.0, sample_interval=v, burn_in=1.0, seed=0)),
     "misa_simulate-burn_in": ("burn_in", False, 1, lambda v: misa_simulate(
         MisaParams(f_r=1.0), t_end=2.0, burn_in=v, seed=0)),
-    # each population's rate is its MisaParams' f_r
-    "misa_mixture_experiment-f_r_1": ("rate f_r", True, 1, lambda v: (
+    "misa_mixture_experiment-f_r_1": ("f_r_1", True, 1, lambda v: (
         misa_mixture_experiment(v, 0.25, **_MISA))),
-    "misa_mixture_experiment-f_r_2": ("rate f_r", True, 1, lambda v: (
+    "misa_mixture_experiment-f_r_2": ("f_r_2", True, 1, lambda v: (
         misa_mixture_experiment(0.01, v, **_MISA))),
     "misa_mixture_experiment-sigma": ("sigma", True, 50, lambda v: (
         misa_mixture_experiment(0.01, 0.25, **{**_MISA, "sigma": v}))),
