@@ -27,6 +27,12 @@ from .errors import NumericalError, ValidationError
 # produced internally (normalized counts) are exact to a few ulp.
 _SUM_TOL = 1e-9
 
+# A categorical draw compares the uniform variates with the cumulative table
+# in blocks of this many columns, so its work buffers hold 9 bytes per
+# trajectory per column whatever the number of states (s = 5, the benchmark's
+# shape, is one block).
+_DRAW_BLOCK_COLUMNS = 4
+
 
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -180,10 +186,11 @@ class TrajectoryDataset:
             raise ValidationError(
                 f"sizes sum to {sizes.sum()} but there are {states.size} states"
             )
-        lo, hi = int(states.min()), int(states.max())
-        if lo < 0 or hi >= self.s:
+        # one pass: read as unsigned, a negative state is at least 2**63
+        if states.view(np.uint64).max() >= min(self.s, 2**63):
             raise ValidationError(
-                f"state indices must lie in [0, {self.s}); found range [{lo}, {hi}]"
+                f"state indices must lie in [0, {self.s}); "
+                f"found range [{states.min()}, {states.max()}]"
             )
         object.__setattr__(self, "states", _freeze(states))
         object.__setattr__(self, "sizes", _freeze(sizes))
@@ -191,20 +198,8 @@ class TrajectoryDataset:
     @cached_property
     def trajectories(self) -> tuple:
         """Read-only views into `states`, one per trajectory; built on first use."""
-        block = self._as_block()
-        if block is not None:
-            return tuple(block)
         ends = np.cumsum(self.sizes).tolist()
         return tuple(self.states[a:b] for a, b in zip([0] + ends[:-1], ends))
-
-    def _as_block(self):
-        """`states` viewed as an (n, L) block when every trajectory has length
-        L, else None.  Every simulator and preset draws equal lengths, so this
-        block is the common case; only trajectory files can be ragged."""
-        sizes = self.sizes
-        if sizes.min() != sizes.max():
-            return None
-        return self.states.reshape(sizes.size, -1)
 
     @property
     def n(self) -> int:
@@ -408,21 +403,30 @@ def _categorical(rng, table, rows, out, u, gathered, hit) -> np.ndarray:
     draw is the number of those columns that a uniform variate reaches.
     Cumulative rows never decrease, so this is the index itself, and a
     variate above a row total that rounding left short of 1 still picks the
-    last index.  One `rng.random` fill of `u` per call, then one gather, one
-    comparison and one column sum over the whole block.
+    last index.  One `rng.random` fill of `u` per call, then, for each block
+    of up to `len(gathered)` columns, one gather, one comparison and one
+    column sum; a table of no columns is one empty block, which draws 0.
 
     The draw is written into `out`, in its dtype, which is returned.  `u`
-    (n,), `gathered` and `hit` (columns, n) are work buffers owned by the
-    caller and overwritten here.  Every row index is in range, so the
-    clipping gather never clips; it is used because `take` with `out=`
-    buffers its result in the default "raise" mode.  The method, not
+    (n,), `gathered` and `hit` (at least one block row, n) are work buffers
+    owned by the caller and overwritten here.  Every row index is in range,
+    so the clipping gather never clips; it is used because `take` with
+    `out=` buffers its result in the default "raise" mode.  The method, not
     `np.take`, is called: the function adds about 1 µs of Python per call,
     which small n would feel.
     """
     rng.random(out=u)
-    table.take(rows, axis=1, out=gathered, mode="clip")
-    np.greater_equal(u, gathered, out=hit)
-    return np.add.reduce(hit, axis=0, out=out, dtype=out.dtype)
+    width = len(gathered)
+    for lo in range(0, max(len(table), 1), width):
+        block = table[lo:lo + width]
+        g, h = gathered[:len(block)], hit[:len(block)]
+        block.take(rows, axis=1, out=g, mode="clip")
+        np.greater_equal(u, g, out=h)
+        if lo:
+            out += np.add.reduce(h, axis=0, dtype=out.dtype)
+        else:
+            np.add.reduce(h, axis=0, out=out, dtype=out.dtype)
+    return out
 
 
 def sample_mixture(params: MixtureParams, n: int, t: int, seed=None):
@@ -431,28 +435,28 @@ def sample_mixture(params: MixtureParams, n: int, t: int, seed=None):
     Returns (TrajectoryDataset, labels) where labels[n] is the true latent
     component of trajectory n.  Deterministic given `seed`.
 
-    The work arrays (row indices, uniforms, and a (columns, n) gathered
-    block and comparison mask) are allocated once per call and reused at
-    every step.  The states are drawn time-major into a (t + 1, n) array of
-    the narrowest unsigned dtype that holds s - 1 (uint8 for s <= 256), so
-    each step writes one contiguous row and reads the previous one; one
-    transposing copy then widens them into the int64 array that holds them
-    trajectory after trajectory.  Only the returned states and labels
-    outlive the call.
+    The work arrays (row indices, uniforms, and a gathered block and
+    comparison mask of at most `_DRAW_BLOCK_COLUMNS` rows of n) are
+    allocated once per call and reused at every step.  The states are drawn
+    time-major into a (t + 1, n) array of the narrowest unsigned dtype that
+    holds s - 1 (uint8 for s <= 256), so each step writes one contiguous row
+    and reads the previous one; one transposing copy then widens them into
+    the int64 array that holds them trajectory after trajectory.  Only the
+    returned states and labels outlive the call.
     """
     check_int(n, "n", 1)
     check_int(t, "t", 0)
     rng = as_rng(seed)
     k, s = params.k, params.s
     u = np.empty(n)
-    gathered = np.empty((max(k, s) - 1, n))
+    gathered = np.empty((min(max(k, s, 2) - 1, _DRAW_BLOCK_COLUMNS), n))
     hit = np.empty(gathered.shape, dtype=bool)
+    work = (u, gathered, hit)
 
     rows = np.zeros(n, dtype=np.int64)  # mu is a table of one row
     z = _categorical(rng, np.cumsum(params.mu)[:-1, None], rows,
-                     np.empty(n, dtype=np.int64), u, gathered[:k - 1], hit[:k - 1])
+                     np.empty(n, dtype=np.int64), *work)
 
-    work = (u, gathered[:s - 1], hit[:s - 1])
     # steps[j, m]: state j of trajectory m, in the narrowest dtype that holds s - 1
     steps = np.empty((t + 1, n), dtype=np.min_scalar_type(s - 1))
     _categorical(rng, np.cumsum(params.nu, axis=1)[:, :-1].T, z, steps[0], *work)
@@ -481,18 +485,19 @@ def sufficient_stats(data: TrajectoryDataset) -> SufficientStats:
     trajectories go to one extra bin that is dropped.
     """
     n, s = data.n, data.s
+    states, sizes = data.states, data.sizes
     bins = n * s * s
     U = np.zeros((n, s), dtype=np.float64)
-    block = data._as_block()
     # in-place updates keep the peak at the states, the codes and, for ragged
-    # data only, the per-state offsets
-    if block is not None:
+    # data only, the per-state offsets.  Every simulator and preset draws
+    # equal lengths, so the block is the common case; only files are ragged.
+    if sizes.min() == sizes.max():
+        block = states.reshape(n, -1)
         U[np.arange(n), block[:, 0]] = 1.0
         codes = block[:, :-1] * s
         codes += block[:, 1:]
         codes += (np.arange(n) * (s * s))[:, None]
     else:
-        states, sizes = data.states, data.sizes
         starts = np.cumsum(sizes) - sizes
         U[np.arange(n), states[starts]] = 1.0
         codes = states[:-1] * s

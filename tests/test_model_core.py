@@ -77,10 +77,18 @@ class TestTrajectoryDataset:
         assert ds.zero_transition_indices == (1,)
 
     def test_state_out_of_range(self):
-        with pytest.raises(ValidationError):
-            TrajectoryDataset(([0, 3],), s=3)
-        with pytest.raises(ValidationError):
-            TrajectoryDataset(([-1, 0],), s=2)
+        for states, s, found in [
+            ([0, 3], 3, "[0, 3]"), ([-1, 0], 2, "[-1, 0]"),
+            ([1, -2**63, 0], np.int64(2), "[-9223372036854775808, 1]"),
+            ([0, -5], 2**70, "[-5, 0]"),  # every int64 state is below s, but not above 0
+        ]:
+            text = re.escape(f"state indices must lie in [0, {s}); found range {found}")
+            with pytest.raises(ValidationError, match=text):
+                TrajectoryDataset((states,), s=s)
+            # a strided int64 view takes the same check
+            flat = np.repeat(np.array(states, dtype=np.int64), 2)[::2]
+            with pytest.raises(ValidationError, match=text):
+                TrajectoryDataset.from_flat(flat, [len(states)], s=s)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -195,6 +203,8 @@ class TestSampleMixture:
         (1, 8, 40, 12),
         (1, 3, 25, 7),  # k=1: the label table is a (0, 1) block
         (10, 2, 60, 9),  # more components than states
+        (9, 2, 50, 8),  # the label table is two full blocks of columns
+        (2, 6, 80, 10),  # a full block of columns and a block of one
         (4, 3, 100, 30),  # the fig2 shape
         (4, 5, 20000, 100),  # the large-n-em shape
         (2, 256, 300, 20),  # the largest s whose states fit in uint8
@@ -211,19 +221,28 @@ class TestSampleMixture:
         assert np.array_equal(z, labels)
         assert data.states.dtype == np.int64 and data.states.flags.c_contiguous
 
-    def test_traced_peak_memory_bounded(self):
+    @pytest.mark.parametrize("k, s, n, t, bound", [
         # the uint8 time-major buffer and the int64 states it is copied into
         # are the most that is live: about 1.22 times the states' bytes (2.06
         # with an int64 time-major buffer)
-        params = random_mixture_params(4, 5, seed=7)
+        (4, 5, 2000, 100, 1.3),
+        # short trajectories over many states: the work buffers (about 80
+        # bytes per trajectory, as they hold at most `_DRAW_BLOCK_COLUMNS`
+        # columns) and the 0.5 MB cumulative tables weigh in, about 3.28
+        # times (3.59 with the per-column loop, about 50 with a work block
+        # of all 255 columns)
+        (1, 256, 20000, 5, 3.5),
+    ])
+    def test_traced_peak_memory_bounded(self, k, s, n, t, bound):
+        params = random_mixture_params(k, s, seed=7)
         sample_mixture(params, 20, 5, seed=8)  # warm-up
         tracemalloc.start()
         try:
-            data, _ = sample_mixture(params, 2000, 100, seed=9)
+            data, _ = sample_mixture(params, n, t, seed=9)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.3 * data.states.nbytes
+        assert peak <= bound * data.states.nbytes
 
     @pytest.mark.parametrize("k, s, seed, labels, states, next_draw", _SAMPLER_GOLDEN)
     def test_seeded_outputs_pinned(self, k, s, seed, labels, states, next_draw):
@@ -325,7 +344,7 @@ class TestSufficientStats:
         length = extra + (extra == t + 1)  # another length than the n trajectories'
         data, _ = sample_mixture(random_mixture_params(3, 4, seed=n + t), n, t, seed=extra)
         ragged = TrajectoryDataset(data.trajectories + (np.arange(length) % 4,), s=4)
-        assert data._as_block() is not None and ragged._as_block() is None
+        assert np.ptp(data.sizes) == 0 and np.ptp(ragged.sizes) > 0
         assert np.array_equal(sufficient_stats(ragged).X[:n], sufficient_stats(data).X)
         assert len(data.trajectories) == n
         for view, other in zip(data.trajectories, ragged.trajectories):
