@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model_core import TrajectoryDataset, as_rng, check_int, check_real
+from .model_core import TrajectoryDataset, as_rng, check_int, check_real, check_reals
 
 # The Nystrom extension embeds points in row blocks whose kernel block against
 # the training points holds at most this many entries (1 MB of float64): memory
@@ -33,11 +33,9 @@ class PointSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[0] < 1:
+        pts = check_reals(self.points, "points", 2)
+        if pts.shape[0] < 1:
             raise ValidationError("points must form a nonempty (M, D) array")
-        if not np.all(np.isfinite(pts)):
-            raise ValidationError("points must be finite")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -52,7 +50,7 @@ class PointSet:
 def _as_points(points) -> np.ndarray:
     if isinstance(points, PointSet):
         return points.points
-    return PointSet(np.asarray(points)).points
+    return PointSet(points).points
 
 
 @dataclass(frozen=True)
@@ -162,17 +160,14 @@ class SpectralModel:
 
     def __post_init__(self):
         points = _as_points(self.points)
-        alpha = np.asarray(self.alpha, dtype=np.float64)
-        centers = np.asarray(self.centers, dtype=np.float64)
+        alpha = check_reals(self.alpha, "nystrom_alpha", 2)
+        centers = check_reals(self.centers, "centers", 2)
         m = points.shape[0]
-        if alpha.ndim != 2 or alpha.shape[1] != m:
+        if alpha.shape[1] != m:
             raise ValidationError(f"nystrom_alpha must be (r, {m}) for {m} training points, not {alpha.shape}")
         r = alpha.shape[0]
-        if centers.ndim != 2 or centers.shape[0] < 1 or centers.shape[1] != r:
+        if centers.shape[0] < 1 or centers.shape[1] != r:
             raise ValidationError(f"centers must be (s >= 1, {r}) for r = {r}, not {centers.shape}")
-        for name, arr in (("nystrom_alpha", alpha), ("centers", centers)):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"{name} must be finite")
         for name, arr in (("points", points), ("alpha", alpha), ("centers", centers)):
             object.__setattr__(self, name, arr)
 
@@ -303,15 +298,13 @@ def spectral_assign(model: SpectralModel, points) -> np.ndarray:
 def discretize_trajectories(model: SpectralModel, trajectories) -> TrajectoryDataset:
     """Map continuous trajectories (uniformly sampled in time) to state sequences.
 
-    Each trajectory is checked to be a (T+1, D) array, then the points of all
+    Each trajectory is checked to be a finite (T+1, D) array, then the points of all
     trajectories are assigned together (`spectral_assign`), so an isolated
     point's ValidationError numbers the points in order across all
     trajectories.
     """
-    parts = [np.asarray(traj, dtype=np.float64) for traj in trajectories]
+    parts = [check_reals(traj, f"trajectory {i}", 2) for i, traj in enumerate(trajectories)]
     for part in parts:
-        if part.ndim != 2:
-            raise ValidationError("each trajectory must be a (T+1, D) array")
         _check_dimension(model, part)
     sizes = np.array([part.shape[0] for part in parts], dtype=np.int64)
     # with no points, TrajectoryDataset names the empty trajectory

@@ -20,7 +20,7 @@ import numpy as np
 from .clustering import GaussianKernel, SpectralModel
 from .errors import ValidationError
 from .model_core import (FitResult, MixtureParams, Responsibilities, TrajectoryDataset,
-                         check_int)
+                         check_int, check_reals)
 from .theory import KlReport
 from .vem import DirichletPosterior
 
@@ -208,22 +208,14 @@ def read_json_object(path, what: str) -> dict:
 
 def _read_fields(path, what: str, keys, arrays) -> dict:
     """`read_json_object`, which must also hold every field named in `keys`
-    and in `arrays`.  The fields named in `arrays` come back as float64
-    arrays; one that is not a number or an evenly nested list of numbers
-    raises ValidationError naming the file and the field."""
+    and in `arrays`, a {field: ndim} map.  Those fields come back as finite
+    float64 arrays of their ndim (`check_reals`, naming the file and field)."""
     payload = read_json_object(path, what)
     for key in (*keys, *arrays):
         if key not in payload:
             raise ValidationError(f"{path}: missing field {key!r}")
-    for key in arrays:
-        try:
-            value = np.asarray(payload[key])
-            numeric = value.dtype.kind in "iuf"
-        except ValueError:  # lists nested to uneven depths or lengths
-            numeric = False
-        if not numeric:
-            raise ValidationError(f"{what} {path}: field {key!r} must be an array of numbers")
-        payload[key] = value.astype(np.float64, copy=False)
+    for key, ndim in arrays.items():
+        payload[key] = check_reals(payload[key], f"{what} {path}: field {key!r}", ndim)
     return payload
 
 
@@ -235,7 +227,7 @@ def write_json(path, payload, indent=None):
 
 
 def read_params(path) -> MixtureParams:
-    payload = _read_fields(path, "model file", ("k", "s"), ("mu", "nu", "P"))
+    payload = _read_fields(path, "model file", ("k", "s"), {"mu": 1, "nu": 2, "P": 3})
     params = MixtureParams(mu=payload["mu"], nu=payload["nu"], P=payload["P"])
     k = check_int(payload["k"], f"{path}: declared k", 1)
     s = check_int(payload["s"], f"{path}: declared s", 1)
@@ -268,8 +260,8 @@ def write_posterior(path, fit: FitResult):
 
 def read_posterior(path):
     """Returns (DirichletPosterior, Responsibilities, elbo_trace array)."""
-    payload = _read_fields(path, "posterior file", (), (
-        "N_hat", "N_i_hat", "N_ialpha_hat", "responsibilities", "elbo_trace"))
+    payload = _read_fields(path, "posterior file", (), {
+        "N_hat": 1, "N_i_hat": 2, "N_ialpha_hat": 3, "responsibilities": 2, "elbo_trace": 1})
     responsibilities = Responsibilities(payload["responsibilities"])
     posterior = DirichletPosterior(
         n_hat=payload["N_hat"],
@@ -374,7 +366,7 @@ def write_spectral_model(path, model: SpectralModel):
 def read_spectral_model(path) -> SpectralModel:
     """The model `write_spectral_model` wrote, read without evaluating its kernel."""
     payload = _read_fields(path, "spectral model file", ("kernel",),
-                           ("training_points", "nystrom_alpha", "centers"))
+                           {"training_points": 2, "nystrom_alpha": 2, "centers": 2})
     spec = payload["kernel"]
     if not (isinstance(spec, dict) and spec.get("name") == "gaussian"):
         raise ValidationError(f"{path}: unknown kernel spec {spec!r}")

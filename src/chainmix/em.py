@@ -71,18 +71,19 @@ def em_fit(stats: SufficientStats, init: Responsibilities, config: EmConfig) -> 
     k, s = config.k, stats.s
     stack = _ParameterStack(k, s)
     # mu, then per component nu_i and the rows of P_i; the fit's params view it
-    theta, positive = np.empty_like(stack.entries), np.ones(stack.entries.size, dtype=bool)
-    row_totals, row_positive = stack.gathered[k:], positive[k:]  # mu: weights over their total
+    theta = np.empty_like(stack.entries)
+    theta_mu, theta_rows, row_totals = theta[:k], theta[k:].reshape(-1, s), stack.totals[1:, None]
+    row_positive = np.empty(row_totals.shape, dtype=bool)
     e_step, scratch = np.empty((k, stats.n)), np.empty((2, stats.n))
 
     def step(it):
         # each entry over its total; a row that no trajectory reaches is
         # likelihood-equivalent to any other, and uniform is the symmetric choice
-        gathered = stack.gather(stack.totals)
         np.greater(row_totals, 0.0, out=row_positive)
-        theta.fill(1.0 / s)
+        theta_rows.fill(1.0 / s)
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(stack.entries, gathered, out=theta, where=positive)
+            np.divide(stack.weights, stack.totals[:1], out=theta_mu)
+            np.divide(stack.rows, row_totals, out=theta_rows, where=row_positive)
             np.log(theta, out=stack.log_theta)
         logw = log_mixture_weights(stack.log_mu, stack.log_params, stats, e_step)
         gamma, log_c = log_normalize_rows(logw, scratch)

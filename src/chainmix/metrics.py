@@ -26,6 +26,11 @@ import numpy as np
 from .errors import ValidationError
 from .model_core import _as_states
 
+# Every label lies below this, so the padded size of a match or a table is at
+# most it: a table holds at most 2**20 int64 counts (8 MB), where a label near
+# 5 * 10**4 would ask for about 20 GB.
+_LABEL_BOUND = 2**10
+
 
 def _as_labels(x, name):
     arr = np.asarray(x)
@@ -34,6 +39,8 @@ def _as_labels(x, name):
     arr, _ = _as_states(arr)
     if arr is None or arr.min() < 0:
         raise ValidationError(f"{name} must be nonnegative integers")
+    if arr.max() >= _LABEL_BOUND:
+        raise ValidationError(f"{name} must be below {_LABEL_BOUND}")
     return arr
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +60,24 @@ def check_real(value, name, positive):
         side = "positive" if positive else "nonnegative"
         raise ValidationError(f"{name} must be finite and {side}")
     return value
+
+
+def check_reals(values, name, ndim):
+    """`values` as a float64 array of `ndim` dimensions with every entry finite,
+    not copied if it is one, else ValidationError naming `name`: every real-valued
+    array the library takes.  Integer and float input only; no bool or complex."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # lists nested to uneven depths or lengths
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must be an array of numbers")
+    if arr.ndim != ndim:
+        raise ValidationError(f"{name} must be a {ndim}-D array, not {arr.ndim}-D")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must be finite")
+    return arr
 
 
 def check_seed(seed, *kinds):
@@ -237,11 +255,8 @@ class MixtureParams:
     P: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64)
-        nu = np.asarray(self.nu, dtype=np.float64)
-        P = np.asarray(self.P, dtype=np.float64)
-        if mu.ndim != 1 or nu.ndim != 2 or P.ndim != 3:
-            raise ValidationError("expected shapes mu:(k,), nu:(k,s), P:(k,s,s)")
+        mu, nu, P = (check_reals(self.mu, "mu", 1), check_reals(self.nu, "nu", 2),
+                     check_reals(self.P, "P", 3))
         k = mu.shape[0]
         s = nu.shape[1]
         if nu.shape[0] != k or P.shape != (k, s, s):
@@ -249,8 +264,6 @@ class MixtureParams:
                 f"inconsistent shapes: mu {mu.shape}, nu {nu.shape}, P {P.shape}"
             )
         for name, arr in (("mu", mu), ("nu", nu), ("P", P)):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"{name} contains non-finite entries")
             if np.any(arr < 0):
                 raise ValidationError(f"{name} contains negative entries")
         if abs(mu.sum() - 1.0) > _SUM_TOL:
@@ -345,10 +358,7 @@ class Responsibilities:
     gamma: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=np.float64)
-        if g.ndim != 2:
-            raise ValidationError("gamma must be a 2-D (N, k) array")
-        # written so that a NaN entry fails too
+        g = check_reals(self.gamma, "gamma", 2)
         if not np.all((g >= 0) & (g <= 1 + 1e-12)):
             raise ValidationError("gamma entries must lie in [0, 1]")
         if np.any(np.abs(g.sum(axis=1) - 1.0) > _SUM_TOL):
@@ -554,7 +564,10 @@ def log_mixture_weights(log_mu, log_theta, stats: SufficientStats, out=None) -> 
     neg_inf = np.isneginf(log_theta)
     w = np.matmul(np.where(neg_inf, 0.0, log_theta), stats.X.T, out=out).T
     w += log_mu
-    w[(stats.X > 0) @ neg_inf.T] = -np.inf
+    # X holds nonnegative whole counts: a -inf entry is hit where this BLAS product
+    # is positive (an unvalidated infinite count makes a NaN, which hits nothing)
+    with np.errstate(invalid="ignore"):
+        w[np.matmul(neg_inf.astype(np.float64), stats.X.T).T > 0] = -np.inf
     return w
 
 
@@ -597,15 +610,6 @@ def log_normalize_rows(logw: np.ndarray, scratch=None):
     return gamma, log_norms
 
 
-@lru_cache(maxsize=64)
-def _stack_owner(k: int, s: int) -> np.ndarray:
-    """owner[e], the index of entry e's total among the totals; shared, so read-only."""
-    groups = k * (s + 1)
-    owner = np.repeat(np.arange(groups + 1), [k] + [s] * groups)
-    owner.flags.writeable = False
-    return owner
-
-
 class _ParameterStack:
     """One fit's M-step buffer: the counts both algorithms build from gamma.
 
@@ -613,24 +617,23 @@ class _ParameterStack:
     k*(s+1) row totals]: every parameter entry (`entries`), then every
     total (`totals`).  The counts are laid out like the columns of X, so
     their rows of s (`rows`) are, per component, nu_i's and then P_i's
-    rows.  `owner[e]` indexes entry e's total among the totals and
-    `prior[e]` is its prior: none for EM, the Dirichlet prior for
-    variational EM.  `fill` writes sum(gamma) and gamma^T X plus the prior,
-    then the totals; each algorithm links the stack to the log parameters
-    in `log_theta`, laid out like the entries.  One fit allocates these
-    buffers and every iteration overwrites them.
+    rows; `totals[:1]` is the weights' total and `totals[1:, None]` the
+    rows' totals, in `rows` order.  `prior[e]` is entry e's prior: none for
+    EM, the Dirichlet prior for variational EM.  `fill` writes sum(gamma)
+    and gamma^T X plus the prior, then the totals; each algorithm links the
+    stack to the log parameters in `log_theta`, laid out like the entries.
+    One fit allocates these buffers and every iteration overwrites them.
     """
 
     def __init__(self, k: int, s: int, weight_prior: float = 0.0, count_prior: float = 0.0):
         entries = k * (1 + s + s * s)
         self.prior = np.repeat([weight_prior, count_prior], [k, entries - k])
-        self.owner = _stack_owner(k, s).copy()  # `take` copies a read-only index array per call
         self.values = np.empty(entries + 1 + k * (s + 1))
         self.entries, self.totals = self.values[:entries], self.values[entries:]
         self.weights = self.values[:k]
         self.counts = self.values[k:entries].reshape(k, -1)
         self.rows = self.counts.reshape(-1, s)
-        self.gathered, self.log_theta = np.empty(entries), np.empty(entries)
+        self.log_theta = np.empty(entries)
         self.log_mu, self.log_params = self.log_theta[:k], self.log_theta[k:].reshape(k, -1)
 
     def fill(self, gamma: np.ndarray, X: np.ndarray):
@@ -639,11 +642,6 @@ class _ParameterStack:
         np.add(self.entries, self.prior, out=self.entries)
         self.totals[0] = np.add.reduce(self.weights)
         np.add.reduce(self.rows, axis=1, out=self.totals[1:])
-
-    def gather(self, totals: np.ndarray) -> np.ndarray:
-        """Each entry's value of `totals` (shaped like the totals), in `gathered`;
-        "clip" never clips here, and "raise" would buffer the `out=` write."""
-        return totals.take(self.owner, out=self.gathered, mode="clip")
 
 
 def coordinate_ascent(stats: SufficientStats, init: Responsibilities,

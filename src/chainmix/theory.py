@@ -21,6 +21,7 @@ from .model_core import (
     MixtureParams,
     TrajectoryDataset,
     check_int,
+    check_reals,
     labels_from_responsibilities,
     log_mixture_weights,
     log_normalize_rows,
@@ -145,8 +146,8 @@ def stationary_distribution(transition: np.ndarray, tol: float = 1e-12,
     (periodic or otherwise non-convergent chains are reported, not
     regularized).
     """
-    P = np.asarray(transition, dtype=np.float64)
-    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.size == 0:
+    P = check_reals(transition, "transition", 2)
+    if P.shape[0] != P.shape[1] or P.size == 0:
         raise ValidationError(f"transition matrix must be square (s, s), not {P.shape}")
     return _stationary_measures(P[None], tol, max_iters)[0]
 

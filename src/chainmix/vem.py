@@ -25,6 +25,7 @@ from .model_core import (
     _ParameterStack,
     check_int,
     check_real,
+    check_reals,
     coordinate_ascent,
     labels_from_responsibilities,
     log_mixture_weights,
@@ -63,14 +64,12 @@ class DirichletPosterior:
     n_ialpha_hat: np.ndarray
 
     def __post_init__(self):
-        n_hat = np.asarray(self.n_hat, dtype=np.float64)
-        n_i = np.asarray(self.n_i_hat, dtype=np.float64)
-        n_ia = np.asarray(self.n_ialpha_hat, dtype=np.float64)
+        n_hat = check_reals(self.n_hat, "n_hat", 1)
+        n_i = check_reals(self.n_i_hat, "n_i_hat", 2)
+        n_ia = check_reals(self.n_ialpha_hat, "n_ialpha_hat", 3)
         k = n_hat.shape[0]
-        if n_i.ndim != 2 or n_i.shape[0] != k or n_ia.shape != n_i.shape + (n_i.shape[1],):
+        if n_i.shape[0] != k or n_ia.shape != n_i.shape + (n_i.shape[1],):
             raise ValidationError("inconsistent posterior parameter shapes")
-        if not all(np.all(np.isfinite(a)) for a in (n_hat, n_i, n_ia)):
-            raise ValidationError("posterior parameters must be finite")
         if np.any(n_hat < 1.0 / k - 1e-9):
             raise ValidationError("n_hat entries must stay at or above the 1/k prior floor")
         if np.any(n_i < 1.0 - 1e-9) or np.any(n_ia < 1.0 - 1e-9):
@@ -139,11 +138,15 @@ def vem_fit(stats: SufficientStats, init: Responsibilities,
     stack = _ParameterStack(k, s, weight_prior=1.0 / k, count_prior=1.0)
     log_b_prior = float(k * gammaln(1.0 / k) - k * (s + 1) * gammaln(float(s)))
     work, n = np.empty_like(stack.values), stack.entries.size
+    psi_mu, psi_total = work[:k], work[n:n + 1]  # views of the stack's digamma
+    psi_rows, psi_row_totals = work[k:n].reshape(-1, s), work[n + 1:, None]
+    log_rows = stack.log_params.reshape(-1, s)
     e_step, scratch = np.empty((k, stats.n)), np.empty((2, stats.n))
 
     def step(it):
-        psi = digamma(stack.values, out=work)  # `_elbo_value` overwrites work after
-        np.subtract(psi[:n], stack.gather(psi[n:]), out=stack.log_theta)
+        digamma(stack.values, out=work)  # `_elbo_value` overwrites work after
+        np.subtract(psi_mu, psi_total, out=stack.log_mu)
+        np.subtract(psi_rows, psi_row_totals, out=log_rows)
         logw = log_mixture_weights(stack.log_mu, stack.log_params, stats, e_step)
         gamma, log_c = log_normalize_rows(logw, scratch)
         return gamma, _elbo_value(stack, log_b_prior, log_c, work)

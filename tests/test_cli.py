@@ -807,6 +807,8 @@ _NOT_UTF8 = b"\xff\xfe\xfd\n"  # bytes that never occur in UTF-8
      "tol_scale must be finite and nonnegative"),
     (("fit", "--input", "traj.txt", "--labels", "labels.txt"), {"labels.txt": b"0\n" + _NOT_UTF8},
      "labels.txt:2: invalid label token"),
+    (("fit", "--input", "traj.txt", "--labels", "labels.txt"),
+     {"labels.txt": b"0\n99999999999\n"}, "true_labels must be below 1024"),
     (("cluster", "--points", "points.csv", "--s", "2"), {"points.csv": b"0,0\n1," + _NOT_UTF8},
      "points.csv:2: "),
     (("bound", "--model", "model.json", "--t-len", "3"), {"model.json": b'{"k": ' + _NOT_UTF8},
@@ -815,7 +817,7 @@ _NOT_UTF8 = b"\xff\xfe\xfd\n"  # bytes that never occur in UTF-8
      {"config.json": b'{"seed": ' + _NOT_UTF8}, "config file config.json is not valid JSON"),
 ], ids=["fig8-fr1-zero", "fig8-fr1-nan", "fig8-fr2-nan", "fig8-fr2-inf", "fig8-fr2-seed-key",
         "fig8-failed-cells-infinite-ratio", "fit-tol-scale-inf", "labels-not-utf8",
-        "points-not-utf8", "model-not-utf8", "config-not-utf8"])
+        "label-oversized", "points-not-utf8", "model-not-utf8", "config-not-utf8"])
 def test_bad_input_is_one_strict_json_error_line(tmp_path, monkeypatch, capsys, argv, files,
                                                  names):
     monkeypatch.chdir(tmp_path)
@@ -827,6 +829,8 @@ def test_bad_input_is_one_strict_json_error_line(tmp_path, monkeypatch, capsys, 
     assert "Traceback" not in err and err.count("\n") == 1 and err.endswith("\n")
     _strict_json(err)
     assert names in err
+    if "--reps" not in argv:  # only the failed-cells sweep gets as far as writing
+        assert not Path("out").exists()
 
 
 def test_preset_names_come_from_the_recipe_table():

@@ -390,7 +390,7 @@ class TestDiscretize:
             assert list(ds.lengths) == [0, 6, 2, 11, 4]
 
     @pytest.mark.parametrize("traj, text", [
-        (np.zeros(4), r"each trajectory must be a \(T\+1, D\) array"),
+        (np.zeros(4), "^trajectory 1 must be a 2-D array, not 1-D$"),
         (np.zeros((4, 3)), "point dimension 3 does not match training dimension 2"),
     ])
     def test_bad_trajectory_rejected(self, traj, text):
@@ -411,7 +411,7 @@ class TestDiscretize:
 
     def test_nan_point_rejected_as_not_finite(self):
         model, points = self._model()
-        with pytest.raises(ValidationError, match="points must be finite"):
+        with pytest.raises(ValidationError, match="^trajectory 1 must be finite$"):
             discretize_trajectories(model, [points[:3], np.vstack([points[:2], [[np.nan, 0.0]]])])
 
     def test_dataset_shape(self):

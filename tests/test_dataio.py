@@ -390,7 +390,8 @@ class TestPosteriorJson:
         payload.update(responsibilities=[[0.5, 0.5]], elbo_trace=[0.0])
         path = tmp_path / "posterior.json"
         path.write_text(json.dumps(payload))  # NaN and Infinity literals
-        with pytest.raises(ValidationError, match="posterior parameters must be finite"):
+        text = f"posterior file {path}: field {field!r} must be finite"
+        with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
             dataio.read_posterior(path)
 
     def test_non_numeric_field(self, tmp_path):
@@ -450,8 +451,9 @@ class TestSpectralModelJson:
         ({"nystrom_alpha": [[1.0, 0.0, 0.0]]}, r"centers must be \(s >= 1, 1\) for r = 1, not \(2, 2\)"),
         ({"centers": [[0.0, 0.0, 0.0]]}, r"centers must be \(s >= 1, 2\) for r = 2, not \(1, 3\)"),
         ({"nystrom_alpha": [[float("nan"), 0.0, 0.0], [0.0, 1.0, 0.0]]},
-         "nystrom_alpha must be finite"),
-        ({"centers": [[0.0, 0.0], [float("inf"), 1.0]]}, "centers must be finite"),
+         "^spectral model file PATH: field 'nystrom_alpha' must be finite$"),
+        ({"centers": [[0.0, 0.0], [float("inf"), 1.0]]},
+         "^spectral model file PATH: field 'centers' must be finite$"),
         ({"kernel": {"name": "gaussian", "sigma": float("inf")}},
          "^PATH: sigma must be finite and positive$"),
         ({"kernel": {"name": "gaussian", "sigma": 1e300}},

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainmix import ValidationError, accuracy, confusion
+from chainmix.metrics import _LABEL_BOUND
 
 from helpers import reference_accuracy
 
@@ -153,3 +154,26 @@ class TestConfusion:
         # a cast to int64 would truncate it to the bijection [1, 0]
         with pytest.raises(ValidationError, match="permutation must be nonnegative integers"):
             confusion([0, 1], [0, 1], np.array([1.5, 0.2]))
+
+
+class TestLabelBound:
+    """A label at or above `_LABEL_BOUND` is refused before any table is built;
+    every table these tests build holds at most 2**20 counts."""
+
+    def test_largest_label_accepted(self):
+        top = _LABEL_BOUND - 1
+        value, perm = accuracy([0, top], [top, 0])
+        assert value == 1.0 and perm.size == _LABEL_BOUND
+        assert confusion([0, top], [top, 0], perm).counts.shape == (_LABEL_BOUND,) * 2
+
+    @pytest.mark.parametrize("label", [_LABEL_BOUND, _LABEL_BOUND + 1, 99999999999],
+                             ids=["at-bound", "above-bound", "eleven-digits"])
+    def test_oversized_label_rejected(self, label):
+        calls = [("true_labels", lambda: accuracy([0, label], [0, 0])),
+                 ("est_labels", lambda: accuracy([0, 0], [0, label])),
+                 ("true_labels", lambda: confusion([0, label], [0, 0], [0])),
+                 ("est_labels", lambda: confusion([0, 0], [0, label], [0, 1])),
+                 ("permutation", lambda: confusion([0, 1], [0, 1], [label, 0]))]
+        for name, call in calls:
+            with pytest.raises(ValidationError, match=f"^{name} must be below {_LABEL_BOUND}$"):
+                call()

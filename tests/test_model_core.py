@@ -1,4 +1,5 @@
 import hashlib
+import json
 import re
 import tracemalloc
 
@@ -6,14 +7,18 @@ import numpy as np
 import pytest
 
 from chainmix import (
+    DirichletPosterior,
     EmConfig,
     GaussianKernel,
     MisaState,
     MixtureParams,
+    PointSet,
     Responsibilities,
+    SpectralModel,
     TrajectoryDataset,
     ValidationError,
     VemConfig,
+    discretize_trajectories,
     kl_rate,
     kl_report,
     kl_trajectory,
@@ -29,10 +34,12 @@ from chainmix import (
 )
 from chainmix import MisaParams, cli, dataio, misa_simulate
 from chainmix.experiments import run_fig2, run_fig3, run_fig8
+from chainmix.theory import stationary_distribution
 from chainmix.model_core import (
     SufficientStats,
     as_rng,
     check_real,
+    check_reals,
     log_mixture_weights,
     log_normalize_rows,
     parameter_block,
@@ -435,9 +442,9 @@ class TestResponsibilities:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, value):
-        with pytest.raises(ValidationError, match=r"gamma entries must lie in \[0, 1\]"):
+        with pytest.raises(ValidationError, match="^gamma must be finite$"):
             Responsibilities(np.full((2, 2), value))
-        with pytest.raises(ValidationError, match=r"gamma entries must lie in \[0, 1\]"):
+        with pytest.raises(ValidationError, match="^gamma must be finite$"):
             Responsibilities(np.array([[value, 1.0], [0.5, 0.5]]))
 
 
@@ -775,3 +782,115 @@ class TestRealChecks:
         # a Python int has no float64 value above the largest float64
         with pytest.raises(ValidationError, match="^x must be finite and positive$"):
             check_real(2**1024, "x", True)
+
+
+def _read_file(reader, payload, field):
+    """`reader` on a JSON file holding `payload` with `field` set to the value,
+    written with its NaN and Infinity literals, which Python's reader takes."""
+    def call(value):
+        path = f"{field}.json"
+        document = {**payload, field: value.tolist() if isinstance(value, np.ndarray) else value}
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        return reader(path)
+    return call
+
+
+_MODEL_FILE = {"k": 1, "s": 1, "mu": [1.0], "nu": [[1.0]], "P": [[[1.0]]]}
+_POSTERIOR_FILE = {"N_hat": [1.0, 2.0], "N_i_hat": [[1.0, 1.0]] * 2,
+                   "N_ialpha_hat": [[[1.0, 1.0]] * 2] * 2, "responsibilities": [[1.0, 0.0]],
+                   "elbo_trace": [0.0]}
+_SPECTRAL_FILE = {"kernel": {"name": "gaussian", "sigma": 1.0},
+                  "training_points": [[0.0], [1.0]], "nystrom_alpha": [[1.0, 0.0]],
+                  "centers": [[0.0], [1.0]]}
+_SPECTRAL = dict(kernel=GaussianKernel(sigma=1.0), points=[[0.0], [1.0]], alpha=[[1.0, 0.0]],
+                 centers=[[0.0], [1.0]])
+_SPECTRAL_MODEL = SpectralModel(**_SPECTRAL)
+
+# (argument as its message names it, a valid value of whole numbers, the
+# call with that argument set to the value, whether the value goes through
+# a JSON file, which cannot hold a complex number)
+_REAL_ARRAY_ARGUMENTS = {
+    "MixtureParams-mu": ("mu", [1.0], lambda v: MixtureParams(mu=v, nu=[[1.0]], P=[[[1.0]]]),
+                         False),
+    "MixtureParams-nu": ("nu", [[1.0]], lambda v: MixtureParams(mu=[1.0], nu=v, P=[[[1.0]]]),
+                         False),
+    "MixtureParams-P": ("P", [[[1.0]]], lambda v: MixtureParams(mu=[1.0], nu=[[1.0]], P=v),
+                        False),
+    "Responsibilities-gamma": ("gamma", [[1.0, 0.0], [0.0, 1.0]], Responsibilities, False),
+    "DirichletPosterior-n_hat": ("n_hat", [1.0, 2.0], lambda v: DirichletPosterior(
+        v, np.ones((2, 2)), np.ones((2, 2, 2))), False),
+    "DirichletPosterior-n_i_hat": ("n_i_hat", [[1.0, 1.0]] * 2, lambda v: DirichletPosterior(
+        np.ones(2), v, np.ones((2, 2, 2))), False),
+    "DirichletPosterior-n_ialpha_hat": ("n_ialpha_hat", [[[1.0, 1.0]] * 2] * 2,
+                                        lambda v: DirichletPosterior(np.ones(2), np.ones((2, 2)),
+                                                                     v), False),
+    "PointSet-points": ("points", [[0.0, 1.0], [2.0, 3.0]], PointSet, False),
+    "SpectralModel-nystrom_alpha": ("nystrom_alpha", [[1.0, 0.0]], lambda v: SpectralModel(
+        **{**_SPECTRAL, "alpha": v}), False),
+    "SpectralModel-centers": ("centers", [[0.0], [1.0]], lambda v: SpectralModel(
+        **{**_SPECTRAL, "centers": v}), False),
+    "stationary_distribution-transition": ("transition", [[1.0, 0.0], [0.0, 1.0]],
+                                           stationary_distribution, False),
+    "discretize_trajectories-trajectory": ("trajectory 1", [[0.0], [1.0]], lambda v: (
+        discretize_trajectories(_SPECTRAL_MODEL, [[[0.0]], v])), False),
+    **{f"read_params-{key}": (f"model file {key}.json: field {key!r}", _MODEL_FILE[key],
+                              _read_file(dataio.read_params, _MODEL_FILE, key), True)
+       for key in ("mu", "nu", "P")},
+    **{f"read_posterior-{key}": (f"posterior file {key}.json: field {key!r}",
+                                 _POSTERIOR_FILE[key],
+                                 _read_file(dataio.read_posterior, _POSTERIOR_FILE, key), True)
+       for key in _POSTERIOR_FILE},
+    **{f"read_spectral_model-{key}": (f"spectral model file {key}.json: field {key!r}",
+                                      _SPECTRAL_FILE[key],
+                                      _read_file(dataio.read_spectral_model, _SPECTRAL_FILE, key),
+                                      True)
+       for key in ("training_points", "nystrom_alpha", "centers")},
+}
+
+
+class TestRealArrayChecks:
+    """Every real-valued array the library takes is a finite array of numbers
+    of its number of dimensions."""
+
+    @pytest.mark.parametrize("entry", sorted(_REAL_ARRAY_ARGUMENTS))
+    def test_rejected(self, entry, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the file readers read here
+        name, valid, call, in_file = _REAL_ARRAY_ARGUMENTS[entry]
+        valid = np.array(valid)
+        not_numbers = [np.ones(valid.shape, dtype=bool), np.full(valid.shape, "a"),
+                       np.array([1.0, None]), [[1.0], [1.0, 2.0]]]
+        if not in_file:
+            not_numbers.append(valid.astype(complex))
+        cases = [(v, "must be an array of numbers") for v in not_numbers]
+        for wrong in (valid[None], valid.flat[0], *([valid[0]] if valid.ndim > 1 else [])):
+            wrong = np.asarray(wrong)
+            cases.append((wrong, f"must be a {valid.ndim}-D array, not {wrong.ndim}-D"))
+        for bad in (np.nan, np.inf, -np.inf):
+            value = valid.copy()
+            value.flat[-1] = bad
+            cases.append((value, "must be finite"))
+        for value, text in cases:
+            with pytest.raises(ValidationError, match=f"^{re.escape(f'{name} {text}')}$"):
+                call(value)
+
+    @pytest.mark.parametrize("entry", sorted(_REAL_ARRAY_ARGUMENTS))
+    def test_int64_and_float32_accepted(self, entry, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the file readers read here
+        _, valid, call, _ = _REAL_ARRAY_ARGUMENTS[entry]
+        for dtype in (np.int64, np.float32):
+            call(np.array(valid, dtype=dtype))
+
+    def test_float64_input_is_not_copied(self):
+        gamma = np.array([[0.25, 0.75]])
+        assert Responsibilities(gamma).gamma is gamma
+        mu, nu, P = np.array([1.0]), np.array([[0.5, 0.5]]), np.full((1, 2, 2), 0.5)
+        params = MixtureParams(mu, nu, P)
+        assert params.mu is mu and params.nu is nu and params.P is P
+        strided = np.ones((3, 4))[:, ::2]
+        assert check_reals(strided, "x", 2) is strided
+
+    def test_other_input_is_converted_to_float64(self):
+        for values in ([[1, 2]], np.array([[1, 2]], dtype=np.uint8), np.float32([[0.5, 2.0]])):
+            arr = check_reals(values, "x", 2)
+            assert arr.dtype == np.float64 and np.array_equal(arr, np.asarray(values))

@@ -192,7 +192,8 @@ class TestMultistart:
         (np.zeros((25, 1), dtype=np.int64), "nonempty 1-D integer array"),
         (np.r_[-1, np.zeros(24, dtype=np.int64)], "nonnegative integers"),
         (np.full(25, 0.9), "nonnegative integers"),
-    ], ids=["wrong-length", "two-dimensional", "negative", "fractional"])
+        (np.r_[99999999999, np.zeros(24, dtype=np.int64)], "true_labels must be below 1024"),
+    ], ids=["wrong-length", "two-dimensional", "negative", "fractional", "oversized"])
     def test_true_labels_checked_before_first_restart(self, small_problem, monkeypatch,
                                                       labels, text):
         import chainmix.multistart as multistart

@@ -140,11 +140,15 @@ class TestComponentIndices:
 class TestStationaryDistribution:
     """The log-step walk against the step-by-step power iteration."""
 
-    @pytest.mark.parametrize("transition", [
-        [[0.5, 0.5]], [0.5, 0.5], [[[1.0]]], np.zeros((0, 0)), 1.0,
+    @pytest.mark.parametrize("transition, text", [
+        ([[0.5, 0.5]], "transition matrix must be square"),
+        ([0.5, 0.5], "^transition must be a 2-D array, not 1-D$"),
+        ([[[1.0]]], "^transition must be a 2-D array, not 3-D$"),
+        (np.zeros((0, 0)), "transition matrix must be square"),
+        (1.0, "^transition must be a 2-D array, not 0-D$"),
     ], ids=["wide", "vector", "3-d", "empty", "scalar"])
-    def test_non_square_matrix_rejected(self, transition):
-        with pytest.raises(ValidationError, match="transition matrix must be square"):
+    def test_non_square_matrix_rejected(self, transition, text):
+        with pytest.raises(ValidationError, match=text):
             stationary_distribution(transition)
 
     def test_period_two_chain_with_stationary_uniform_start(self):

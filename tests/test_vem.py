@@ -213,7 +213,7 @@ class TestVemFit:
         arrays = {"n_hat": np.full(2, 0.5), "n_i_hat": np.ones((2, 2)),
                   "n_ialpha_hat": np.ones((2, 2, 2))}
         arrays[field].flat[0] = value
-        with pytest.raises(ValidationError, match="posterior parameters must be finite"):
+        with pytest.raises(ValidationError, match=f"^{field} must be finite$"):
             DirichletPosterior(**arrays)
 
     def test_init_width_must_match_k_max(self):
@@ -285,14 +285,6 @@ class TestPerFitBuffers:
             seq = multistart.restart_seed_sequence(report.master_seed, r)
             alone = arrays(fit_one(stats, sample_simplex_rows(stats.n, k, seq), config))
             assert all(np.array_equal(a, b) for a, b in zip(restart, alone))
-
-    def test_block_is_shared_and_read_only(self):
-        # the owner map of the stack both algorithms fill
-        owner = model_core._stack_owner(4, 3)
-        assert model_core._stack_owner(4, 3) is owner
-        assert not owner.flags.writeable
-        with pytest.raises(ValueError):
-            owner[0] = 0
 
 
 def _elbo(n_hat, n_i, n_ia, log_mu, log_nu, log_p, log_c):
