@@ -575,8 +575,8 @@ def log_normalize_rows(logw: np.ndarray, scratch=None):
     """Row-wise log-sum-exp normalization via a max shift.
 
     Returns (gamma, log_norms) with gamma = exp(logw - log_norms[:, None]).
-    Rows that are entirely -inf yield log_norms of -inf and NaN gamma; the
-    callers treat that as a support failure.
+    Raises NumericalError naming the first trajectory whose row has no
+    finite maximum: no component can produce it.
 
     Consumes `logw`: it must be a float64 array the caller no longer needs.
     The shift, the exponential and the division happen in place, so the
@@ -588,25 +588,16 @@ def log_normalize_rows(logw: np.ndarray, scratch=None):
         scratch = np.empty((2, logw.shape[0]))
     m, sums = scratch[0], scratch[1]  # unpacking would iterate, at about 1 µs a call
     np.maximum.reduce(logw, axis=1, out=m)
-    if math.isfinite(np.add.reduce(m)):  # every row max is finite: no row needs a mask
-        logw -= m[:, None]
-        gamma = np.exp(logw, out=logw)
-        np.add.reduce(gamma, axis=1, out=sums)
-        gamma /= sums[:, None]
-        log_norms = np.log(sums, out=sums)
-        log_norms += m
-        return gamma, log_norms
-    finite = np.isfinite(m)
-    # rows without a finite max are overwritten below, so shifting them by 0 is safe
-    logw -= np.where(finite, m, 0.0)[:, None]
+    if not math.isfinite(np.add.reduce(m)):  # a row max is not finite, or the sum overflows
+        bad = np.flatnonzero(~np.isfinite(m))
+        if bad.size:
+            raise NumericalError(f"trajectory {bad[0]} has zero probability under every component")
+    logw -= m[:, None]
     gamma = np.exp(logw, out=logw)
     np.add.reduce(gamma, axis=1, out=sums)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gamma /= sums[:, None]
-        log_norms = np.log(sums, out=sums)
-        log_norms += m
-    gamma[~finite] = np.nan
-    log_norms[~finite] = -np.inf
+    gamma /= sums[:, None]
+    log_norms = np.log(sums, out=sums)
+    log_norms += m
     return gamma, log_norms
 
 
@@ -649,14 +640,15 @@ def coordinate_ascent(stats: SufficientStats, init: Responsibilities,
     """The iteration shared by EM and variational EM.
 
     Each iteration `it` (1-based) fills `stack` from the responsibilities;
-    then `step(it)` links it to log parameters, performs the E-step,
+    then `step()` links it to log parameters, performs the E-step,
     evaluates the objective and returns (new gamma, objective).  The loop
     stops when |delta L| <= tol_scale * N * T_mean or after `max_iters`
     steps; `max_iters` >= 1 is the config's check.
 
     Returns (gamma, objective trace, converged, iterations); `stack` holds
     the last iteration's counts.  Raises NumericalError carrying the
-    iteration index if the objective becomes NaN or +/-inf.
+    iteration index if the objective becomes NaN or +/-inf, and sets that
+    index on any NumericalError the step raises.
     """
     if init.n != stats.n:
         raise ValidationError("init responsibilities and stats disagree on N")
@@ -665,7 +657,11 @@ def coordinate_ascent(stats: SufficientStats, init: Responsibilities,
     trace = []
     for it in range(1, max_iters + 1):
         stack.fill(gamma, stats.X)
-        gamma, objective = step(it)
+        try:
+            gamma, objective = step()
+        except NumericalError as exc:
+            exc.iteration = it
+            raise
         if not math.isfinite(objective):
             raise NumericalError(
                 f"objective became non-finite ({objective})", iteration=it

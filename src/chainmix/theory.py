@@ -211,12 +211,10 @@ def bayes_classify(params: MixtureParams, data: TrajectoryDataset):
         logw = log_mixture_weights(
             np.log(params.mu), np.log(parameter_block(params.nu, params.P)), stats
         )
-    posterior, log_c = log_normalize_rows(logw)
-    if np.any(np.isneginf(log_c)):
-        bad = int(np.flatnonzero(np.isneginf(log_c))[0])
-        raise ValidationError(
-            f"trajectory {bad} has zero probability under every component"
-        )
+    try:
+        posterior, _ = log_normalize_rows(logw)
+    except NumericalError as exc:
+        raise ValidationError(str(exc)) from None
     return labels_from_responsibilities(posterior), posterior
 
 

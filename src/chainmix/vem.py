@@ -70,6 +70,8 @@ class DirichletPosterior:
         k = n_hat.shape[0]
         if n_i.shape[0] != k or n_ia.shape != n_i.shape + (n_i.shape[1],):
             raise ValidationError("inconsistent posterior parameter shapes")
+        if n_ia.size == 0:
+            raise ValidationError("a posterior needs at least one component and one state")
         if np.any(n_hat < 1.0 / k - 1e-9):
             raise ValidationError("n_hat entries must stay at or above the 1/k prior floor")
         if np.any(n_i < 1.0 - 1e-9) or np.any(n_ia < 1.0 - 1e-9):
@@ -143,7 +145,7 @@ def vem_fit(stats: SufficientStats, init: Responsibilities,
     log_rows = stack.log_params.reshape(-1, s)
     e_step, scratch = np.empty((k, stats.n)), np.empty((2, stats.n))
 
-    def step(it):
+    def step():
         digamma(stack.values, out=work)  # `_elbo_value` overwrites work after
         np.subtract(psi_mu, psi_total, out=stack.log_mu)
         np.subtract(psi_rows, psi_row_totals, out=log_rows)

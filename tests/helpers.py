@@ -376,6 +376,18 @@ def assert_e_step_buffers_reused(results, fit, k, n):
     assert fit.responsibilities.gamma.base is buffer
 
 
+def zero_probability_stats():
+    """Counts under which EM with k=1 gives trajectory 1 probability zero
+    under every component at iteration 1: a row total that overflows to inf
+    turns each of that row's estimates into 0, and trajectory 1 makes those
+    steps.  Fit them under `np.errstate(over="ignore")`."""
+    from chainmix.model_core import SufficientStats
+
+    big = [[8e307, 8e307], [0.0, 0.0]]
+    return SufficientStats(np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]),
+                           np.array([[[0.0, 0.0], [0.0, 1.0]], big, big]))
+
+
 def _reference_categorical(rng, columns, rows, out, u, gathered, hit):
     """The per-column categorical step that the one-block `_categorical`
     replaced: columns[b][r] is the cumulative probability of indices 0..b in
@@ -431,22 +443,12 @@ def reference_log_mixture_weights(log_mu, log_nu, log_P, stats):
 
 def reference_log_normalize_rows(logw):
     """The out-of-place row normalization the in-place `log_normalize_rows`
-    replaced; it leaves `logw` as it is."""
-    import math
-
+    replaced; it leaves `logw` as it is.  Every row max must be finite."""
     m = logw.max(axis=1)
-    if math.isfinite(m.sum()):
-        gamma = np.exp(logw - m[:, None])
-        sums = gamma.sum(axis=1)
-        gamma /= sums[:, None]
-        return gamma, m + np.log(sums)
-    finite = np.isfinite(m)
-    e = np.exp(logw - np.where(finite, m, 0.0)[:, None])
-    sums = e.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_norms = np.where(finite, m + np.log(sums), -np.inf)
-        gamma = np.where(finite[:, None], e / sums[:, None], np.nan)
-    return gamma, log_norms
+    gamma = np.exp(logw - m[:, None])
+    sums = gamma.sum(axis=1)
+    gamma /= sums[:, None]
+    return gamma, m + np.log(sums)
 
 
 def _reference_marks_per_line(marks, line_starts):

@@ -5,18 +5,24 @@ would leave a boundary without calls, so every one must resolve."""
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chainmix.vem
 from chainmix import (
     EmConfig,
+    NumericalError,
+    Responsibilities,
     TrajectoryDataset,
     VemConfig,
+    em_fit,
     multistart_fit,
     random_mixture_params,
     sample_mixture,
     sufficient_stats,
 )
+
+from helpers import zero_probability_stats
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -58,3 +64,24 @@ def test_fit_spans_carry_iterations_and_convergence(monkeypatch, algorithm, conf
     fits = [s.info for s in tracer.spans if s.name == span]
     assert fits == [{"iterations": int(i), "converged": bool(c)}
                     for i, c in zip(report.all_iterations, report.all_converged)]
+
+
+def test_e_step_failure_in_a_traced_leaf(monkeypatch):
+    # the zero-probability error starts inside the wrapped log_normalize_rows
+    # leaf; the traced run must pass it on with its iteration and unwind
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    stats = zero_probability_stats()
+    tracer = spans.Tracer()
+    with tracer.installed(), np.errstate(over="ignore"):
+        with pytest.raises(NumericalError) as err:
+            em_fit(stats, Responsibilities(np.ones((3, 1))), EmConfig(k=1))
+        with pytest.raises(NumericalError, match="^all 2 restarts failed: restart 0: trajectory 1"):
+            chainmix.multistart_fit(stats, "em", 2, EmConfig(k=1))
+    assert str(err.value) == "trajectory 1 has zero probability under every component"
+    assert err.value.iteration == 1
+    assert tracer.leaves[(-1, "model_core.log_normalize_rows")][1] == 1
+    assert [(s.name, s.info) for s in tracer.spans] == (
+        [("multistart.multistart_fit", {"error": "NumericalError"})]
+        + [("multistart.init", {}), ("em.em_fit", {"error": "NumericalError"})] * 2)
+    assert tracer._stack == [-1]

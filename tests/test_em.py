@@ -22,7 +22,7 @@ from chainmix import (
 )
 from chainmix.model_core import SufficientStats
 
-from helpers import assert_e_step_buffers_reused, record_results
+from helpers import assert_e_step_buffers_reused, record_results, zero_probability_stats
 
 
 def test_single_component_collapses_to_count_normalization():
@@ -160,11 +160,7 @@ def test_zero_support_e_step_reuses_per_fit_buffers(monkeypatch):
 
 
 def test_zero_probability_trajectory_named_with_iteration():
-    # a row total that overflows to inf turns each of that row's estimates
-    # into 0, so trajectory 1, which makes those steps, has probability 0
-    big = [[8e307, 8e307], [0.0, 0.0]]
-    stats = SufficientStats(np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]),
-                            np.array([[[0.0, 0.0], [0.0, 1.0]], big, big]))
+    stats = zero_probability_stats()
     with np.errstate(over="ignore"), pytest.raises(NumericalError) as err:
         em_fit(stats, Responsibilities(np.ones((3, 1))), EmConfig(k=1))
     assert str(err.value) == "trajectory 1 has zero probability under every component"

@@ -12,6 +12,7 @@ from chainmix import (
     GaussianKernel,
     MisaState,
     MixtureParams,
+    NumericalError,
     PointSet,
     Responsibilities,
     SpectralModel,
@@ -486,12 +487,18 @@ class TestEStep:
         assert w[0, 1] == -np.inf and np.array_equal(w[1:, 1], finite[1:, 1])
 
     def test_normalize_rows_all_neg_inf_row(self):
-        logw = np.array([[0.0, np.log(3.0)], [-np.inf, -np.inf], [-np.inf, 5.0]])
-        gamma, log_norms = log_normalize_rows(logw)
+        logw = np.array([[0.0, np.log(3.0)], [-np.inf, 5.0]])
+        gamma, log_norms = log_normalize_rows(logw.copy())
         assert np.allclose(gamma[0], [0.25, 0.75])
         assert log_norms[0] == pytest.approx(np.log(4.0))
-        assert np.all(np.isnan(gamma[1])) and log_norms[1] == -np.inf
-        assert np.array_equal(gamma[2], [0.0, 1.0]) and log_norms[2] == 5.0
+        assert np.array_equal(gamma[1], [0.0, 1.0]) and log_norms[1] == 5.0
+        # no component can produce a row without a finite max; the first is named
+        for bad in ([-np.inf, -np.inf], [np.nan, 0.0], [np.inf, 0.0]):
+            rows = np.vstack([logw, bad, bad])
+            with pytest.raises(NumericalError) as err:
+                log_normalize_rows(rows)
+            assert str(err.value) == "trajectory 2 has zero probability under every component"
+            assert err.value.iteration is None
 
 
 class TestEStepMatchesOutOfPlaceFormulas:
@@ -521,7 +528,7 @@ class TestEStepMatchesOutOfPlaceFormulas:
 
     @pytest.mark.parametrize("k", [2, 4, 10])
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("rows", ["finite", "masked"])
+    @pytest.mark.parametrize("rows", ["finite", "overflow", "masked"])
     def test_log_normalize_rows(self, k, order, rows):
         stats, params = self._problem(k, 10 + k)
         logw = np.array(log_mixture_weights(params[0], parameter_block(*params[1:]), stats),
@@ -530,11 +537,19 @@ class TestEStepMatchesOutOfPlaceFormulas:
             logw[3] = -np.inf
             logw[5, 0] = np.inf
             logw[7, k - 1] = np.nan
-            logw[9, 1:] = -np.inf
-        expected_gamma, expected_norms = reference_log_normalize_rows(logw)
-        gamma, log_norms = log_normalize_rows(logw)
-        assert np.array_equal(gamma, expected_gamma, equal_nan=True)
-        assert np.array_equal(log_norms, expected_norms, equal_nan=True)
+            with pytest.raises(NumericalError,
+                               match="^trajectory 3 has zero probability under every component$"):
+                log_normalize_rows(logw)
+            return
+        if rows == "overflow":  # finite row maxima whose sum is -inf still normalize
+            logw[[3, 5]] -= 1e308
+            logw[9, 1:] = -np.inf  # a row with one finite weight
+        with np.errstate(over="ignore"):
+            expected_gamma, expected_norms = reference_log_normalize_rows(logw)
+            gamma, log_norms = log_normalize_rows(logw)
+        assert np.array_equal(gamma, expected_gamma)
+        assert np.array_equal(log_norms, expected_norms)
+        assert np.all(np.isfinite(log_norms))
         assert np.shares_memory(gamma, logw)  # logw is consumed
 
     @pytest.mark.parametrize("support", ["finite", "neg_inf", "nan"])
@@ -554,11 +569,15 @@ class TestEStepMatchesOutOfPlaceFormulas:
     def test_log_normalize_rows_into_scratch(self, rows):
         stats, params = self._problem(4, 21)
         logw = log_mixture_weights(params[0], parameter_block(*params[1:]), stats)
-        if rows == "masked":
-            logw[3] = -np.inf  # a row with no finite weight
-            logw[7, 1] = np.nan
-        fresh = logw.copy(order="K")
         scratch = np.full((2, stats.n), 7.0)
+        if rows == "masked":
+            logw[7] = -np.inf  # a row with no finite weight
+            logw[9, 1] = np.nan
+            with pytest.raises(NumericalError,
+                               match="^trajectory 7 has zero probability under every component$"):
+                log_normalize_rows(logw, scratch)
+            return
+        fresh = logw.copy(order="K")
         gamma, log_norms = log_normalize_rows(logw, scratch)
         expected_gamma, expected_norms = log_normalize_rows(fresh)
         assert gamma is logw and log_norms.base is scratch

@@ -15,7 +15,7 @@ from chainmix import (
 )
 from chainmix.multistart import TIE_RTOL, restart_seed_sequence
 
-from helpers import count_calls
+from helpers import count_calls, zero_probability_stats
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +178,13 @@ class TestMultistart:
         assert report.failures == ((1, "injected failure"),)
         assert np.isnan(report.all_wall_s[1])
         assert np.all(report.all_wall_s[[0, 2]] > 0)
+
+    def test_e_step_failure_reaches_the_report(self):
+        with np.errstate(over="ignore"), pytest.raises(NumericalError) as err:
+            multistart_fit(zero_probability_stats(), "em", 2, EmConfig(k=1))
+        message = "trajectory 1 has zero probability under every component"
+        assert str(err.value) == (f"all 2 restarts failed: restart 0: {message}; "
+                                  f"restart 1: {message}")
 
     def test_unknown_algorithm_rejected(self, small_problem):
         stats, _ = small_problem

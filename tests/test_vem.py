@@ -216,6 +216,16 @@ class TestVemFit:
         with pytest.raises(ValidationError, match=f"^{field} must be finite$"):
             DirichletPosterior(**arrays)
 
+    @pytest.mark.parametrize("arrays, text", [
+        ((np.ones(2), np.ones((3, 2)), np.ones((3, 2, 2))), "inconsistent posterior parameter shapes"),
+        ((np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2, 2))), "at least one component and one state"),
+        ((np.ones(2), np.zeros((2, 0)), np.zeros((2, 0, 0))), "at least one component and one state"),
+    ], ids=["inconsistent", "no-components", "no-states"])
+    def test_posterior_rejects_bad_shapes(self, arrays, text):
+        from chainmix import ValidationError
+        with pytest.raises(ValidationError, match=text):
+            DirichletPosterior(*arrays)
+
     def test_init_width_must_match_k_max(self):
         ds = TrajectoryDataset(([0, 1],), s=2)
         stats = sufficient_stats(ds)
